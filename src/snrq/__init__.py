@@ -29,8 +29,8 @@ from .errors import (
     ShapeMismatch,
     SnrqError,
 )
-from .grid import GridParams, GridSpec, dequantize, fit_grid, levels, nearest_level
-from .linalg import cholesky, solve_spd
+from .grid import GridParams, GridSpec, dequantize, fit_grid, levels
+from .linalg import cholesky
 from .matio import read_matrix, write_matrix
 from .rng import SeededRng
 from .solvers import (
@@ -75,7 +75,6 @@ __all__ = [
     "gptq_round",
     "ksnrq_beam",
     "levels",
-    "nearest_level",
     "objective_direct",
     "permutation_from_diag",
     "read_matrix",
@@ -83,6 +82,5 @@ __all__ = [
     "shifted_target",
     "snrq_greedy",
     "snrq_lazy",
-    "solve_spd",
     "write_matrix",
 ]

@@ -8,8 +8,8 @@ A calibration batch holds teacher activations ``xf`` and student activations
 decomposes exactly into ``a*L_asym + (1-a)*L_sym - a(1-a)*||w(xf-xq)||_F^2``
 and, after completing the square, into a Hessian-weighted least-squares
 problem around the shifted target M = w C H^{-1}. This module builds the
-second-moment statistics (H, C, optionally H-tilde), selects the interpolation
-weight (fixed, closed form, or Beta-sampled per sequence), and produces M.
+second-moment statistics (H, C), selects the interpolation weight (fixed,
+closed form, or Beta-sampled per sequence), and produces M.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class CalibStats:
     """Accumulated second-order statistics for one layer.
 
     ``h`` is the damped student second moment, ``c_alpha`` the cross moment
-    X_alpha X_q^T, ``h_tilde`` (optional) the X_alpha second moment.
+    X_alpha X_q^T.
     ``alpha_trace`` records the per-sequence weights actually used (length 1
     for a single global weight).
     """
@@ -113,7 +113,6 @@ class CalibStats:
     damping_abs: float
     n_samples: int
     alpha_trace: np.ndarray
-    h_tilde: np.ndarray | None = None
     _chol: np.ndarray | None = field(default=None, repr=False)
 
     def chol(self) -> np.ndarray:
@@ -139,7 +138,6 @@ def accumulate_stats(
     strategy: AlphaStrategy,
     damping: float = 0.01,
     rng: SeededRng | None = None,
-    with_h_tilde: bool = False,
 ) -> CalibStats:
     """Build H and C from one calibration batch.
 
@@ -173,7 +171,6 @@ def accumulate_stats(
         x_alpha = a * xf + (1.0 - a) * xq
         trace = np.array([a])
     c_alpha = x_alpha @ xq.T
-    h_tilde = x_alpha @ x_alpha.T if with_h_tilde else None
 
     return CalibStats(
         h=h,
@@ -182,7 +179,6 @@ def accumulate_stats(
         damping_abs=damping_abs,
         n_samples=batch.n_sequences,
         alpha_trace=trace,
-        h_tilde=h_tilde,
     )
 
 

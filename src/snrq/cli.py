@@ -145,7 +145,7 @@ def build_parser() -> _Parser:
 
 def _cmd_quantize(args) -> int:
     cfg = _load_config(args.config, {"seed": args.seed, "out_dir": args.out_dir})
-    net = synth_network(cfg.network, cfg.network_seed())
+    net = synth_network(cfg.network, cfg.seed)
     report = quantize_network(net, cfg)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0

@@ -22,10 +22,9 @@ __all__ = [
     "GridSpec",
     "GridParams",
     "fit_grid",
-    "nearest_level",
+    "round_to_grid",
+    "column_grid",
     "levels",
-    "level_table",
-    "quantize_column",
     "dequantize",
 ]
 
@@ -106,8 +105,8 @@ def _zero_for(vmin: float, scale: float, spec: GridSpec) -> int:
 
 
 def _cell_mse(values: np.ndarray, scale: float, zero: int, spec: GridSpec) -> float:
-    codes = np.clip(np.floor(values / scale + zero + 0.5), spec.code_min, spec.code_max)
-    return float(np.sum((values - scale * (codes - zero)) ** 2))
+    _, approx = round_to_grid(values, scale, zero, spec)
+    return float(np.sum((values - approx) ** 2))
 
 
 def fit_grid(w: np.ndarray, spec: GridSpec) -> GridParams:
@@ -146,29 +145,27 @@ def fit_grid(w: np.ndarray, spec: GridSpec) -> GridParams:
     return GridParams(scales=scales, zero_points=zeros, spec=spec)
 
 
-def nearest_level(x: float, row: int, col: int, params: GridParams) -> tuple[int, float]:
-    """Round one value to its nearest grid level, ties toward the larger code."""
-    spec = params.spec
-    g = params.group_of(col)
-    scale = params.scales[row, g]
-    zero = params.zero_points[row, g]
-    code = int(np.clip(np.floor(x / scale + zero + 0.5), spec.code_min, spec.code_max))
-    return code, scale * (code - zero)
+def round_to_grid(x, scale, zero, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest grid codes (int32) and their values, ties toward the larger code.
 
-
-def quantize_column(x: np.ndarray, col: int, params: GridParams) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`nearest_level` over all rows of one column.
-
-    ``x`` has one entry per row; returns (codes int32, dequantized values).
+    ``scale`` and ``zero`` broadcast against ``x``; codes are clamped to
+    [code_min, code_max].
     """
-    spec = params.spec
-    g = params.group_of(col)
-    scale = params.scales[:, g]
-    zero = params.zero_points[:, g]
-    codes = np.clip(
-        np.floor(x / scale + zero + 0.5), spec.code_min, spec.code_max
-    ).astype(np.int32)
-    return codes, scale * (codes - zero)
+    codes = np.clip(np.floor(x / scale + zero + 0.5), spec.code_min, spec.code_max)
+    return codes.astype(np.int32), scale * (codes - zero)
+
+
+def column_grid(params: GridParams, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column (scale, zero point) arrays, m x len(cols), for original column indices.
+
+    Zero points come back as float64, so rounding arithmetic stays in one dtype.
+    """
+    gidx = np.asarray(cols, dtype=np.intp)
+    if params.spec.group_size == 0:
+        gidx = np.zeros_like(gidx)
+    else:
+        gidx = gidx // params.spec.group_size
+    return params.scales[:, gidx], params.zero_points[:, gidx].astype(np.float64)
 
 
 def levels(row: int, col: int, params: GridParams) -> np.ndarray:
@@ -179,23 +176,7 @@ def levels(row: int, col: int, params: GridParams) -> np.ndarray:
     return params.scales[row, g] * (codes - params.zero_points[row, g])
 
 
-def level_table(col: int, params: GridParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row level values for one column: (values m x A, codes A)."""
-    spec = params.spec
-    g = params.group_of(col)
-    codes = np.arange(spec.code_min, spec.code_max + 1, dtype=np.int32)
-    values = params.scales[:, g, None] * (codes[None, :] - params.zero_points[:, g, None])
-    return values, codes
-
-
 def dequantize(codes: np.ndarray, params: GridParams) -> np.ndarray:
     """Dequantize an m x n integer code matrix."""
-    spec = params.spec
-    m, n = codes.shape
-    if spec.group_size == 0:
-        gidx = np.zeros(n, dtype=np.intp)
-    else:
-        gidx = np.arange(n) // spec.group_size
-    scale = params.scales[:, gidx]
-    zero = params.zero_points[:, gidx]
+    scale, zero = column_grid(params, np.arange(codes.shape[1]))
     return scale * (codes - zero)

@@ -12,7 +12,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import NonFinite, NotPositiveDefinite, ShapeMismatch
 
-__all__ = ["cholesky", "solve_spd", "solve_with_factor", "symmetrize", "check_finite"]
+__all__ = ["cholesky", "solve_with_factor", "symmetrize", "check_finite"]
 
 
 def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -66,16 +66,3 @@ def solve_with_factor(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     z = solve_triangular(low, b.T, lower=True)
     y = solve_triangular(low.T, z, lower=False)
     return y.T
-
-
-def solve_spd(h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve Y h = b for SPD h via two triangular solves.
-
-    Raises:
-        ShapeMismatch: column count of b does not match dim(h).
-        NotPositiveDefinite: propagated from the factorization.
-    """
-    b = check_finite(b, "solve_spd rhs")
-    if b.ndim != 2 or b.shape[1] != h.shape[0]:
-        raise ShapeMismatch(f"solve_spd: rhs {b.shape} incompatible with {h.shape}")
-    return solve_with_factor(cholesky(h), b)

@@ -1,9 +1,10 @@
 """Independent ground-truth machinery.
 
 Nothing here shares code paths with the solvers it checks: the exhaustive
-search enumerates every candidate, the alpha scan evaluates the raw objective
-on a grid, and the dithering experiment estimates variances by plain Monte
-Carlo against the closed forms.
+search enumerates every candidate, the greedy reference restates the
+successive-rounding recursion one row and one column at a time, the alpha
+scan evaluates the raw objective on a grid, and the dithering experiment
+estimates variances by plain Monte Carlo against the closed forms.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from scipy.special import ndtr
 
 from .calibration import AlphaStrategy, CalibBatch, objective_direct, sample_folded_alphas
 from .errors import BudgetExceeded
+from .grid import GridParams, levels
 from .rng import SeededRng
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "DitherResult",
     "AlphaScan",
     "exhaustive_row",
+    "greedy_reference",
     "alpha_grid_scan",
     "dither_experiment",
     "sampling_variance_sweep",
@@ -92,6 +95,39 @@ def exhaustive_row(
         best_cost=best_cost,
         n_evaluated=total,
     )
+
+
+def greedy_reference(
+    m_target: np.ndarray, l_chol: np.ndarray, params: GridParams, act_order: bool = False
+) -> np.ndarray:
+    """Reverse-order greedy codes, unblocked, one row and one column at a time.
+
+    For j = n-1 .. 0, column j is set to the level nearest its center
+    c_j = M_j + sum_{k>j} (M_k - Q_k) L_kj / L_jj, ties toward the larger
+    code. With ``act_order`` the columns are first put in ascending order of
+    diag(L L^T) (stable sort) and L is replaced by numpy's Cholesky factor of
+    the permuted H. Returns codes in original column order.
+    """
+    m_target = np.asarray(m_target, dtype=np.float64)
+    m, n = m_target.shape
+    order = np.arange(n)
+    low = np.asarray(l_chol, dtype=np.float64)
+    if act_order:
+        h = low @ low.T
+        order = np.argsort(np.diag(h), kind="stable")
+        low = np.linalg.cholesky(h[np.ix_(order, order)])
+    codes = np.empty((m, n), dtype=np.int64)
+    for i in range(m):
+        target = m_target[i, order]
+        q = np.zeros(n)
+        for j in range(n - 1, -1, -1):
+            center = target[j] + np.dot(target[j + 1:] - q[j + 1:], low[j + 1:, j]) / low[j, j]
+            lv = levels(i, int(order[j]), params)
+            dist = np.abs(lv - center)
+            a = int(np.flatnonzero(dist == dist.min())[-1])
+            q[j] = lv[a]
+            codes[i, order[j]] = params.spec.code_min + a
+    return codes
 
 
 @dataclass(frozen=True)
@@ -239,7 +275,7 @@ def sampling_variance_sweep(
         for rep in range(n_repeats):
             seed = pipeline_config.seed + rep if vary_seeds else pipeline_config.seed
             cfg = pipeline_config.with_updates(alpha=strategy, seed=seed, out_dir=None)
-            net = pipeline.synth_network(cfg.network, cfg.network_seed())
+            net = pipeline.synth_network(cfg.network, cfg.seed)
             report = pipeline.quantize_network(net, cfg)
             vals.append(sum(rec["proxy_loss"] for rec in report["layers"]))
         arr = np.array(vals)

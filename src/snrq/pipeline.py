@@ -129,9 +129,6 @@ class RunConfig:
     def with_updates(self, **kw) -> "RunConfig":
         return replace(self, **kw)
 
-    def network_seed(self) -> int:
-        return self.seed
-
     def to_dict(self) -> dict:
         d = asdict(self)
         d["network"]["dims"] = list(self.network.layer_dims())
@@ -462,7 +459,7 @@ def sweep(config: RunConfig, axis: str, values) -> dict:
     values = list(values)
     if not values:
         raise InvalidSpec("sweep needs at least one value")
-    net = synth_network(config.network, config.network_seed())
+    net = synth_network(config.network, config.seed)
     rows = []
     for v in values:
         cfg = _config_for_value(config, axis, v).with_updates(out_dir=None)

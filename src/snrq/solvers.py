@@ -11,11 +11,16 @@ reverse order j = n-1 .. 0; the interference-cancelled center for column j is
 
     c_j = M_j + sum_{k>j} (M_k - Q_k) L_kj / L_jj.
 
-Solvers:
+Successive rounding is one kernel over K beams and blocks of B columns
+(greedy is K = 1; lazy batching only regroups the updates into blocks, so B
+never changes a decision). Its three entry points differ only in (K, B):
+  * snrq_greedy    (1, n): reverse-order nearest-level rounding of the center
+  * snrq_lazy      (1, block_size): the same codes, block-restructured
+  * ksnrq_beam     (beam_width, block_size): K-best beam search under the exact
+                   accumulated branch metrics
+
+Other solvers:
   * rtn_round      nearest rounding, no error feedback (baseline)
-  * snrq_greedy    reverse-order nearest-level rounding of the center
-  * snrq_lazy      greedy restructured into blocks of B columns; identical codes
-  * ksnrq_beam     K-best beam search under the exact accumulated branch metrics
   * cd_refine      cyclic exact single-coordinate re-optimization passes
   * gptq_round     classic left-to-right error feedback (inverse-Cholesky rows)
   * gptaq_round    left-to-right feedback plus the single-component mismatch
@@ -36,7 +41,7 @@ import numpy as np
 
 from .calibration import CalibBatch
 from .errors import InvalidSpec, MemoryBudget
-from .grid import GridParams, dequantize
+from .grid import GridParams, column_grid, dequantize, round_to_grid
 from .linalg import cholesky, solve_with_factor
 
 __all__ = [
@@ -138,7 +143,7 @@ def proxy_row_scores(q_dequant: np.ndarray, m_ref: np.ndarray, l_chol: np.ndarra
 def proxy_column_costs(e: np.ndarray, l_chol: np.ndarray) -> np.ndarray:
     """Levelwise decomposition terms L_jj^2 ||E_j + sum_{k>j} E_k L_kj/L_jj||^2."""
     n = l_chol.shape[0]
-    lu = l_chol / np.diag(l_chol)[None, :] - np.eye(n)
+    lu = _unit_lower(l_chol)
     out = np.empty(n)
     for j in range(n):
         v = e[:, j] + e[:, j + 1:] @ lu[j + 1:, j]
@@ -154,22 +159,6 @@ def proxy_column_costs(e: np.ndarray, l_chol: np.ndarray) -> np.ndarray:
 def _unit_lower(l_chol: np.ndarray) -> np.ndarray:
     n = l_chol.shape[0]
     return l_chol / np.diag(l_chol)[None, :] - np.eye(n)
-
-
-def _column_grid(params: GridParams, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column scale/zero arrays (m x n) in original column order."""
-    spec = params.spec
-    if spec.group_size == 0:
-        gidx = np.zeros(n, dtype=np.intp)
-    else:
-        gidx = np.arange(n) // spec.group_size
-    return params.scales[:, gidx], params.zero_points[:, gidx].astype(np.float64)
-
-
-def _round_columns(x: np.ndarray, scale: np.ndarray, zero: np.ndarray, spec) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest codes/values for a batch of centers, ties toward larger code."""
-    codes = np.clip(np.floor(x / scale + zero + 0.5), spec.code_min, spec.code_max)
-    return codes.astype(np.int32), scale * (codes - zero)
 
 
 def _permuted_inputs(m_alpha, l_chol, cfg):
@@ -204,7 +193,7 @@ def _finish(codes_p, perm, params, scores) -> RoundResult:
 
 
 # ---------------------------------------------------------------------------
-# baselines and greedy
+# baselines
 # ---------------------------------------------------------------------------
 
 
@@ -221,8 +210,8 @@ def rtn_round(
     """
     w = np.asarray(w, dtype=np.float64)
     m, n = w.shape
-    scale, zero = _column_grid(params, n)
-    codes, values = _round_columns(w, scale, zero, params.spec)
+    scale, zero = column_grid(params, np.arange(n))
+    codes, values = round_to_grid(w, scale, zero, params.spec)
     if m_ref is not None and l_chol is not None:
         scores = proxy_row_scores(values, m_ref, l_chol)
     else:
@@ -236,42 +225,150 @@ def rtn_round(
     )
 
 
+# ---------------------------------------------------------------------------
+# the successive-rounding kernel and its entry points
+# ---------------------------------------------------------------------------
+
+
+def _kernel_bytes(m: int, n: int, k: int, bsz: int, n_levels: int) -> int:
+    """Upper bound on the bytes one kernel call allocates, summed over its phases.
+
+    Layer-wide, per m x n entry: the permuted target (8 B), the gathered
+    grid (12 B) and the permuted codes (4 B), alive throughout, plus the
+    scattered codes and dequantization at the end (28 B); per n x n entry:
+    the refactor and unit-lower factor (16 B) and the refactor's
+    temporaries (24 B). Per live chunk of r rows, per beam: the repeated
+    target and value/code tails (20 B x n) plus one tail-sized temporary
+    (8 B x n); the block buffers, correction, their row gathers and the
+    center difference (40 B x B); and the candidate arrays with their sort
+    order (32 B x W, W = 2 min(K, A) - 1).
+    """
+    b = min(bsz, n)
+    width = 2 * min(k, n_levels) - 1
+    r = min(m, ROW_CHUNK)
+    live = min(worker_count(), -(-m // ROW_CHUNK))
+    chunk = r * k * (28 * n + 40 * b + 32 * width + 64)
+    return m * n * 52 + n * n * 40 + live * chunk
+
+
+def _keep_best(s, center, near_c, scale, zero, cost, offsets, spec):
+    """Expand K beams by the codes near their centers and keep the K best.
+
+    Returns the survivors' (scores, parents, values, codes), each r x K; the
+    candidate arrays are freed on return.
+    """
+    r, k = s.shape
+    cand_c = near_c[:, :, None] + offsets
+    cand_v = scale[:, :, None] * (cand_c - zero[:, :, None])
+    cand_s = s[:, :, None] + cost * (center[:, :, None] - cand_v) ** 2
+    cand_s[(cand_c < spec.code_min) | (cand_c > spec.code_max)] = np.inf
+    order = np.argsort(cand_s.reshape(r, -1), axis=1, kind="stable")[:, :k]
+
+    def pick(a):
+        return np.take_along_axis(a.reshape(r, -1), order, axis=1)
+
+    return pick(cand_s), order // len(offsets), pick(cand_v), pick(cand_c)
+
+
+def _successive_round(m_alpha, l_chol, params, cfg, k, bsz) -> RoundResult:
+    """Reverse-order successive rounding with K beams and blocks of B columns.
+
+    Per row, K partial assignments survive. Column t expands each beam by its
+    nearest code (one :func:`round_to_grid` of the interference-cancelled
+    center) and the K-1 codes on either side; codes outside the grid score
+    +inf. A candidate scores its parent's score plus L_tt^2 (c - v)^2, and a
+    stable sort keeps the K best, ties toward the lower (parent, level). With
+    K = 1 the nearest code is the only candidate, so the sort is skipped.
+
+    Beams are flattened into (rows*K) x columns arrays, beam b of row i at
+    i*K + b, so that centers and the cross-block correction
+    (M - Q)[:, i:] Lu[i:, block] are plain 2-D matrix products. Inside a
+    block only the block-local buffers follow each survivor's parent; the
+    decided tail follows the block's ancestor index once, at the end of the
+    block.
+
+    Raises:
+        MemoryBudget: the allocation charged by :func:`_kernel_bytes` exceeds
+            ``cfg.memory_budget_mb``.
+    """
+    m_alpha = np.asarray(m_alpha, dtype=np.float64)
+    m, n = m_alpha.shape
+    spec = params.spec
+    need = _kernel_bytes(m, n, k, bsz, spec.num_levels)
+    if need > cfg.memory_budget_mb * (1 << 20):
+        raise MemoryBudget(
+            f"rounding state of {need / 2**20:.0f} MiB (m={m}, K={k}, n={n}) exceeds "
+            f"the {cfg.memory_budget_mb} MiB budget"
+        )
+
+    mp, lp, perm = _permuted_inputs(m_alpha, l_chol, cfg)
+    lu = _unit_lower(lp)
+    ldiag_sq = np.diag(lp) ** 2
+    scale_p, zero_p = column_grid(params, perm)
+    reach = min(k, spec.num_levels) - 1
+    offsets = np.arange(-reach, reach + 1, dtype=np.int32)
+
+    codes_p = np.empty((m, n), dtype=np.int32)
+    scores = np.empty(m)
+
+    def task(rows: slice) -> None:
+        mk = np.repeat(mp[rows], k, axis=0)  # row i's target at flat beams i*K .. i*K+K-1
+        r = mk.shape[0] // k
+        base = np.arange(r)[:, None] * k
+        s = np.full((r, k), np.inf)
+        s[:, 0] = 0.0
+        tail_v = np.zeros((r * k, n))
+        tail_c = np.zeros((r * k, n), dtype=np.int32)
+        i = n
+        while i > 0:
+            start = max(0, i - bsz)
+            width = i - start
+            t_corr = (mk[:, i:] - tail_v[:, i:]) @ lu[i:, start:i] if i < n else None
+            bq = np.zeros((r * k, width))
+            bc = np.zeros((r * k, width), dtype=np.int32)
+            anc = np.arange(r * k)  # block-start beam of each survivor
+            for j in range(width - 1, -1, -1):
+                t = start + j
+                center = mk[:, t] + (mk[:, t + 1:i] - bq[:, j + 1:]) @ lu[t + 1:i, t]
+                if t_corr is not None:
+                    center += t_corr[:, j] if k == 1 else t_corr[anc, j]
+                center = center.reshape(r, k)
+                sc, zc = scale_p[rows, t, None], zero_p[rows, t, None]
+                near_c, near_v = round_to_grid(center, sc, zc, spec)
+                if k == 1:
+                    s += ldiag_sq[t] * (center - near_v) ** 2
+                    bq[:, j], bc[:, j] = near_v[:, 0], near_c[:, 0]
+                    continue
+                s, parent, v_j, c_j = _keep_best(s, center, near_c, sc, zc, ldiag_sq[t], offsets, spec)
+                src = (base + parent).ravel()
+                anc, bq, bc = anc[src], bq[src], bc[src]
+                bq[:, j], bc[:, j] = v_j.ravel(), c_j.ravel()
+            if k > 1 and i < n:
+                tail_v[:, i:] = tail_v[anc, i:]
+                tail_c[:, i:] = tail_c[anc, i:]
+            tail_v[:, start:i] = bq
+            tail_c[:, start:i] = bc
+            i = start
+        codes_p[rows] = tail_c[base[:, 0] + np.argmin(s, axis=1)]
+        scores[rows] = np.min(s, axis=1)
+
+    _run_chunked(task, m)
+    return _finish(codes_p, perm, params, scores)
+
+
 def snrq_greedy(
     m_alpha: np.ndarray,
     l_chol: np.ndarray,
     params: GridParams,
     cfg: SolverConfig = SolverConfig(),
 ) -> RoundResult:
-    """Reverse-order greedy rounding of the shifted target.
+    """Reverse-order greedy rounding of the shifted target: K = 1, B = n.
 
     For j = n-1 .. 0 the interference-cancelled center is rounded to its
     nearest level; the accumulated per-row score is the levelwise sum
     sum_j L_jj^2 (c_j - q_j)^2, equal to the exact proxy.
     """
-    m_alpha = np.asarray(m_alpha, dtype=np.float64)
-    m, n = m_alpha.shape
-    mp, lp, perm = _permuted_inputs(m_alpha, l_chol, cfg)
-    lu = _unit_lower(lp)
-    ldiag_sq = np.diag(lp) ** 2
-    scale, zero = _column_grid(params, n)
-    scale_p, zero_p = scale[:, perm], zero[:, perm]
-
-    codes_p = np.zeros((m, n), dtype=np.int32)
-    values_p = np.zeros((m, n))
-    scores = np.zeros(m)
-
-    def task(rows: slice) -> None:
-        mb = mp[rows]
-        qb = values_p[rows]
-        for j in range(n - 1, -1, -1):
-            center = mb[:, j] + (mb[:, j + 1:] - qb[:, j + 1:]) @ lu[j + 1:, j]
-            cj, vj = _round_columns(center, scale_p[rows, j], zero_p[rows, j], params.spec)
-            codes_p[rows, j] = cj
-            qb[:, j] = vj
-            scores[rows] += ldiag_sq[j] * (center - vj) ** 2
-
-    _run_chunked(task, m)
-    return _finish(codes_p, perm, params, scores)
+    return _successive_round(m_alpha, l_chol, params, cfg, 1, np.shape(m_alpha)[1])
 
 
 def snrq_lazy(
@@ -280,62 +377,12 @@ def snrq_lazy(
     params: GridParams,
     cfg: SolverConfig = SolverConfig(),
 ) -> RoundResult:
-    """Greedy rounding restructured into blocks of ``cfg.block_size`` columns.
+    """Greedy rounding in blocks of ``cfg.block_size`` columns: K = 1, B = block_size.
 
-    The cross-block correction T = (M[:, i:] - Q[:, i:]) Lu[i:, start:i] is
-    computed once per block; decisions are identical to :func:`snrq_greedy`
-    for every block size.
+    The cross-block correction is computed once per block; decisions are
+    identical to :func:`snrq_greedy` for every block size.
     """
-    m_alpha = np.asarray(m_alpha, dtype=np.float64)
-    m, n = m_alpha.shape
-    mp, lp, perm = _permuted_inputs(m_alpha, l_chol, cfg)
-    lu = _unit_lower(lp)
-    ldiag_sq = np.diag(lp) ** 2
-    scale, zero = _column_grid(params, n)
-    scale_p, zero_p = scale[:, perm], zero[:, perm]
-    bsz = cfg.block_size
-
-    codes_p = np.zeros((m, n), dtype=np.int32)
-    values_p = np.zeros((m, n))
-    scores = np.zeros(m)
-
-    def task(rows: slice) -> None:
-        mb = mp[rows]
-        qb = values_p[rows]
-        i = n
-        while i > 0:
-            start = max(0, i - bsz)
-            width = i - start
-            t_corr = (mb[:, i:] - qb[:, i:]) @ lu[i:, start:i] if i < n else None
-            for j in range(width - 1, -1, -1):
-                t = start + j
-                center = mb[:, t] + (mb[:, t + 1:i] - qb[:, t + 1:i]) @ lu[t + 1:i, t]
-                if t_corr is not None:
-                    center = center + t_corr[:, j]
-                cj, vj = _round_columns(center, scale_p[rows, t], zero_p[rows, t], params.spec)
-                codes_p[rows, t] = cj
-                qb[:, t] = vj
-                scores[rows] += ldiag_sq[t] * (center - vj) ** 2
-            i = start
-
-    _run_chunked(task, m)
-    return _finish(codes_p, perm, params, scores)
-
-
-# ---------------------------------------------------------------------------
-# beam search
-# ---------------------------------------------------------------------------
-
-
-def _check_beam_memory(m: int, n: int, cfg: SolverConfig, n_levels: int) -> None:
-    k, b = cfg.beam_width, min(cfg.block_size, n)
-    state = m * k * n * (8 + 4)            # value and code tails
-    state += m * k * (b + n_levels) * 16   # block buffer, correction, expansion
-    if state > cfg.memory_budget_mb * (1 << 20):
-        raise MemoryBudget(
-            f"beam state of {state / 2**20:.0f} MiB (m={m}, K={k}, n={n}) exceeds "
-            f"the {cfg.memory_budget_mb} MiB budget"
-        )
+    return _successive_round(m_alpha, l_chol, params, cfg, 1, cfg.block_size)
 
 
 def ksnrq_beam(
@@ -344,78 +391,16 @@ def ksnrq_beam(
     params: GridParams,
     cfg: SolverConfig = SolverConfig(),
 ) -> RoundResult:
-    """K-best beam search over column decisions with lazy-batch updates.
+    """K-best beam search over column decisions: K = beam_width, B = block_size.
 
-    Per row, at most K partial assignments survive; each level expands every
-    live beam by all A grid levels, scores are flattened over beam x level and
-    the K smallest survive. Score ties are broken toward the lower (parent,
-    level) pair. K = 1 makes the same decisions as :func:`snrq_greedy`.
+    Per row, at most K partial assignments survive under their exact
+    accumulated branch metrics. K = 1 makes the same decisions as
+    :func:`snrq_greedy`, ties included.
 
     Raises:
-        MemoryBudget: the m*K*n beam state would exceed the configured cap.
+        MemoryBudget: the kernel's allocation would exceed the configured cap.
     """
-    m_alpha = np.asarray(m_alpha, dtype=np.float64)
-    m, n = m_alpha.shape
-    k = cfg.beam_width
-    _check_beam_memory(m, n, cfg, params.spec.num_levels)
-
-    mp, lp, perm = _permuted_inputs(m_alpha, l_chol, cfg)
-    lu = _unit_lower(lp)
-    ldiag_sq = np.diag(lp) ** 2
-    scale, zero = _column_grid(params, n)
-    scale_p, zero_p = scale[:, perm], zero[:, perm]
-    spec = params.spec
-    a = spec.num_levels
-    level_codes = np.arange(spec.code_min, spec.code_max + 1, dtype=np.float64)
-    bsz = cfg.block_size
-
-    codes_p = np.zeros((m, n), dtype=np.int32)
-    values_p = np.zeros((m, n))
-    scores = np.zeros(m)
-
-    def task(rows: slice) -> None:
-        mb = mp[rows]
-        r = mb.shape[0]
-        s = np.full((r, k), np.inf)
-        s[:, 0] = 0.0
-        tail_v = np.zeros((r, k, n))          # decided dequantized values
-        tail_c = np.zeros((r, k, n), dtype=np.int32)
-        i = n
-        while i > 0:
-            start = max(0, i - bsz)
-            width = i - start
-            if i < n:
-                diff_tail = mb[:, None, i:] - tail_v[:, :, i:]
-                t_corr = diff_tail @ lu[i:, start:i]   # (r, K, width)
-            else:
-                t_corr = None
-            for j in range(width - 1, -1, -1):
-                t = start + j
-                center = mb[:, None, t] + (mb[:, None, t + 1:i] - tail_v[:, :, t + 1:i]) @ lu[t + 1:i, t]
-                if t_corr is not None:
-                    center = center + t_corr[:, :, j]
-                levels_t = scale_p[rows, t, None] * (level_codes[None, :] - zero_p[rows, t, None])
-                delta = ldiag_sq[t] * (center[:, :, None] - levels_t[:, None, :]) ** 2
-                flat = (s[:, :, None] + delta).reshape(r, k * a)
-                order = np.argsort(flat, axis=1, kind="stable")[:, :k]
-                s = np.take_along_axis(flat, order, axis=1)
-                parent = order // a
-                choice = order % a
-                tail_v = np.take_along_axis(tail_v, parent[:, :, None], axis=1)
-                tail_c = np.take_along_axis(tail_c, parent[:, :, None], axis=1)
-                if t_corr is not None:
-                    t_corr = np.take_along_axis(t_corr, parent[:, :, None], axis=1)
-                tail_v[:, :, t] = np.take_along_axis(levels_t, choice, axis=1)
-                tail_c[:, :, t] = (choice + spec.code_min).astype(np.int32)
-            i = start
-        best = np.argmin(s, axis=1)
-        rr = np.arange(r)
-        codes_p[rows] = tail_c[rr, best]
-        values_p[rows] = tail_v[rr, best]
-        scores[rows] = s[rr, best]
-
-    _run_chunked(task, m)
-    return _finish(codes_p, perm, params, scores)
+    return _successive_round(m_alpha, l_chol, params, cfg, cfg.beam_width, cfg.block_size)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +436,7 @@ def cd_refine(
 
     r_upper = l_chol.T
     h_diag = np.sum(r_upper * r_upper, axis=0)  # diag of H = R^T R
-    scale, zero = _column_grid(params, n)
+    scale, zero = column_grid(params, np.arange(n))
     spec = params.spec
     level_codes = np.arange(spec.code_min, spec.code_max + 1, dtype=np.float64)
 
@@ -534,13 +519,12 @@ def gptq_round(
     h_inv = solve_with_factor(cholesky(hp), np.eye(n))
     u_inv = cholesky(h_inv).T  # upper, H^{-1} = U^T U
 
-    scale, zero = _column_grid(params, n)
-    scale_p, zero_p = scale[:, perm], zero[:, perm]
+    scale_p, zero_p = column_grid(params, perm)
     wc = w[:, perm].copy()
     codes_p = np.zeros((m, n), dtype=np.int32)
     values_p = np.zeros((m, n))
     for j in range(n):
-        cj, vj = _round_columns(wc[:, j], scale_p[:, j], zero_p[:, j], params.spec)
+        cj, vj = round_to_grid(wc[:, j], scale_p[:, j], zero_p[:, j], params.spec)
         codes_p[:, j] = cj
         values_p[:, j] = vj
         if j + 1 < n:
@@ -598,14 +582,13 @@ def _asym_feedback_round(
     xq = xq[perm]
     dx = dx[perm]
     wp = w[:, perm]
-    scale, zero = _column_grid(params, n)
-    scale_p, zero_p = scale[:, perm], zero[:, perm]
+    scale_p, zero_p = column_grid(params, perm)
 
     wc = wp.copy()
     codes_p = np.zeros((m, n), dtype=np.int32)
     remaining = mismatch_scale * (wp @ dx) if full_target else None
     for q in range(n):
-        cj, vj = _round_columns(wc[:, q], scale_p[:, q], zero_p[:, q], params.spec)
+        cj, vj = round_to_grid(wc[:, q], scale_p[:, q], zero_p[:, q], params.spec)
         codes_p[:, q] = cj
         delta_q = vj - wc[:, q]
         wc[:, q] = vj

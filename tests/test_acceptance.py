@@ -38,6 +38,7 @@ from snrq.oracle import (
     alpha_grid_scan,
     dither_experiment,
     exhaustive_row,
+    greedy_reference,
     sample_folded_alphas,
 )
 from snrq.pipeline import (
@@ -162,10 +163,11 @@ def test_c05_greedy_beam_oracle_sandwich():
         params = fit_grid(w, GridSpec(bits=2, symmetric=True))
         cfg = lambda k: SolverConfig(act_order=False, beam_width=k)
         greedy = snrq_greedy(w, low, params, SolverConfig(act_order=False))
+        ref = greedy_reference(w, low, params)
         orc = exhaustive_row(low.T, low.T @ w[0], [levels(0, j, params) for j in range(n)])
         tol = 1e-9 * max(1.0, orc.best_cost)
         beam1 = ksnrq_beam(w, low, params, cfg(1))
-        ok = ok and np.array_equal(beam1.codes, greedy.codes)
+        ok = ok and np.array_equal(greedy.codes, ref) and np.array_equal(beam1.codes, ref)
         for k in (2, 4):
             bk = ksnrq_beam(w, low, params, cfg(k))
             ok = ok and orc.best_cost <= bk.proxy_loss + tol
@@ -174,7 +176,7 @@ def test_c05_greedy_beam_oracle_sandwich():
         ok = ok and abs(sat.proxy_loss - orc.best_cost) <= tol
         if not ok:
             break
-    report_line("C05", ok, "oracle <= beam(K) <= greedy on 200 rows; saturation exact; K=1 == greedy", t0)
+    report_line("C05", ok, "oracle <= beam(K) <= greedy on 200 rows; saturation exact; K=1 == greedy reference", t0)
     assert ok
 
 
@@ -204,11 +206,13 @@ def test_c07_lazy_batch_exactness():
         h = random_spd(rng, n)
         low = cholesky(h)
         params = fit_grid(w, GridSpec(bits=3, symmetric=True))
-        ref = snrq_greedy(w, low, params, SolverConfig(act_order=True))
-        for b in (1, 2, n // 2, n):
+        ref = greedy_reference(w, low, params, act_order=True)
+        ok = ok and np.array_equal(snrq_greedy(w, low, params, SolverConfig(act_order=True)).codes, ref)
+        for b in (1, 2, n // 2, n, n + 1):
             lazy = snrq_lazy(w, low, params, SolverConfig(act_order=True, block_size=b))
-            ok = ok and np.array_equal(lazy.codes, ref.codes)
-    report_line("C07", ok, "lazy-batch codes bit-equal greedy for B in {1,2,n/2,n}, 20 layers", t0)
+            ok = ok and np.array_equal(lazy.codes, ref)
+    report_line("C07", ok, "greedy and lazy-batch codes equal the greedy reference for B in "
+                "{1,2,n/2,n,n+1}, 20 layers", t0)
     assert ok
 
 
@@ -360,7 +364,7 @@ def test_c13_end_to_end_desk_analog():
     beam_losses = []
     for seed in range(n_runs):
         cfg = base.with_updates(seed=seed)
-        net = synth_network(cfg.network, cfg.network_seed())
+        net = synth_network(cfg.network, cfg.seed)
         p_snrq = _total_proxy(quantize_network(net, cfg))
         p_rtn = _total_proxy(quantize_network(net, cfg.with_updates(
             solver=SolverConfig(solver="rtn", act_order=True))))
@@ -391,7 +395,7 @@ def test_c14_determinism(tmp_path, monkeypatch):
         network=NetworkConfig(depth=3, width=96),  # > one 64-row chunk
         seed=5,
     )
-    net = synth_network(cfg.network, cfg.network_seed())
+    net = synth_network(cfg.network, cfg.seed)
     r1 = quantize_network(net, cfg.with_updates(out_dir=str(tmp_path / "a")))
     r2 = quantize_network(net, cfg.with_updates(out_dir=str(tmp_path / "b")))
     s1 = json.dumps(strip_timing({k: v for k, v in r1.items()

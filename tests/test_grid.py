@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from snrq import GridSpec, InvalidSpec, fit_grid, levels, nearest_level
-from snrq.grid import dequantize, level_table, quantize_column
+from snrq import GridSpec, InvalidSpec, fit_grid, levels
+from snrq.grid import column_grid, dequantize, round_to_grid
+
+
+def nearest_level(x, row, col, params):
+    """Scalar rounding of one value through the grid's single rounding rule."""
+    scale, zero = column_grid(params, [col])
+    code, value = round_to_grid(x, scale[row, 0], zero[row, 0], params.spec)
+    return int(code), float(value)
 
 
 def test_symmetric_fit_example():
@@ -121,7 +128,9 @@ def test_quantize_column_matches_scalar(rng):
     w = rng.normal(size=(5, 6))
     params = fit_grid(w, GridSpec(bits=3, symmetric=True))
     x = rng.normal(size=5)
-    codes, vals = quantize_column(x, 4, params)
+    scale, zero = column_grid(params, [4])
+    codes, vals = round_to_grid(x, scale[:, 0], zero[:, 0], params.spec)
+    assert codes.dtype == np.int32
     for r in range(5):
         c, v = nearest_level(float(x[r]), r, 4, params)
         assert codes[r] == c and vals[r] == v
@@ -135,9 +144,12 @@ def test_group_lookup_by_original_index(rng):
     params = fit_grid(w, spec)
     assert params.scales.shape == (2, 2)
     perm = np.array([7, 2, 5, 0, 1, 3, 6, 4])
+    scale_p, zero_p = column_grid(params, perm)
     for t, col in enumerate(perm):
         g = params.group_of(int(col))
         assert g == col // 4
+        assert np.array_equal(scale_p[:, t], params.scales[:, g])
+        assert np.array_equal(zero_p[:, t], params.zero_points[:, g])
 
 
 def test_dequantize_matches_levels(rng):
@@ -152,12 +164,17 @@ def test_dequantize_matches_levels(rng):
 
 
 def test_level_table_consistent(rng):
+    # every level is a fixed point of rounding, with codes code_min..code_max
     w = rng.normal(size=(4, 5))
-    params = fit_grid(w, GridSpec(bits=3, symmetric=False))
-    vals, codes = level_table(2, params)
-    assert vals.shape == (4, 8) and len(codes) == 8
+    spec = GridSpec(bits=3, symmetric=False)
+    params = fit_grid(w, spec)
+    scale, zero = column_grid(params, [2])
     for r in range(4):
-        assert np.array_equal(vals[r], levels(r, 2, params))
+        lv = levels(r, 2, params)
+        assert lv.shape == (8,)
+        codes, vals = round_to_grid(lv, scale[r, 0], zero[r, 0], spec)
+        assert np.array_equal(codes, np.arange(spec.code_min, spec.code_max + 1))
+        assert np.array_equal(vals, lv)
 
 
 def test_mse_clip_never_worse(rng):
@@ -165,11 +182,9 @@ def test_mse_clip_never_worse(rng):
     w[0, 0] = 25.0  # outlier that plain min/max fitting wastes range on
 
     def total_err(params):
-        e = 0.0
-        for c in range(w.shape[1]):
-            _, vals = quantize_column(w[:, c], c, params)
-            e += float(np.sum((vals - w[:, c]) ** 2))
-        return e
+        scale, zero = column_grid(params, np.arange(w.shape[1]))
+        _, vals = round_to_grid(w, scale, zero, params.spec)
+        return float(np.sum((vals - w) ** 2))
 
     base = total_err(fit_grid(w, GridSpec(bits=3, symmetric=True)))
     clip = total_err(fit_grid(w, GridSpec(bits=3, symmetric=True, mse_clip=True)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from snrq import NotPositiveDefinite, ShapeMismatch, cholesky, solve_spd
+from snrq import NotPositiveDefinite, ShapeMismatch, cholesky
 from snrq.linalg import solve_with_factor
 
 from conftest import random_spd
@@ -45,14 +45,14 @@ def test_cholesky_structure_and_reconstruction(rng):
 
 def test_solve_spd_identity_and_scalar():
     b = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    assert np.allclose(solve_spd(np.eye(3), b), b, rtol=0, atol=1e-14)
-    assert np.allclose(solve_spd(np.array([[4.0]]), np.array([[6.0]])), [[1.5]])
+    assert np.allclose(solve_with_factor(cholesky(np.eye(3)), b), b, rtol=0, atol=1e-14)
+    assert np.allclose(solve_with_factor(cholesky(np.array([[4.0]])), np.array([[6.0]])), [[1.5]])
 
 
 def test_solve_spd_residual(rng):
     h = random_spd(rng, 8)
     b = rng.normal(size=(4, 8))
-    y = solve_spd(h, b)
+    y = solve_with_factor(cholesky(h), b)
     resid = np.linalg.norm(y @ h - b) / max(1.0, np.linalg.norm(b))
     assert resid <= 1e-8
 
@@ -64,16 +64,12 @@ def test_solve_spd_roundtrip_moderate_condition(rng):
     eig = np.logspace(0, 6, n)
     h = q @ np.diag(eig) @ q.T
     b = rng.normal(size=(3, n))
-    y = solve_spd(h, b)
+    y = solve_with_factor(cholesky(h), b)
     assert np.linalg.norm(y @ h - b) / max(1.0, np.linalg.norm(b)) <= 1e-8
-
-
-def test_solve_spd_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        solve_spd(np.eye(3), np.ones((2, 4)))
 
 
 def test_solve_with_factor_matches_solve(rng):
     h = random_spd(rng, 6)
     b = rng.normal(size=(2, 6))
-    assert np.array_equal(solve_with_factor(cholesky(h), b), solve_spd(h, b))
+    expected = np.linalg.solve(h, b.T).T  # h is symmetric: Y h = b
+    assert np.allclose(solve_with_factor(cholesky(h), b), expected, rtol=1e-10, atol=1e-12)

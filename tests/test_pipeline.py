@@ -92,7 +92,7 @@ def test_relu_applied_between_layers(rng):
 
 def test_quantize_records_and_proxy_recompute():
     cfg = small_config()
-    net = synth_network(cfg.network, cfg.network_seed())
+    net = synth_network(cfg.network, cfg.seed)
     report = quantize_network(net, cfg)
     assert len(report["layers"]) == 3
     for rec in report["layers"]:
@@ -112,7 +112,7 @@ def test_layer_one_codes_identical_across_alpha_modes(tmp_path):
         "closed": AlphaStrategy(mode="closed_form", alpha_value=0.5),
     }.items():
         cfg = small_config(alpha=strat, out_dir=str(tmp_path / mode))
-        net = synth_network(cfg.network, cfg.network_seed())
+        net = synth_network(cfg.network, cfg.seed)
         quantize_network(net, cfg)
         codes[mode] = read_matrix(tmp_path / mode / "layer_00_codes.snrqmat")
     ref = codes["fixed0"]
@@ -147,7 +147,7 @@ def test_lossless_grid_zero_end_mse(rng):
 
 def test_closed_form_schedule_first_layer_uses_initial():
     cfg = small_config(alpha=AlphaStrategy(mode="closed_form", alpha_value=0.5))
-    net = synth_network(cfg.network, cfg.network_seed())
+    net = synth_network(cfg.network, cfg.seed)
     report = quantize_network(net, cfg)
     assert report["layers"][0]["alpha"]["alpha_used"] == 0.5
     for rec in report["layers"][1:]:
@@ -157,7 +157,7 @@ def test_closed_form_schedule_first_layer_uses_initial():
 
 def test_sampled_alpha_trace_summary():
     cfg = small_config(alpha=AlphaStrategy(mode="sampled", beta_lambda=5.0))
-    net = synth_network(cfg.network, cfg.network_seed())
+    net = synth_network(cfg.network, cfg.seed)
     report = quantize_network(net, cfg)
     tr = report["layers"][1]["alpha"]["alpha_trace"]
     assert tr["n"] == 48
@@ -171,7 +171,7 @@ def test_all_solvers_run_through_pipeline(solver):
         calibration=CalibrationConfig(n_sequences=32),
         network=NetworkConfig(depth=2, width=10),
     )
-    net = synth_network(cfg.network, cfg.network_seed())
+    net = synth_network(cfg.network, cfg.seed)
     report = quantize_network(net, cfg)
     assert len(report["layers"]) == 2
     assert all(rec["proxy_loss"] >= 0 for rec in report["layers"])
@@ -180,7 +180,7 @@ def test_all_solvers_run_through_pipeline(solver):
 def test_cd_passes_reduce_proxy():
     base = small_config(solver=SolverConfig(solver="rtn", cd_passes=0, act_order=False))
     refined = small_config(solver=SolverConfig(solver="rtn", cd_passes=2, act_order=False))
-    net = synth_network(base.network, base.network_seed())
+    net = synth_network(base.network, base.seed)
     p0 = sum(r["proxy_loss"] for r in quantize_network(net, base)["layers"])
     p2 = sum(r["proxy_loss"] for r in quantize_network(net, refined)["layers"])
     assert p2 <= p0 + 1e-12
@@ -188,7 +188,7 @@ def test_cd_passes_reduce_proxy():
 
 def test_report_determinism_and_artifacts(tmp_path):
     cfg = small_config(out_dir=str(tmp_path / "a"))
-    net = synth_network(cfg.network, cfg.network_seed())
+    net = synth_network(cfg.network, cfg.seed)
     r1 = quantize_network(net, cfg)
     r2 = quantize_network(net, cfg.with_updates(out_dir=str(tmp_path / "b")))
     assert r1["determinism_hash"] == determinism_hash(r2)
@@ -210,7 +210,7 @@ def test_worker_count_invariance(monkeypatch, tmp_path):
         monkeypatch.setenv("SNRQ_THREADS", threads)
         cfg = small_config(network=NetworkConfig(depth=2, width=96),
                            calibration=CalibrationConfig(n_sequences=128))
-        net = synth_network(cfg.network, cfg.network_seed())
+        net = synth_network(cfg.network, cfg.seed)
         hashes.append(quantize_network(net, cfg)["determinism_hash"])
     assert hashes[0] == hashes[1]
 
@@ -268,7 +268,7 @@ def test_pipeline_snrq_equals_gptq_at_alpha_zero(tmp_path):
         damping=0.0,
         seed=3,
     )
-    net = synth_network(base.network, base.network_seed())
+    net = synth_network(base.network, base.seed)
     quantize_network(net, base.with_updates(out_dir=str(tmp_path / "s")))
     quantize_network(net, base.with_updates(
         solver=SolverConfig(solver="gptq", act_order=True),
@@ -289,7 +289,7 @@ def test_errors_carry_layer_context():
         calibration=CalibrationConfig(n_sequences=4),
         network=NetworkConfig(depth=2, width=12),
     )
-    net = synth_network(cfg.network, cfg.network_seed())
+    net = synth_network(cfg.network, cfg.seed)
     with pytest.raises(NotPositiveDefinite, match="layer 0"):
         quantize_network(net, cfg)
 

@@ -1,6 +1,7 @@
 """Rounding solver contracts: greedy, lazy-batch, beam, CD, GPTQ, GPTAQ."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from snrq import (
     snrq_lazy,
 )
 from snrq.grid import GridParams, levels
-from snrq.oracle import exhaustive_row
-from snrq.solvers import _asym_feedback_round, proxy_column_costs, proxy_row_scores
+from snrq.oracle import exhaustive_row, greedy_reference
+from snrq.solvers import _asym_feedback_round, _kernel_bytes, proxy_column_costs, proxy_row_scores
 
 from conftest import random_spd
 
@@ -173,17 +174,18 @@ def test_lazy_matches_greedy_all_block_sizes(rng):
         h = random_spd(rng, n)
         l = cholesky(h)
         params = fit_grid(w, GridSpec(bits=3, symmetric=True))
-        ref = snrq_greedy(w, l, params, PERM)
-        for b in (1, 2, n // 2, n):
+        ref = greedy_reference(w, l, params, act_order=True)
+        assert np.array_equal(snrq_greedy(w, l, params, PERM).codes, ref), f"trial {trial}"
+        for b in (1, 2, n // 2, n, n + 1):
             lazy = snrq_lazy(w, l, params, SolverConfig(act_order=True, block_size=b))
-            assert np.array_equal(lazy.codes, ref.codes), f"trial {trial}, B={b}"
+            assert np.array_equal(lazy.codes, ref), f"trial {trial}, B={b}"
 
 
 def test_lazy_block_larger_than_n(rng):
     w, h, l, params = layer_instance(rng, m=3, n=7)
-    ref = snrq_greedy(w, l, params, NO_PERM)
+    ref = greedy_reference(w, l, params)
     lazy = snrq_lazy(w, l, params, SolverConfig(act_order=False, block_size=100))
-    assert np.array_equal(lazy.codes, ref.codes)
+    assert np.array_equal(lazy.codes, ref)
 
 
 # --- beam search --------------------------------------------------------
@@ -192,9 +194,24 @@ def test_lazy_block_larger_than_n(rng):
 def test_beam_k1_equals_greedy(rng):
     for _ in range(20):
         w, h, l, params = layer_instance(rng, m=4, n=10)
-        ref = snrq_greedy(w, l, params, NO_PERM)
-        b1 = ksnrq_beam(w, l, params, SolverConfig(act_order=False, beam_width=1))
-        assert np.array_equal(b1.codes, ref.codes)
+        ref = greedy_reference(w, l, params)
+        for b in (1, 2, 5, 10, 11):
+            cfg = SolverConfig(act_order=False, beam_width=1, block_size=b)
+            assert np.array_equal(ksnrq_beam(w, l, params, cfg).codes, ref), f"B={b}"
+
+
+def test_k1_exact_tie_rounds_up_like_greedy():
+    # both centers sit exactly between codes 0 and 1 of {0,1,2,3}; every
+    # K = 1 solver takes the larger code, as nearest-level rounding does
+    m_row = np.array([[0.5, 0.5]])
+    l = np.eye(2)
+    assert np.array_equal(greedy_reference(m_row, l, grid_01()), [[1, 1]])
+    for res in (
+        snrq_greedy(m_row, l, grid_01(), NO_PERM),
+        snrq_lazy(m_row, l, grid_01(), SolverConfig(act_order=False, block_size=1)),
+        ksnrq_beam(m_row, l, grid_01(), SolverConfig(act_order=False, beam_width=1)),
+    ):
+        assert np.array_equal(res.codes, [[1, 1]])
 
 
 def test_beam_improves_known_instance():
@@ -246,6 +263,22 @@ def test_beam_memory_budget():
     cfg = SolverConfig(act_order=False, beam_width=100_000, memory_budget_mb=64)
     with pytest.raises(MemoryBudget):
         ksnrq_beam(w, l, params, cfg)
+
+
+@pytest.mark.parametrize("m,n,k,bsz,act_order", [(64, 128, 16, 32, False), (200, 64, 8, 16, True)])
+def test_beam_memory_charge_bounds_measured_peak(rng, monkeypatch, m, n, k, bsz, act_order):
+    monkeypatch.setenv("SNRQ_THREADS", "1")
+    w, h, l, params = layer_instance(rng, m=m, n=n)
+    cfg = SolverConfig(act_order=act_order, beam_width=k, block_size=bsz)
+    ksnrq_beam(w, l, params, cfg)  # first call pays one-time imports and caches
+    tracemalloc.start()
+    try:
+        ksnrq_beam(w, l, params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    charge = _kernel_bytes(m, n, k, bsz, params.spec.num_levels)
+    assert peak <= charge <= 2 * peak
 
 
 def test_beam_deterministic_tie_break():
