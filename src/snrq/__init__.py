@@ -40,6 +40,7 @@ from .solvers import (
     gptaq_round,
     gptq_round,
     ksnrq_beam,
+    order_and_factor,
     permutation_from_diag,
     rtn_round,
     snrq_greedy,
@@ -76,6 +77,7 @@ __all__ = [
     "ksnrq_beam",
     "levels",
     "objective_direct",
+    "order_and_factor",
     "permutation_from_diag",
     "read_matrix",
     "rtn_round",

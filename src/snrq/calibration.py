@@ -14,12 +14,12 @@ closed form, or Beta-sampled per sequence), and produces M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonFinite, ShapeMismatch
-from .linalg import cholesky, solve_with_factor
+from .errors import InvalidSpec, NonFinite, ShapeMismatch
+from .linalg import cholesky, solve_with_factor  # cholesky: perfbench tracer only
 from .rng import SeededRng
 
 __all__ = [
@@ -113,13 +113,6 @@ class CalibStats:
     damping_abs: float
     n_samples: int
     alpha_trace: np.ndarray
-    _chol: np.ndarray | None = field(default=None, repr=False)
-
-    def chol(self) -> np.ndarray:
-        """Lower Cholesky factor of h, cached."""
-        if self._chol is None:
-            self._chol = cholesky(self.h)
-        return self._chol
 
 
 def sample_folded_alphas(n: int, beta_lambda: float, rng: SeededRng) -> np.ndarray:
@@ -148,10 +141,10 @@ def accumulate_stats(
 
     Raises:
         ShapeMismatch, NonFinite: malformed batch.
-        ValueError: sampled mode without an rng, or negative damping.
+        InvalidSpec: sampled mode without an rng, or negative damping.
     """
     if damping < 0:
-        raise ValueError(f"damping must be >= 0, got {damping}")
+        raise InvalidSpec(f"damping must be >= 0, got {damping}")
     xq, xf = batch.xq, batch.xf
     if not (np.all(np.isfinite(xq)) and np.all(np.isfinite(xf))):
         raise NonFinite("calibration batch contains NaN or Inf")
@@ -162,7 +155,7 @@ def accumulate_stats(
 
     if strategy.mode == "sampled":
         if rng is None:
-            raise ValueError("sampled alpha mode requires an rng")
+            raise InvalidSpec("sampled alpha mode requires an rng")
         alphas = sample_folded_alphas(batch.n_sequences, strategy.beta_lambda, rng)
         x_alpha = xq + batch.delta * alphas[None, :]
         trace = alphas
@@ -182,12 +175,20 @@ def accumulate_stats(
     )
 
 
-def shifted_target(w: np.ndarray, stats: CalibStats) -> np.ndarray:
-    """Shifted rounding target M = w C H^{-1} (right division via Cholesky)."""
+def shifted_target(w: np.ndarray, stats: CalibStats, fact: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Shifted rounding target M = w C H^{-1}, in original column order.
+
+    ``fact`` is the layer's (perm, low) pair with H[perm][:, perm] = low low^T
+    (:func:`snrq.solvers.order_and_factor`); the right division runs in that
+    order: M[:, perm] = (w C)[:, perm] H[perm][:, perm]^{-1}.
+    """
     w = np.asarray(w, dtype=np.float64)
     if w.shape[1] != stats.h.shape[0]:
         raise ShapeMismatch(f"weights {w.shape} incompatible with H {stats.h.shape}")
-    return solve_with_factor(stats.chol(), w @ stats.c_alpha)
+    perm, low = fact
+    m = np.empty((w.shape[0], len(perm)))
+    m[:, perm] = solve_with_factor(low, (w @ stats.c_alpha)[:, perm])
+    return m
 
 
 def objective_direct(

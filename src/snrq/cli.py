@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from .pipeline import (
     RunConfig,
     quantize_network,
     sweep,
+    sweep_config,
     synth_network,
 )
 from .rng import SeededRng
@@ -61,6 +63,10 @@ def _load_config(path: str, overrides: dict) -> RunConfig:
         raise UsageError(f"config file {path} is not valid JSON: {e}") from None
     try:
         cfg = RunConfig.from_dict(raw)
+        paths = cfg.network.weight_paths
+        if paths is not None:  # relative paths (as `snrq synth` writes them) start at the config
+            network = replace(cfg.network, weight_paths=tuple(str(p.parent / w) for w in paths))
+            cfg = cfg.with_updates(network=network)
     except (InvalidSpec, TypeError, ValueError) as e:
         raise UsageError(f"config file {path}: {e}") from None
     updates = {k: v for k, v in overrides.items() if v is not None}
@@ -232,10 +238,13 @@ def _cmd_alpha_scan(args) -> int:
 
 
 def _cmd_dither(args) -> int:
-    setup = DitherSetup(
-        w=args.w, x=args.x, tau_s=args.tau_s, tau_z=args.tau_z,
-        n_sequences=args.n_sequences, n_trials=args.trials,
-    )
+    try:
+        setup = DitherSetup(
+            w=args.w, x=args.x, tau_s=args.tau_s, tau_z=args.tau_z,
+            n_sequences=args.n_sequences, n_trials=args.trials,
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     res = dither_experiment(setup, SeededRng(args.seed, 13))
     _emit(
         {
@@ -252,6 +261,8 @@ def _cmd_dither(args) -> int:
 
 
 def _cmd_variance_sweep(args) -> int:
+    if args.repeats < 1:
+        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     cfg = _load_config(args.config, {"seed": args.seed})
     _emit(sampling_variance_sweep(cfg, args.repeats), args.out)
     return 0
@@ -262,6 +273,11 @@ def _cmd_sweep(args) -> int:
     values = _parse_values(args.values)
     if args.axis in ("K", "cd_passes"):
         values = [int(v) for v in values]
+    try:
+        for v in values:
+            sweep_config(cfg, args.axis, v)
+    except (InvalidSpec, ValueError) as e:
+        raise UsageError(f"bad --values for axis {args.axis}: {e}") from None
     _emit(sweep(cfg, args.axis, values), args.out)
     return 0
 

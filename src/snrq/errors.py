@@ -37,4 +37,4 @@ class BudgetExceeded(SnrqError):
 
 
 class MemoryBudget(SnrqError):
-    """Beam-search state would exceed the configured memory cap."""
+    """The successive-rounding kernel's state would exceed the configured memory cap."""

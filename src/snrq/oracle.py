@@ -2,9 +2,11 @@
 
 Nothing here shares code paths with the solvers it checks: the exhaustive
 search enumerates every candidate, the greedy reference restates the
-successive-rounding recursion one row and one column at a time, the alpha
-scan evaluates the raw objective on a grid, and the dithering experiment
-estimates variances by plain Monte Carlo against the closed forms.
+successive-rounding recursion one row and one column at a time, the GPTAQ
+reference runs the left-to-right feedback loop with a least-squares solve
+per column, the alpha scan evaluates the raw objective on a grid, and the
+dithering experiment estimates variances by plain Monte Carlo against the
+closed forms.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from scipy.special import ndtr
 
 from .calibration import AlphaStrategy, CalibBatch, objective_direct, sample_folded_alphas
 from .errors import BudgetExceeded
-from .grid import GridParams, levels
+from .grid import GridParams, column_grid, dequantize, levels, round_to_grid
+from .linalg import cholesky, solve_with_factor
 from .rng import SeededRng
+from .solvers import RoundResult
 
 __all__ = [
     "OracleResult",
@@ -28,6 +32,7 @@ __all__ = [
     "AlphaScan",
     "exhaustive_row",
     "greedy_reference",
+    "gptaq_reference",
     "alpha_grid_scan",
     "dither_experiment",
     "sampling_variance_sweep",
@@ -66,7 +71,7 @@ def exhaustive_row(
     y = np.asarray(y, dtype=np.float64).ravel()
     n = r_upper.shape[0]
     sizes = np.array([len(lv) for lv in levels_per_coord], dtype=np.int64)
-    total = int(np.prod(sizes))
+    total = math.prod(len(lv) for lv in levels_per_coord)  # exact; int64 would wrap
     if total > budget:
         raise BudgetExceeded(f"{total} candidates exceed the budget of {budget}")
     strides = np.ones(n, dtype=np.int64)
@@ -128,6 +133,76 @@ def greedy_reference(
             q[j] = lv[a]
             codes[i, order[j]] = params.spec.code_min + a
     return codes
+
+
+def _trailing_solve(rhs: np.ndarray, x_tail: np.ndarray, damping_abs: float) -> np.ndarray:
+    """Least-squares spread of an m x N target onto the trailing columns."""
+    h_tail = x_tail @ x_tail.T
+    if damping_abs > 0:
+        h_tail = h_tail + damping_abs * np.eye(h_tail.shape[0])
+    return solve_with_factor(cholesky(h_tail), rhs @ x_tail.T)
+
+
+def gptaq_reference(
+    w: np.ndarray,
+    batch: CalibBatch,
+    params: GridParams,
+    act_order: bool = False,
+    damping: float = 0.0,
+    mismatch_scale: float = 1.0,
+    exact: bool = False,
+) -> RoundResult:
+    """Left-to-right rounding, forming and factoring the trailing moment block per column.
+
+    With ``exact`` the un-absorbed remainder of the whole mismatch image is
+    used at every step (the exact tail problem); otherwise only the
+    single-component term of the current column (the surrogate of
+    :func:`snrq.solvers.gptaq_round`). ``act_order`` takes columns in
+    descending diag(H) order. Scores are the exact asymmetric objective.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    m, n = w.shape
+    xq = batch.xq
+    dx = batch.delta
+    h = xq @ xq.T
+    damping_abs = damping * float(np.mean(np.diag(h))) if damping > 0 else 0.0
+
+    if act_order:
+        perm = np.argsort(np.diag(h) + damping_abs, kind="stable")[::-1].copy()
+    else:
+        perm = np.arange(n)
+    xq = xq[perm]
+    dx = dx[perm]
+    wp = w[:, perm]
+    scale_p, zero_p = column_grid(params, perm)
+
+    wc = wp.copy()
+    codes_p = np.zeros((m, n), dtype=np.int32)
+    remaining = mismatch_scale * (wp @ dx) if exact else None
+    for q in range(n):
+        cj, vj = round_to_grid(wc[:, q], scale_p[:, q], zero_p[:, q], params.spec)
+        codes_p[:, q] = cj
+        delta_q = vj - wc[:, q]
+        wc[:, q] = vj
+        if q + 1 == n:
+            break
+        if exact:
+            target = remaining - np.outer(delta_q, xq[q])
+            corr = _trailing_solve(target, xq[q + 1:], damping_abs)
+            remaining = target - corr @ xq[q + 1:]
+        else:
+            r_q = mismatch_scale * np.outer(wp[:, q], dx[q])
+            corr = _trailing_solve(r_q - np.outer(delta_q, xq[q]), xq[q + 1:], damping_abs)
+        wc[:, q + 1:] += corr
+
+    codes = np.empty_like(codes_p)
+    codes[:, perm] = codes_p
+    q_deq = dequantize(codes, params)
+    # report against the exact asymmetric objective residual
+    resid = (q_deq - w) @ batch.xq - mismatch_scale * (w @ batch.delta)
+    scores = np.sum(resid * resid, axis=1)
+    return RoundResult(codes=codes, q_dequant=q_deq, proxy_loss=float(np.sum(scores)),
+                       per_row_scores=scores)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -39,6 +41,7 @@ from .solvers import (
     gptaq_round,
     gptq_round,
     ksnrq_beam,
+    order_and_factor,
     proxy_row_scores,
     rtn_round,
     snrq_greedy,
@@ -54,6 +57,7 @@ __all__ = [
     "forward_collect",
     "quantize_network",
     "sweep",
+    "sweep_config",
     "strip_timing",
     "determinism_hash",
 ]
@@ -125,6 +129,17 @@ class RunConfig:
     gptaq_alpha: float = 0.25
     seed: int = 0
     out_dir: str | None = None
+
+    def __post_init__(self):
+        def finite(v):
+            return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+        if not (finite(self.damping) and self.damping >= 0):
+            raise InvalidSpec(f"damping must be a finite number >= 0, got {self.damping!r}")
+        if not finite(self.gptaq_alpha):
+            raise InvalidSpec(f"gptaq_alpha must be a finite number, got {self.gptaq_alpha!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise InvalidSpec(f"seed must be an integer, got {self.seed!r}")
 
     def with_updates(self, **kw) -> "RunConfig":
         return replace(self, **kw)
@@ -277,32 +292,29 @@ def _alpha_for_layer(config: RunConfig, layer: int, prev) -> tuple[AlphaStrategy
 def _solve_layer(
     w: np.ndarray,
     batch: CalibBatch,
-    stats,
     m_alpha: np.ndarray,
-    l_fact: np.ndarray,
+    fact,
     params,
     config: RunConfig,
 ) -> RoundResult:
     cfg = config.solver
     name = cfg.solver
     if name == "rtn":
-        result = rtn_round(w, params, m_ref=m_alpha, l_chol=l_fact)
+        result = rtn_round(w, params, m_ref=m_alpha, fact=fact)
     elif name == "snrq":
-        result = snrq_greedy(m_alpha, l_fact, params, cfg)
+        result = snrq_greedy(m_alpha, fact, params, cfg)
     elif name == "snrq_lazy":
-        result = snrq_lazy(m_alpha, l_fact, params, cfg)
+        result = snrq_lazy(m_alpha, fact, params, cfg)
     elif name == "ksnrq":
-        result = ksnrq_beam(m_alpha, l_fact, params, cfg)
+        result = ksnrq_beam(m_alpha, fact, params, cfg)
     elif name == "gptq":
-        result = gptq_round(w, stats.h, params, cfg)
+        result = gptq_round(w, fact, params, cfg)
     elif name == "gptaq":
-        result = gptaq_round(
-            w, batch, params, cfg, damping=config.damping, mismatch_scale=config.gptaq_alpha
-        )
+        result = gptaq_round(w, fact, params, cfg, batch, mismatch_scale=config.gptaq_alpha)
     else:  # pragma: no cover - guarded by SolverConfig validation
         raise InvalidSpec(f"unknown solver {name!r}")
     if cfg.cd_passes > 0:
-        result = cd_refine(result, m_alpha, l_fact, params, cfg.cd_passes)
+        result = cd_refine(result, m_alpha, fact, params, cfg.cd_passes)
     return result
 
 
@@ -349,15 +361,15 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
             rng = SeededRng(seed, STREAM_ALPHA + l)
             stats = accumulate_stats(batch, strategy, config.damping, rng)
             params = fit_grid(w, config.grid)
-            m_alpha = shifted_target(w, stats)
-            l_fact = stats.chol()
-            result = _solve_layer(w, batch, stats, m_alpha, l_fact, params, config)
+            fact = order_and_factor(stats.h, config.solver)
+            m_alpha = shifted_target(w, stats, fact)
+            result = _solve_layer(w, batch, m_alpha, fact, params, config)
         except SnrqError as e:
             e.args = (f"layer {l}: {e}",)
             raise
         solve_ms = (time.perf_counter() - t_layer) * 1e3
 
-        row_scores = proxy_row_scores(result.q_dequant, m_alpha, l_fact)
+        row_scores = proxy_row_scores(result.q_dequant[:, fact.perm], m_alpha[:, fact.perm], fact.low)
         proxy = float(np.sum(row_scores))
         if strategy.mode == "sampled":
             alpha_summary = dict(alpha_summary, alpha_trace=_trace_summary(stats.alpha_trace))
@@ -430,7 +442,8 @@ def determinism_hash(report: dict) -> str:
 SWEEP_AXES = ("alpha", "beta_lambda", "K", "cd_passes")
 
 
-def _config_for_value(config: RunConfig, axis: str, value) -> RunConfig:
+def sweep_config(config: RunConfig, axis: str, value) -> RunConfig:
+    """The run config for one value of a sweep axis; raises if the value is invalid."""
     if axis == "alpha":
         return config.with_updates(
             alpha=AlphaStrategy(mode="fixed", alpha_value=float(value),
@@ -462,7 +475,7 @@ def sweep(config: RunConfig, axis: str, values) -> dict:
     net = synth_network(config.network, config.seed)
     rows = []
     for v in values:
-        cfg = _config_for_value(config, axis, v).with_updates(out_dir=None)
+        cfg = sweep_config(config, axis, v).with_updates(out_dir=None)
         t0 = time.perf_counter()
         report = quantize_network(net, cfg)
         wall_ms = (time.perf_counter() - t0) * 1e3

@@ -1,30 +1,35 @@
 """Discrete rounding solvers for the triangular least-squares proxy.
 
-Given a shifted target M (m x n), the lower Cholesky factor L of the damped
-Hessian, and a fitted grid, every solver here approximately minimizes
+A layer's decision order and its one factorization are fixed up front:
+:func:`order_and_factor` picks the column order ``perm`` from diag(H) and
+the solver config, then factors H[perm][:, perm] = L L^T. Given a target T
+(m x n) and a fitted grid, every solver here approximately minimizes
 
-    || (Q - M) L ||_F^2   over grid matrices Q,
+    || (Q - T)[:, perm] L ||_F^2   over grid matrices Q,
 
 which decomposes over output rows into independent problems
-``min || R q - y ||^2`` with R = L^T and y = R M_i^T. Columns are decided in
-reverse order j = n-1 .. 0; the interference-cancelled center for column j is
+``min || R q - y ||^2`` with R = L^T and y = R T_i^T. In the permuted order,
+columns are decided in reverse j = n-1 .. 0; the interference-cancelled
+center for column j is
 
-    c_j = M_j + sum_{k>j} (M_k - Q_k) L_kj / L_jj.
+    c_j = T_j + sum_{k>j} (T_k - Q_k) L_kj / L_jj.
 
 Successive rounding is one kernel over K beams and blocks of B columns
 (greedy is K = 1; lazy batching only regroups the updates into blocks, so B
-never changes a decision). Its three entry points differ only in (K, B):
-  * snrq_greedy    (1, n): reverse-order nearest-level rounding of the center
+never changes a decision). Its entry points differ in (K, B) and the target:
+  * snrq_greedy    (1, n) on the shifted target M: nearest-level rounding of
+                   the center
   * snrq_lazy      (1, block_size): the same codes, block-restructured
   * ksnrq_beam     (beam_width, block_size): K-best beam search under the exact
                    accumulated branch metrics
+  * gptq_round     (1, n) on the weights W: classic left-to-right error
+                   feedback makes exactly these decisions
+  * gptaq_round    (1, n) on W shifted by the single-component mismatch
+                   correction, scored by the exact asymmetric objective
 
 Other solvers:
   * rtn_round      nearest rounding, no error feedback (baseline)
   * cd_refine      cyclic exact single-coordinate re-optimization passes
-  * gptq_round     classic left-to-right error feedback (inverse-Cholesky rows)
-  * gptaq_round    left-to-right feedback plus the single-component mismatch
-                   correction, solved with trailing-block Cholesky solves
 
 Rows are embarrassingly parallel; work is split into fixed 64-row chunks so
 results are bit-identical for any worker count (``SNRQ_THREADS`` caps workers,
@@ -36,18 +41,22 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .calibration import CalibBatch
 from .errors import InvalidSpec, MemoryBudget
 from .grid import GridParams, column_grid, dequantize, round_to_grid
-from .linalg import cholesky, solve_with_factor
+from .linalg import cholesky, solve_with_factor  # solve_with_factor: perfbench tracer only
 
 __all__ = [
     "SolverConfig",
     "RoundResult",
+    "OrderedFactor",
     "permutation_from_diag",
+    "order_and_factor",
     "rtn_round",
     "snrq_greedy",
     "snrq_lazy",
@@ -97,8 +106,14 @@ class RoundResult:
     q_dequant: np.ndarray
     proxy_loss: float
     per_row_scores: np.ndarray
-    permutation_used: np.ndarray
     objective_trajectory: np.ndarray | None = None
+
+
+class OrderedFactor(NamedTuple):
+    """Decision order (original column indices) and the lower factor of H[perm][:, perm]."""
+
+    perm: np.ndarray
+    low: np.ndarray
 
 
 def permutation_from_diag(h: np.ndarray) -> np.ndarray:
@@ -108,6 +123,26 @@ def permutation_from_diag(h: np.ndarray) -> np.ndarray:
     are decided first.
     """
     return np.argsort(np.diag(h), kind="stable")
+
+
+def order_and_factor(h: np.ndarray, cfg: SolverConfig) -> OrderedFactor:
+    """Fix the decision order from diag(h) and ``cfg``, then factor h in it.
+
+    Under ``cfg.act_order`` the order is :func:`permutation_from_diag`;
+    otherwise it is the natural order, reversed for the left-to-right
+    ``gptq``/``gptaq`` so that column 0 is decided first. This is the only
+    factorization a layer makes.
+
+    Raises:
+        NotPositiveDefinite: h is not positive definite.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    perm = np.arange(h.shape[0])
+    if cfg.act_order:
+        perm = permutation_from_diag(h)
+    elif cfg.solver in ("gptq", "gptaq"):
+        perm = perm[::-1]
+    return OrderedFactor(perm, cholesky(h[np.ix_(perm, perm)]))
 
 
 def worker_count() -> int:
@@ -161,21 +196,9 @@ def _unit_lower(l_chol: np.ndarray) -> np.ndarray:
     return l_chol / np.diag(l_chol)[None, :] - np.eye(n)
 
 
-def _permuted_inputs(m_alpha, l_chol, cfg):
-    """Apply the ascending-diagonal permutation when act_order is on.
-
-    Returns (M permuted, L refactored for the permuted H, perm), with perm the
-    identity when act_order is off. Grid parameters are never refitted; they
-    are fetched through perm by original column index.
-    """
-    n = l_chol.shape[0]
-    if not cfg.act_order:
-        return m_alpha, l_chol, np.arange(n)
-    h = l_chol @ l_chol.T
-    perm = permutation_from_diag(h)
-    if np.array_equal(perm, np.arange(n)):
-        return m_alpha, l_chol, perm
-    return m_alpha[:, perm], cholesky(h[np.ix_(perm, perm)]), perm
+def _ordered(a: np.ndarray, fact: OrderedFactor) -> np.ndarray:
+    """Columns of ``a`` in the factor's decision order."""
+    return np.asarray(a, dtype=np.float64)[:, fact.perm]
 
 
 def _finish(codes_p, perm, params, scores) -> RoundResult:
@@ -188,7 +211,6 @@ def _finish(codes_p, perm, params, scores) -> RoundResult:
         q_dequant=dequantize(codes, params),
         proxy_loss=float(np.sum(scores)),
         per_row_scores=scores,
-        permutation_used=np.asarray(perm, dtype=np.intp),
     )
 
 
@@ -201,28 +223,22 @@ def rtn_round(
     w: np.ndarray,
     params: GridParams,
     m_ref: np.ndarray | None = None,
-    l_chol: np.ndarray | None = None,
+    fact: OrderedFactor | None = None,
 ) -> RoundResult:
     """Round-to-nearest baseline, no error feedback.
 
-    Scores are reported against the supplied proxy (m_ref, l_chol) when given,
+    Scores are reported against the supplied proxy (m_ref, fact) when given,
     otherwise against the plain weight-rounding error ||Q - w||^2 per row.
     """
     w = np.asarray(w, dtype=np.float64)
     m, n = w.shape
     scale, zero = column_grid(params, np.arange(n))
     codes, values = round_to_grid(w, scale, zero, params.spec)
-    if m_ref is not None and l_chol is not None:
-        scores = proxy_row_scores(values, m_ref, l_chol)
+    if m_ref is not None and fact is not None:
+        scores = proxy_row_scores(values[:, fact.perm], _ordered(m_ref, fact), fact.low)
     else:
         scores = np.sum((values - w) ** 2, axis=1)
-    return RoundResult(
-        codes=codes,
-        q_dequant=dequantize(codes, params),
-        proxy_loss=float(np.sum(scores)),
-        per_row_scores=scores,
-        permutation_used=np.arange(n, dtype=np.intp),
-    )
+    return _finish(codes, np.arange(n), params, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -233,22 +249,21 @@ def rtn_round(
 def _kernel_bytes(m: int, n: int, k: int, bsz: int, n_levels: int) -> int:
     """Upper bound on the bytes one kernel call allocates, summed over its phases.
 
-    Layer-wide, per m x n entry: the permuted target (8 B), the gathered
+    Layer-wide, per m x n entry: the ordered target (8 B), the gathered
     grid (12 B) and the permuted codes (4 B), alive throughout, plus the
     scattered codes and dequantization at the end (28 B); per n x n entry:
-    the refactor and unit-lower factor (16 B) and the refactor's
-    temporaries (24 B). Per live chunk of r rows, per beam: the repeated
-    target and value/code tails (20 B x n) plus one tail-sized temporary
-    (8 B x n); the block buffers, correction, their row gathers and the
-    center difference (40 B x B); and the candidate arrays with their sort
-    order (32 B x W, W = 2 min(K, A) - 1).
+    the unit-lower factor and its two temporaries (24 B). Per live chunk of
+    r rows, per beam: the repeated target and value/code tails (20 B x n)
+    plus one tail-sized temporary (8 B x n); the block buffers, correction,
+    their row gathers and the center difference (40 B x B); and the
+    candidate arrays with their sort order (32 B x W, W = 2 min(K, A) - 1).
     """
     b = min(bsz, n)
     width = 2 * min(k, n_levels) - 1
     r = min(m, ROW_CHUNK)
     live = min(worker_count(), -(-m // ROW_CHUNK))
     chunk = r * k * (28 * n + 40 * b + 32 * width + 64)
-    return m * n * 52 + n * n * 40 + live * chunk
+    return m * n * 52 + n * n * 24 + live * chunk
 
 
 def _keep_best(s, center, near_c, scale, zero, cost, offsets, spec):
@@ -270,9 +285,10 @@ def _keep_best(s, center, near_c, scale, zero, cost, offsets, spec):
     return pick(cand_s), order // len(offsets), pick(cand_v), pick(cand_c)
 
 
-def _successive_round(m_alpha, l_chol, params, cfg, k, bsz) -> RoundResult:
+def _successive_round(mp, fact, params, cfg, k, bsz) -> RoundResult:
     """Reverse-order successive rounding with K beams and blocks of B columns.
 
+    ``mp`` is the target with its columns in the decision order of ``fact``.
     Per row, K partial assignments survive. Column t expands each beam by its
     nearest code (one :func:`round_to_grid` of the interference-cancelled
     center) and the K-1 codes on either side; codes outside the grid score
@@ -291,8 +307,7 @@ def _successive_round(m_alpha, l_chol, params, cfg, k, bsz) -> RoundResult:
         MemoryBudget: the allocation charged by :func:`_kernel_bytes` exceeds
             ``cfg.memory_budget_mb``.
     """
-    m_alpha = np.asarray(m_alpha, dtype=np.float64)
-    m, n = m_alpha.shape
+    m, n = mp.shape
     spec = params.spec
     need = _kernel_bytes(m, n, k, bsz, spec.num_levels)
     if need > cfg.memory_budget_mb * (1 << 20):
@@ -301,9 +316,9 @@ def _successive_round(m_alpha, l_chol, params, cfg, k, bsz) -> RoundResult:
             f"the {cfg.memory_budget_mb} MiB budget"
         )
 
-    mp, lp, perm = _permuted_inputs(m_alpha, l_chol, cfg)
-    lu = _unit_lower(lp)
-    ldiag_sq = np.diag(lp) ** 2
+    perm, low = fact
+    lu = _unit_lower(low)
+    ldiag_sq = np.diag(low) ** 2
     scale_p, zero_p = column_grid(params, perm)
     reach = min(k, spec.num_levels) - 1
     offsets = np.arange(-reach, reach + 1, dtype=np.int32)
@@ -358,7 +373,7 @@ def _successive_round(m_alpha, l_chol, params, cfg, k, bsz) -> RoundResult:
 
 def snrq_greedy(
     m_alpha: np.ndarray,
-    l_chol: np.ndarray,
+    fact: OrderedFactor,
     params: GridParams,
     cfg: SolverConfig = SolverConfig(),
 ) -> RoundResult:
@@ -368,12 +383,12 @@ def snrq_greedy(
     nearest level; the accumulated per-row score is the levelwise sum
     sum_j L_jj^2 (c_j - q_j)^2, equal to the exact proxy.
     """
-    return _successive_round(m_alpha, l_chol, params, cfg, 1, np.shape(m_alpha)[1])
+    return _successive_round(_ordered(m_alpha, fact), fact, params, cfg, 1, len(fact.perm))
 
 
 def snrq_lazy(
     m_alpha: np.ndarray,
-    l_chol: np.ndarray,
+    fact: OrderedFactor,
     params: GridParams,
     cfg: SolverConfig = SolverConfig(),
 ) -> RoundResult:
@@ -382,12 +397,12 @@ def snrq_lazy(
     The cross-block correction is computed once per block; decisions are
     identical to :func:`snrq_greedy` for every block size.
     """
-    return _successive_round(m_alpha, l_chol, params, cfg, 1, cfg.block_size)
+    return _successive_round(_ordered(m_alpha, fact), fact, params, cfg, 1, cfg.block_size)
 
 
 def ksnrq_beam(
     m_alpha: np.ndarray,
-    l_chol: np.ndarray,
+    fact: OrderedFactor,
     params: GridParams,
     cfg: SolverConfig = SolverConfig(),
 ) -> RoundResult:
@@ -400,7 +415,9 @@ def ksnrq_beam(
     Raises:
         MemoryBudget: the kernel's allocation would exceed the configured cap.
     """
-    return _successive_round(m_alpha, l_chol, params, cfg, cfg.beam_width, cfg.block_size)
+    return _successive_round(
+        _ordered(m_alpha, fact), fact, params, cfg, cfg.beam_width, cfg.block_size
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +428,7 @@ def ksnrq_beam(
 def cd_refine(
     result: RoundResult,
     m_alpha: np.ndarray,
-    l_chol: np.ndarray,
+    fact: OrderedFactor,
     params: GridParams,
     passes: int,
     record_trajectory: bool = False,
@@ -420,38 +437,39 @@ def cd_refine(
 
     Each coordinate update moves q_j to the grid level nearest the exact
     conditional center of the full quadratic, so the objective never
-    increases. With ``record_trajectory`` the total objective after every
-    single-coordinate update is returned on the result (index 0 is the
-    starting value).
+    increases. Coordinates are swept in original column order. With
+    ``record_trajectory`` the total objective after every single-coordinate
+    update is returned on the result (index 0 is the starting value).
     """
     if passes < 0:
         raise InvalidSpec(f"passes must be >= 0, got {passes}")
     m_alpha = np.asarray(m_alpha, dtype=np.float64)
     m, n = m_alpha.shape
+    root = np.empty(fact.low.shape)  # C order: the sweep reads rows
+    root[fact.perm] = fact.low  # H = root root^T in original column order
     if passes == 0:
         if record_trajectory:
-            start = proxy_row_scores(result.q_dequant, m_alpha, l_chol)
+            start = proxy_row_scores(result.q_dequant, m_alpha, root)
             return replace(result, objective_trajectory=np.array([float(np.sum(start))]))
         return result
 
-    r_upper = l_chol.T
-    h_diag = np.sum(r_upper * r_upper, axis=0)  # diag of H = R^T R
+    h_diag = np.sum(root * root, axis=1)
     scale, zero = column_grid(params, np.arange(n))
     spec = params.spec
     level_codes = np.arange(spec.code_min, spec.code_max + 1, dtype=np.float64)
 
     codes = result.codes.copy()
     values = result.q_dequant.copy()
-    scores = proxy_row_scores(values, m_alpha, l_chol)
+    scores = proxy_row_scores(values, m_alpha, root)
     traj = np.empty(1 + passes * n) if record_trajectory else None
     if traj is not None:
         traj[0] = float(np.sum(scores))
 
-    def sweep(rows: slice, on_update=None) -> None:
-        res = (values[rows] - m_alpha[rows]) @ r_upper.T  # rowwise R q - y
-        for _ in range(passes):
+    def sweep(rows: slice, log: bool = False) -> None:
+        res = (values[rows] - m_alpha[rows]) @ root  # rowwise R q - y, R = root^T
+        for p in range(passes):
             for j in range(n):
-                g = res @ r_upper[:, j]
+                g = res @ root[j]
                 center = values[rows, j] - g / h_diag[j]
                 levels_j = scale[rows, j, None] * (level_codes[None, :] - zero[rows, j, None])
                 d = (levels_j - center[:, None]) ** 2
@@ -461,32 +479,20 @@ def cd_refine(
                 rr = np.arange(d.shape[0])
                 gain = d[rr, idx] - d[rr, old_idx]      # <= 0 by argmin over levels
                 new_v = levels_j[rr, idx]
-                res += (new_v - values[rows, j])[:, None] * r_upper[:, j][None, :]
+                res += (new_v - values[rows, j])[:, None] * root[j][None, :]
                 scores[rows] += h_diag[j] * gain
                 values[rows, j] = new_v
                 codes[rows, j] = (idx + spec.code_min).astype(np.int32)
-                if on_update is not None:
-                    on_update()
+                if log:
+                    traj[1 + p * n + j] = float(np.sum(scores))
 
     if record_trajectory:
-        # run sequentially over all rows so every update has a global objective
-        state = {"step": 0}
-
-        def log():
-            state["step"] += 1
-            traj[state["step"]] = float(np.sum(scores))
-
-        sweep(slice(0, m), log)
+        sweep(slice(0, m), log=True)  # all rows at once, so every update has a global objective
     else:
         _run_chunked(sweep, m)
-
-    return RoundResult(
-        codes=codes,
-        q_dequant=dequantize(codes, params),
-        proxy_loss=float(np.sum(scores)),
-        per_row_scores=scores,
-        permutation_used=result.permutation_used,
-        objective_trajectory=traj,
+    return replace(
+        result, codes=codes, q_dequant=dequantize(codes, params), proxy_loss=float(np.sum(scores)),
+        per_row_scores=scores, objective_trajectory=traj,
     )
 
 
@@ -497,147 +503,51 @@ def cd_refine(
 
 def gptq_round(
     w: np.ndarray,
-    h_damped: np.ndarray,
+    fact: OrderedFactor,
     params: GridParams,
     cfg: SolverConfig = SolverConfig(),
 ) -> RoundResult:
-    """Classic left-to-right error feedback using inverse-Cholesky rows.
+    """Classic left-to-right error feedback, run as greedy rounding of the weights.
 
-    Column j is quantized at its running value, and the scaled error is
-    propagated into the remaining columns through row j of the upper Cholesky
-    factor of H^{-1}. With act_order, columns are processed in descending
-    diagonal order (the exact reverse of :func:`permutation_from_diag`), which
-    makes the decision sequence match :func:`snrq_greedy` on the same H.
+    GPTQ quantizes column j at its running value and spreads the error over
+    the later columns through row j of the upper Cholesky factor of H^{-1}.
+    Its running values are the centers of the reverse-order kernel on target
+    W, in the reverse of GPTQ's order (that is what :func:`order_and_factor`
+    builds for ``gptq``), so the kernel makes exactly GPTQ's decisions.
+    Scores are the levelwise proxy ||(Q - W)[:, perm] L||^2 per row.
     """
-    w = np.asarray(w, dtype=np.float64)
-    m, n = w.shape
-    if cfg.act_order:
-        perm = permutation_from_diag(h_damped)[::-1].copy()
-    else:
-        perm = np.arange(n)
-    hp = h_damped[np.ix_(perm, perm)]
-    h_inv = solve_with_factor(cholesky(hp), np.eye(n))
-    u_inv = cholesky(h_inv).T  # upper, H^{-1} = U^T U
-
-    scale_p, zero_p = column_grid(params, perm)
-    wc = w[:, perm].copy()
-    codes_p = np.zeros((m, n), dtype=np.int32)
-    values_p = np.zeros((m, n))
-    for j in range(n):
-        cj, vj = round_to_grid(wc[:, j], scale_p[:, j], zero_p[:, j], params.spec)
-        codes_p[:, j] = cj
-        values_p[:, j] = vj
-        if j + 1 < n:
-            err = (wc[:, j] - vj) / u_inv[j, j]
-            wc[:, j + 1:] -= np.outer(err, u_inv[j, j + 1:])
-
-    codes = np.empty_like(codes_p)
-    codes[:, perm] = codes_p
-    q = dequantize(codes, params)
-    l_damped = cholesky(h_damped)
-    scores = proxy_row_scores(q, w, l_damped)
-    return RoundResult(
-        codes=codes,
-        q_dequant=q,
-        proxy_loss=float(np.sum(scores)),
-        per_row_scores=scores,
-        permutation_used=np.asarray(perm, dtype=np.intp),
-    )
-
-
-def _trailing_solve(rhs: np.ndarray, x_tail: np.ndarray, damping_abs: float) -> np.ndarray:
-    """Least-squares spread of an m x N target onto the trailing columns."""
-    h_tail = x_tail @ x_tail.T
-    if damping_abs > 0:
-        h_tail = h_tail + damping_abs * np.eye(h_tail.shape[0])
-    return solve_with_factor(cholesky(h_tail), rhs @ x_tail.T)
-
-
-def _asym_feedback_round(
-    w: np.ndarray,
-    batch: CalibBatch,
-    params: GridParams,
-    cfg: SolverConfig,
-    damping: float,
-    mismatch_scale: float,
-    full_target: bool,
-) -> RoundResult:
-    """Left-to-right rounding with tail solves toward the mismatch target.
-
-    With ``full_target`` the un-absorbed remainder of the whole mismatch
-    image is used at every step (the exact tail problem); otherwise only the
-    single-component term of the current column (the surrogate).
-    """
-    w = np.asarray(w, dtype=np.float64)
-    m, n = w.shape
-    xq = batch.xq
-    dx = batch.delta
-    h = xq @ xq.T
-    damping_abs = damping * float(np.mean(np.diag(h))) if damping > 0 else 0.0
-
-    if cfg.act_order:
-        perm = permutation_from_diag(h + damping_abs * np.eye(n))[::-1].copy()
-    else:
-        perm = np.arange(n)
-    xq = xq[perm]
-    dx = dx[perm]
-    wp = w[:, perm]
-    scale_p, zero_p = column_grid(params, perm)
-
-    wc = wp.copy()
-    codes_p = np.zeros((m, n), dtype=np.int32)
-    remaining = mismatch_scale * (wp @ dx) if full_target else None
-    for q in range(n):
-        cj, vj = round_to_grid(wc[:, q], scale_p[:, q], zero_p[:, q], params.spec)
-        codes_p[:, q] = cj
-        delta_q = vj - wc[:, q]
-        wc[:, q] = vj
-        if q + 1 == n:
-            break
-        if full_target:
-            target = remaining - np.outer(delta_q, xq[q])
-            corr = _trailing_solve(target, xq[q + 1:], damping_abs)
-            remaining = target - corr @ xq[q + 1:]
-        else:
-            r_q = mismatch_scale * np.outer(wp[:, q], dx[q])
-            corr = _trailing_solve(r_q - np.outer(delta_q, xq[q]), xq[q + 1:], damping_abs)
-        wc[:, q + 1:] += corr
-
-    codes = np.empty_like(codes_p)
-    codes[:, perm] = codes_p
-    q_deq = dequantize(codes, params)
-    # report against the exact asymmetric objective residual
-    resid = (q_deq - w) @ batch.xq - mismatch_scale * (w @ batch.delta)
-    scores = np.sum(resid * resid, axis=1)
-    return RoundResult(
-        codes=codes,
-        q_dequant=q_deq,
-        proxy_loss=float(np.sum(scores)),
-        per_row_scores=scores,
-        permutation_used=np.asarray(perm, dtype=np.intp),
-    )
+    return _successive_round(_ordered(w, fact), fact, params, cfg, 1, len(fact.perm))
 
 
 def gptaq_round(
     w: np.ndarray,
-    batch: CalibBatch,
+    fact: OrderedFactor,
     params: GridParams,
-    cfg: SolverConfig = SolverConfig(),
-    damping: float = 0.0,
+    cfg: SolverConfig,
+    batch: CalibBatch,
     mismatch_scale: float = 1.0,
 ) -> RoundResult:
     """Sequential rounding with the single-component mismatch surrogate.
 
-    At step q the trailing columns absorb, in the least-squares sense over
-    the trailing student rows, the rounding error of column q plus the
-    surrogate target r_q = mismatch_scale * W_q (xf - xq)_q. Trailing moment
-    blocks are solved by Cholesky (O(n^4) total; fine at desk scale). Scores
-    report the exact asymmetric objective per row.
-
-    Raises:
-        NotPositiveDefinite: a trailing moment block is singular (increase
-            damping or the calibration size).
+    Left to right, step q spreads the rounding error of column q plus the
+    surrogate target r_q = mismatch_scale * W_q (xf - xq)_q over the later
+    columns by least squares on their student rows. The error part is GPTQ's
+    feedback; the surrogate part depends on no decision, so it is added up
+    front: in GPTQ's order and with D = (xf - xq) xq^T, GPTAQ is
+    :func:`gptq_round` on W + mismatch_scale * W U, U strictly upper with row
+    q equal to D[q, q+1:] H[q+1:, q+1:]^{-1}. Those trailing blocks of H are
+    leading blocks of the one factor (which is in the reverse order), so U
+    costs two triangular solves. Scores are the exact asymmetric objective.
     """
-    return _asym_feedback_round(
-        w, batch, params, cfg, damping, mismatch_scale, full_target=False
-    )
+    w = np.asarray(w, dtype=np.float64)
+    perm, low = fact
+    wp = _ordered(w, fact)
+    dx = batch.delta
+    # kernel order: U is strictly lower, row i = D[i, :i] (L_i L_i^T)^{-1} with L_i = low[:i, :i]
+    d = np.tril((dx @ batch.xq.T)[np.ix_(perm, perm)], -1)
+    z = np.tril(solve_triangular(low, d.T, lower=True).T, -1)
+    u = solve_triangular(low, z.T, lower=True, trans="T").T
+    result = _successive_round(wp + mismatch_scale * (wp @ u), fact, params, cfg, 1, len(perm))
+    resid = (result.q_dequant - w) @ batch.xq - mismatch_scale * (w @ dx)
+    scores = np.sum(resid * resid, axis=1)
+    return replace(result, proxy_loss=float(np.sum(scores)), per_row_scores=scores)

@@ -27,6 +27,7 @@ from snrq import (
     gptq_round,
     ksnrq_beam,
     objective_direct,
+    order_and_factor,
     rtn_round,
     shifted_target,
     snrq_greedy,
@@ -38,6 +39,7 @@ from snrq.oracle import (
     alpha_grid_scan,
     dither_experiment,
     exhaustive_row,
+    gptaq_reference,
     greedy_reference,
     sample_folded_alphas,
 )
@@ -50,9 +52,9 @@ from snrq.pipeline import (
     strip_timing,
     synth_network,
 )
-from snrq.solvers import _asym_feedback_round, proxy_column_costs, proxy_row_scores
+from snrq.solvers import proxy_column_costs
 
-from conftest import random_batch, random_spd
+from conftest import natural, random_batch, random_spd
 
 
 def report_line(cid: str, ok: bool, detail: str, t0: float) -> None:
@@ -99,8 +101,9 @@ def test_c02_proxy_constant_identity():
         alpha = float(rng.uniform())
         w = rng.normal(size=(m, n))
         stats = accumulate_stats(batch, AlphaStrategy(mode="fixed", alpha_value=alpha), damping=0.0)
-        m_t = shifted_target(w, stats)
-        low = stats.chol()
+        fact = order_and_factor(stats.h, SolverConfig(act_order=False))
+        m_t = shifted_target(w, stats, fact)
+        low = fact.low
         diffs = []
         for _ in range(10):
             w_hat = w + rng.normal(size=(m, n))
@@ -160,19 +163,20 @@ def test_c05_greedy_beam_oracle_sandwich():
         w = rng.normal(size=(1, n))
         h = random_spd(rng, n, ridge=0.2)
         low = cholesky(h)
+        fact = natural(low)
         params = fit_grid(w, GridSpec(bits=2, symmetric=True))
         cfg = lambda k: SolverConfig(act_order=False, beam_width=k)
-        greedy = snrq_greedy(w, low, params, SolverConfig(act_order=False))
+        greedy = snrq_greedy(w, fact, params, SolverConfig(act_order=False))
         ref = greedy_reference(w, low, params)
         orc = exhaustive_row(low.T, low.T @ w[0], [levels(0, j, params) for j in range(n)])
         tol = 1e-9 * max(1.0, orc.best_cost)
-        beam1 = ksnrq_beam(w, low, params, cfg(1))
+        beam1 = ksnrq_beam(w, fact, params, cfg(1))
         ok = ok and np.array_equal(greedy.codes, ref) and np.array_equal(beam1.codes, ref)
         for k in (2, 4):
-            bk = ksnrq_beam(w, low, params, cfg(k))
+            bk = ksnrq_beam(w, fact, params, cfg(k))
             ok = ok and orc.best_cost <= bk.proxy_loss + tol
             ok = ok and bk.proxy_loss <= greedy.proxy_loss + tol
-        sat = ksnrq_beam(w, low, params, cfg(4 ** n))
+        sat = ksnrq_beam(w, fact, params, cfg(4 ** n))
         ok = ok and abs(sat.proxy_loss - orc.best_cost) <= tol
         if not ok:
             break
@@ -184,8 +188,8 @@ def test_c06_beam_improves_known_instance():
     t0 = time.perf_counter()
     low = np.array([[1.0, 0.0], [0.6, 1.0]])
     m_row = np.linalg.solve(low.T, np.array([1.0, 0.5]))[None, :]
-    greedy = snrq_greedy(m_row, low, grid_01(), SolverConfig(act_order=False))
-    beam = ksnrq_beam(m_row, low, grid_01(), SolverConfig(act_order=False, beam_width=2))
+    greedy = snrq_greedy(m_row, natural(low), grid_01(), SolverConfig(act_order=False))
+    beam = ksnrq_beam(m_row, natural(low), grid_01(), SolverConfig(act_order=False, beam_width=2))
     ok = (
         abs(greedy.proxy_loss - 0.41) <= 1e-12
         and abs(beam.proxy_loss - 0.25) <= 1e-12
@@ -204,12 +208,12 @@ def test_c07_lazy_batch_exactness():
     for _ in range(20):
         w = rng.normal(size=(m, n))
         h = random_spd(rng, n)
-        low = cholesky(h)
+        fact = order_and_factor(h, SolverConfig(act_order=True))
         params = fit_grid(w, GridSpec(bits=3, symmetric=True))
-        ref = greedy_reference(w, low, params, act_order=True)
-        ok = ok and np.array_equal(snrq_greedy(w, low, params, SolverConfig(act_order=True)).codes, ref)
+        ref = greedy_reference(w, cholesky(h), params, act_order=True)
+        ok = ok and np.array_equal(snrq_greedy(w, fact, params, SolverConfig(act_order=True)).codes, ref)
         for b in (1, 2, n // 2, n, n + 1):
-            lazy = snrq_lazy(w, low, params, SolverConfig(act_order=True, block_size=b))
+            lazy = snrq_lazy(w, fact, params, SolverConfig(act_order=True, block_size=b))
             ok = ok and np.array_equal(lazy.codes, ref)
     report_line("C07", ok, "greedy and lazy-batch codes equal the greedy reference for B in "
                 "{1,2,n/2,n,n+1}, 20 layers", t0)
@@ -224,14 +228,15 @@ def test_c08_gptq_equivalence():
         m, n = 8, 16
         w = rng.normal(size=(m, n))
         h = random_spd(rng, n, ridge=float(n))  # well conditioned
-        low = cholesky(h)
         params = fit_grid(w, GridSpec(bits=3, symmetric=True))
         cfg = SolverConfig(act_order=True)
-        ok = ok and np.array_equal(
-            snrq_greedy(w, low, params, cfg).codes,  # alpha = 0: target is W
-            gptq_round(w, h, params, cfg).codes,
-        )
-    report_line("C08", ok, "gptq codes equal greedy at alpha=0, damping 0, 20 instances", t0)
+        gptq_cfg = SolverConfig(solver="gptq", act_order=True)
+        gptq = gptq_round(w, order_and_factor(h, gptq_cfg), params, gptq_cfg).codes
+        # alpha = 0: the target is W; the reference factors the permuted H with numpy
+        ok = ok and np.array_equal(gptq, greedy_reference(w, np.linalg.cholesky(h), params, act_order=True))
+        ok = ok and np.array_equal(gptq, snrq_greedy(w, order_and_factor(h, cfg), params, cfg).codes)
+    report_line("C08", ok, "gptq codes equal the greedy reference and snrq at alpha=0, damping 0, "
+                "20 instances", t0)
     assert ok
 
 
@@ -239,7 +244,10 @@ def test_c09_gptaq_surrogate_proposition():
     t0 = time.perf_counter()
     rng = np.random.default_rng(109)
     n, n_seq = 6, 12
-    cfg = SolverConfig(act_order=False)
+    cfg = SolverConfig(solver="gptaq", act_order=False)
+
+    def gptaq_factor(batch):  # undamped, left to right
+        return order_and_factor(batch.xq @ batch.xq.T, cfg)
 
     # constructed: orthogonal student rows, mismatch parallel to row 0 only,
     # which forces the omitted term orthogonal to every trailing block
@@ -250,8 +258,8 @@ def test_c09_gptaq_surrogate_proposition():
     batch = CalibBatch(xf=xq + dx, xq=xq)
     w = rng.normal(size=(4, n))
     params = fit_grid(w, GridSpec(bits=3, symmetric=True))
-    sur = gptaq_round(w, batch, params, cfg, damping=0.0)
-    exa = _asym_feedback_round(w, batch, params, cfg, 0.0, 1.0, full_target=True)
+    sur = gptaq_round(w, gptaq_factor(batch), params, cfg, batch)
+    exa = gptaq_reference(w, batch, params, exact=True)
     constructed_ok = np.array_equal(sur.codes, exa.codes) and (
         abs(sur.proxy_loss - exa.proxy_loss) <= 1e-9 * max(1.0, exa.proxy_loss)
     )
@@ -262,8 +270,8 @@ def test_c09_gptaq_surrogate_proposition():
     batch = CalibBatch(xf=xq + 0.5 * rng.normal(size=(n, n_seq)), xq=xq)
     w = rng.normal(size=(4, n))
     params = fit_grid(w, GridSpec(bits=3, symmetric=True))
-    sur = gptaq_round(w, batch, params, cfg, damping=0.0)
-    exa = _asym_feedback_round(w, batch, params, cfg, 0.0, 1.0, full_target=True)
+    sur = gptaq_round(w, gptaq_factor(batch), params, cfg, batch)
+    exa = gptaq_reference(w, batch, params, exact=True)
     gap = sur.proxy_loss - exa.proxy_loss
     generic_ok = (not np.array_equal(sur.codes, exa.codes)) and gap > 0
 
@@ -280,20 +288,20 @@ def test_c10_cd_monotonicity():
         m, n = int(rng.integers(1, 6)), int(rng.integers(2, 12))
         w = rng.normal(size=(m, n))
         h = random_spd(rng, n, ridge=0.3)
-        low = cholesky(h)
+        fact = natural(cholesky(h))
         params = fit_grid(w, GridSpec(bits=3, symmetric=True))
-        start = rtn_round(w, params, m_ref=w, l_chol=low)
-        out = cd_refine(start, w, low, params, passes=3, record_trajectory=True)
+        start = rtn_round(w, params, m_ref=w, fact=fact)
+        out = cd_refine(start, w, fact, params, passes=3, record_trajectory=True)
         ok = ok and bool(np.all(np.diff(out.objective_trajectory) <= 0.0))
     # refinement cannot move a global optimum
     for _ in range(5):
         n = 4
         w = rng.normal(size=(1, n))
         h = random_spd(rng, n, ridge=0.2)
-        low = cholesky(h)
+        fact = natural(cholesky(h))
         params = fit_grid(w, GridSpec(bits=2, symmetric=True))
-        sat = ksnrq_beam(w, low, params, SolverConfig(act_order=False, beam_width=4 ** n))
-        refined = cd_refine(sat, w, low, params, passes=3)
+        sat = ksnrq_beam(w, fact, params, SolverConfig(act_order=False, beam_width=4 ** n))
+        refined = cd_refine(sat, w, fact, params, passes=3)
         ok = ok and np.array_equal(refined.codes, sat.codes)
     report_line("C10", ok, "CD objective non-increasing per update, optimum is a fixed point", t0)
     assert ok

@@ -6,12 +6,15 @@ import pytest
 from snrq import (
     AlphaStrategy,
     CalibBatch,
+    InvalidSpec,
     SeededRng,
     ShapeMismatch,
+    SolverConfig,
     accumulate_stats,
     closed_form_alpha,
     decomposition_check,
     objective_direct,
+    order_and_factor,
     shifted_target,
 )
 from snrq.calibration import gamma_weight, sample_folded_alphas
@@ -21,6 +24,10 @@ from conftest import random_batch
 
 def full_rank_batch(rng, n=6, n_seq=24, mismatch=0.3):
     return random_batch(rng, n, n_seq, mismatch)
+
+
+def factor(stats, act_order=False):
+    return order_and_factor(stats.h, SolverConfig(act_order=act_order))
 
 
 def test_alpha_zero_cross_moment_equals_h(rng):
@@ -50,7 +57,7 @@ def test_sampled_alphas_folded(rng):
 
 
 def test_sampled_requires_rng(rng):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         accumulate_stats(full_rank_batch(rng), AlphaStrategy(mode="sampled"), 0.0, rng=None)
 
 
@@ -79,15 +86,16 @@ def test_shifted_target_alpha_zero_is_w(rng):
     batch = full_rank_batch(rng)
     stats = accumulate_stats(batch, AlphaStrategy(mode="fixed", alpha_value=0.0), damping=0.0)
     w = rng.normal(size=(4, 6))
-    m = shifted_target(w, stats)
-    assert np.allclose(m, w, rtol=1e-8, atol=1e-10)
+    for act_order in (False, True):
+        m = shifted_target(w, stats, factor(stats, act_order))
+        assert np.allclose(m, w, rtol=1e-8, atol=1e-10)
 
 
 def test_shifted_target_scalar_case():
     # W=2, X_f=3, X_q=2, alpha=1: minimize (6 - 2*v)^2 -> v = 3
     batch = CalibBatch(xf=np.array([[3.0]]), xq=np.array([[2.0]]))
     stats = accumulate_stats(batch, AlphaStrategy(mode="fixed", alpha_value=1.0), damping=0.0)
-    m = shifted_target(np.array([[2.0]]), stats)
+    m = shifted_target(np.array([[2.0]]), stats, factor(stats))
     assert np.allclose(m, [[3.0]], rtol=1e-12)
     # cross-check by scanning the scalar objective
     grid = np.linspace(0.0, 5.0, 5001)
@@ -99,7 +107,9 @@ def test_shifted_target_damping_bias(rng):
     batch = full_rank_batch(rng)
     stats = accumulate_stats(batch, AlphaStrategy(mode="fixed", alpha_value=0.0), damping=0.05)
     w = rng.normal(size=(4, 6))
-    m = shifted_target(w, stats)
+    fact = factor(stats, act_order=True)
+    assert not np.array_equal(fact.perm, np.arange(6))
+    m = shifted_target(w, stats, fact)
     # direct evaluation of W (H - lambda I) H^{-1}
     lam = stats.damping_abs
     expected = w @ (stats.h - lam * np.eye(6)) @ np.linalg.inv(stats.h)
@@ -149,8 +159,9 @@ def test_proxy_equivalence_constant_in_w_hat(rng):
     w = rng.normal(size=(3, 5))
     alpha = 0.37
     stats = accumulate_stats(batch, AlphaStrategy(mode="fixed", alpha_value=alpha), damping=0.0)
-    m_t = shifted_target(w, stats)
-    low = stats.chol()
+    fact = factor(stats)
+    m_t = shifted_target(w, stats, fact)
+    low = fact.low
     diffs = []
     for _ in range(10):
         w_hat = w + rng.normal(size=(3, 5))

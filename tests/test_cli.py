@@ -160,3 +160,73 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["--version"])
     assert exc.value.code == 0
+
+
+def test_oracle_budget_overflow_exits_2(capsys):
+    # 8**30 candidates: an int64 product would wrap past the budget check
+    code, _, err = run(capsys, "oracle", "--synth-n", "30", "--bits", "3")
+    assert code == 2
+    assert "exceed the budget" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [
+    {"damping": float("nan")},
+    {"damping": "x"},
+    {"damping": -1},
+    {"damping": True},
+    {"gptaq_alpha": float("inf")},
+    {"gptaq_alpha": "x"},
+    {"seed": "a"},
+    {"seed": 1.5},
+    {"seed": True},
+], ids=["nan-damping", "str-damping", "negative-damping", "bool-damping", "inf-gptaq-alpha",
+        "str-gptaq-alpha", "str-seed", "float-seed", "bool-seed"])
+def test_bad_top_level_scalar_is_usage_error(tmp_path, capsys, entry):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict({"network": {"depth": 1, "width": 4}}, **entry)))
+    code, _, err = run(capsys, "quantize", "--config", str(p))
+    assert code == 1
+    assert "usage error" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_zero_beam_width_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text("{}")
+    code, _, err = run(capsys, "sweep", "--config", str(p), "--axis", "K", "--values", "0")
+    assert code == 1
+    assert "usage error" in err
+
+
+def test_dither_demo_zero_trials_is_usage_error(capsys):
+    code, _, err = run(capsys, "dither-demo", "--w", "0.3", "--x", "1", "--trials", "0")
+    assert code == 1
+    assert "usage error" in err
+
+
+def test_variance_sweep_zero_repeats_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text("{}")
+    code, _, err = run(capsys, "variance-sweep", "--config", str(p), "--repeats", "0")
+    assert code == 1
+    assert "usage error" in err
+
+
+def test_synth_weight_paths_resolve_against_config_dir(tmp_path, capsys, monkeypatch):
+    net_dir = tmp_path / "net"
+    code, _, _ = run(capsys, "synth", "--depth", "2", "--dim", "8", "--out-dir", str(net_dir))
+    assert code == 0
+    manifest = json.loads((net_dir / "network.json").read_text())
+    cfg = {
+        "calibration": {"n_sequences": 24},
+        "network": {"dims": manifest["dims"], "weight_paths": manifest["weight_paths"]},
+    }
+    (net_dir / "cfg.json").write_text(json.dumps(cfg))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    code, _, err = run(capsys, "quantize", "--config", str(net_dir / "cfg.json"),
+                       "--out-dir", "run")
+    assert code == 0, err
+    assert (elsewhere / "run" / "report.json").is_file()

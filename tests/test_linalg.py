@@ -27,6 +27,14 @@ def test_cholesky_indefinite_raises():
         cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
 
 
+def test_cholesky_failed_pivot_index_and_value():
+    # the second pivot is 1 - 2^2 / 1 = -3
+    with pytest.raises(NotPositiveDefinite) as exc:
+        cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert exc.value.pivot_index == 1
+    assert exc.value.pivot_value == -3.0
+
+
 def test_cholesky_rejects_asymmetric():
     with pytest.raises(ShapeMismatch):
         cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))

@@ -14,7 +14,7 @@ from snrq.oracle import (
 )
 from snrq.solvers import SolverConfig
 
-from conftest import random_batch, random_spd
+from conftest import natural, random_batch, random_spd
 
 
 def test_exhaustive_single_coordinate():
@@ -54,7 +54,7 @@ def test_exhaustive_beats_greedy(rng):
         h = random_spd(rng, n, ridge=0.2)
         l = cholesky(h)
         params = fit_grid(w, GridSpec(bits=2, symmetric=True))
-        g = snrq_greedy(w, l, params, SolverConfig(act_order=False))
+        g = snrq_greedy(w, natural(l), params, SolverConfig(act_order=False))
         orc = exhaustive_row(l.T, l.T @ w[0], [levels(0, j, params) for j in range(n)])
         assert orc.best_cost <= g.proxy_loss + 1e-9
 

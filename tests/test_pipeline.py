@@ -177,6 +177,33 @@ def test_all_solvers_run_through_pipeline(solver):
     assert all(rec["proxy_loss"] >= 0 for rec in report["layers"])
 
 
+@pytest.mark.parametrize("act_order", [False, True])
+@pytest.mark.parametrize("solver,cd_passes", [
+    ("rtn", 1), ("snrq", 0), ("snrq_lazy", 0), ("ksnrq", 0), ("gptq", 0), ("gptaq", 0),
+])
+def test_one_factorization_per_layer(monkeypatch, solver, cd_passes, act_order):
+    from snrq import calibration, linalg, solvers
+
+    calls = {"names": 0, "lapack": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (calibration, solvers):  # the names the benchmark tracer wraps
+        monkeypatch.setattr(mod, "cholesky", counted(mod.cholesky, "names"))
+    monkeypatch.setattr(linalg, "dpotrf", counted(linalg.dpotrf, "lapack"))
+    cfg = small_config(
+        solver=SolverConfig(solver=solver, beam_width=2, block_size=4,
+                            act_order=act_order, cd_passes=cd_passes),
+        network=NetworkConfig(depth=3, width=10),
+    )
+    quantize_network(synth_network(cfg.network, cfg.seed), cfg)
+    assert calls == {"names": 3, "lapack": 3}
+
+
 def test_cd_passes_reduce_proxy():
     base = small_config(solver=SolverConfig(solver="rtn", cd_passes=0, act_order=False))
     refined = small_config(solver=SolverConfig(solver="rtn", cd_passes=2, act_order=False))

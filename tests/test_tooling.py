@@ -7,10 +7,19 @@ from pathlib import Path
 
 import numpy as np
 
-from snrq import GridSpec, SolverConfig, cd_refine, cholesky, fit_grid, ksnrq_beam, snrq_lazy
+from snrq import (
+    GridSpec,
+    SolverConfig,
+    cd_refine,
+    fit_grid,
+    gptaq_round,
+    ksnrq_beam,
+    order_and_factor,
+    snrq_lazy,
+)
 from snrq import solvers
 
-from conftest import random_spd
+from conftest import random_batch, random_spd
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -48,10 +57,13 @@ def test_row_chunk_workers_call_no_traced_name(rng, monkeypatch):
     m, n = 150, 12  # three 64-row chunks
     w = rng.normal(size=(m, n))
     h = random_spd(rng, n)
-    h[np.diag_indices(n)] += np.linspace(0, 5, n)[::-1]  # act_order permutes and refactors
-    l = cholesky(h)
+    h[np.diag_indices(n)] += np.linspace(0, 5, n)[::-1]  # act_order permutes
+    fact = order_and_factor(h, SolverConfig())
     params = fit_grid(w, GridSpec(bits=3, symmetric=True))
-    lazy = snrq_lazy(w, l, params, SolverConfig(block_size=4))
-    ksnrq_beam(w, l, params, SolverConfig(beam_width=3, block_size=4))
-    cd_refine(lazy, w, l, params, passes=1)
+    lazy = snrq_lazy(w, fact, params, SolverConfig(block_size=4))
+    ksnrq_beam(w, fact, params, SolverConfig(beam_width=3, block_size=4))
+    cd_refine(lazy, w, fact, params, passes=1)
+    batch = random_batch(rng, n, 3 * n)
+    gptaq_cfg = SolverConfig(solver="gptaq")
+    gptaq_round(w, order_and_factor(batch.xq @ batch.xq.T, gptaq_cfg), params, gptaq_cfg, batch)
     assert threads == {threading.get_ident()}
