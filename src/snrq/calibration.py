@@ -87,11 +87,11 @@ class AlphaStrategy:
         mode = {"sample": "sampled"}.get(self.mode, self.mode)
         object.__setattr__(self, "mode", mode)
         if mode not in ALPHA_MODES:
-            raise ValueError(f"alpha mode must be one of {ALPHA_MODES}, got {self.mode!r}")
+            raise InvalidSpec(f"alpha mode must be one of {ALPHA_MODES}, got {self.mode!r}")
         if not 0.0 <= self.alpha_value <= 1.0:
-            raise ValueError(f"alpha_value must be in [0, 1], got {self.alpha_value}")
+            raise InvalidSpec(f"alpha_value must be in [0, 1], got {self.alpha_value}")
         if self.beta_lambda <= 0:
-            raise ValueError(f"beta_lambda must be positive, got {self.beta_lambda}")
+            raise InvalidSpec(f"beta_lambda must be positive, got {self.beta_lambda}")
 
     def with_alpha(self, alpha: float) -> "AlphaStrategy":
         return replace(self, alpha_value=float(alpha))

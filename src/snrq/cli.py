@@ -180,13 +180,18 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    spec = GridSpec(bits=args.bits, symmetric=not args.asymmetric, group_size=0)
+    try:
+        spec = GridSpec(bits=args.bits, symmetric=not args.asymmetric, group_size=0)
+    except InvalidSpec as e:
+        raise UsageError(f"bad --bits: {e}") from None
     if args.r_path and args.y_path:
         r_upper = read_matrix(args.r_path)
         y = read_matrix(args.y_path).ravel()
         n = r_upper.shape[0]
         w_row = np.linalg.solve(r_upper, y)[None, :]
-    elif args.synth_n:
+    elif args.synth_n is not None:
+        if args.synth_n < 1:
+            raise UsageError(f"--synth-n must be >= 1, got {args.synth_n}")
         n = args.synth_n
         rng = SeededRng(args.seed, 7)
         a = rng.normal(size=(n, 2 * n))
@@ -225,7 +230,10 @@ def _cmd_alpha_scan(args) -> int:
         xq = read_matrix(args.xq_path)
     else:
         raise UsageError("alpha-scan needs --synth or all four matrix paths")
-    scan = alpha_grid_scan(w, w_hat, CalibBatch(xf=xf, xq=xq), args.grid_points)
+    try:
+        scan = alpha_grid_scan(w, w_hat, CalibBatch(xf=xf, xq=xq), args.grid_points)
+    except InvalidSpec as e:
+        raise UsageError(f"bad --grid-points: {e}") from None
     _emit(
         {
             "alpha_best": scan.alpha_best,
@@ -243,7 +251,7 @@ def _cmd_dither(args) -> int:
             w=args.w, x=args.x, tau_s=args.tau_s, tau_z=args.tau_z,
             n_sequences=args.n_sequences, n_trials=args.trials,
         )
-    except ValueError as e:
+    except InvalidSpec as e:
         raise UsageError(str(e)) from None
     res = dither_experiment(setup, SeededRng(args.seed, 13))
     _emit(
@@ -271,12 +279,14 @@ def _cmd_variance_sweep(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config, {"seed": args.seed})
     values = _parse_values(args.values)
-    if args.axis in ("K", "cd_passes"):
-        values = [int(v) for v in values]
+    if not values:
+        raise UsageError("--values needs at least one value")
     try:
+        if args.axis in ("K", "cd_passes"):
+            values = [int(v) for v in values]
         for v in values:
             sweep_config(cfg, args.axis, v)
-    except (InvalidSpec, ValueError) as e:
+    except (InvalidSpec, ValueError, OverflowError) as e:
         raise UsageError(f"bad --values for axis {args.axis}: {e}") from None
     _emit(sweep(cfg, args.axis, values), args.out)
     return 0

@@ -7,7 +7,9 @@ grids use codes [0, 2^b-1] with an integer zero point.
 
 Scales and zero points are always fitted from the original full-precision
 weights and are always looked up by original column index; solvers that
-permute columns fetch parameters through their permutation.
+permute columns fetch parameters through their permutation. MSE clipping fits
+all (row, group) cells at once, one array pass per clip ratio, and each cell
+keeps the first ratio that minimizes its round-trip error.
 """
 
 from __future__ import annotations
@@ -84,37 +86,28 @@ class GridParams:
         return 0 if self.spec.group_size == 0 else col // self.spec.group_size
 
 
-def _fit_cell(values: np.ndarray, spec: GridSpec) -> tuple[float, int]:
-    """Scale and zero point for one (row, group) cell."""
-    vmin = float(values.min())
-    vmax = float(values.max())
-    if vmax == vmin:
-        return _DEGENERATE_SCALE, _zero_for(vmin, _DEGENERATE_SCALE, spec)
+def _fit_cells(vmin: np.ndarray, vmax: np.ndarray, spec: GridSpec) -> GridParams:
+    """Scales and zero points for cells with the given value ranges."""
     if spec.symmetric:
-        scale = max(abs(vmin), abs(vmax)) / spec.code_max
-        return max(scale, _DEGENERATE_SCALE), 0
-    scale = max((vmax - vmin) / (spec.num_levels - 1), _DEGENERATE_SCALE)
-    return scale, _zero_for(vmin, scale, spec)
-
-
-def _zero_for(vmin: float, scale: float, spec: GridSpec) -> int:
-    if spec.symmetric:
-        return 0
-    z = int(np.floor(-vmin / scale + 0.5))
-    return int(np.clip(z, 0, spec.code_max))
-
-
-def _cell_mse(values: np.ndarray, scale: float, zero: int, spec: GridSpec) -> float:
-    _, approx = round_to_grid(values, scale, zero, spec)
-    return float(np.sum((values - approx) ** 2))
+        scale = np.maximum(np.abs(vmin), np.abs(vmax)) / spec.code_max
+        scale = np.maximum(scale, _DEGENERATE_SCALE)
+    else:
+        scale = np.maximum((vmax - vmin) / (spec.num_levels - 1), _DEGENERATE_SCALE)
+    scale = np.where(vmax == vmin, _DEGENERATE_SCALE, scale)
+    zeros = np.zeros(vmin.shape, dtype=np.int32)
+    if not spec.symmetric:
+        zeros[...] = np.clip(np.floor(-vmin / scale + 0.5), 0, spec.code_max)
+    return GridParams(scales=scale, zero_points=zeros, spec=spec)
 
 
 def fit_grid(w: np.ndarray, spec: GridSpec) -> GridParams:
     """Fit scales and zero points from the full-precision weights.
 
-    With ``spec.mse_clip`` the min/max range of every cell is shrunk by the
-    ratio (100-point grid over [0.5, 1.0]) minimizing that cell's squared
-    round-trip error; default is plain min/max fitting.
+    With ``spec.mse_clip`` the min/max range of every (row, group) cell is
+    shrunk by the ratio (100-point grid over [0.5, 1.0]) minimizing that
+    cell's squared round-trip error; the first minimizing ratio wins. All
+    cells are fitted together, one array pass per ratio, so temporaries stay
+    O(m * n). Default is plain min/max fitting.
 
     Raises:
         InvalidSpec: group_size does not divide the column count.
@@ -125,24 +118,26 @@ def fit_grid(w: np.ndarray, spec: GridSpec) -> GridParams:
         raise NonFinite("fit_grid input contains NaN or Inf")
     m, n = w.shape
     n_groups = spec.groups_for(n)
-    gsize = n if spec.group_size == 0 else spec.group_size
-
-    scales = np.empty((m, n_groups), dtype=np.float64)
-    zeros = np.zeros((m, n_groups), dtype=np.int32)
-    ratios = np.linspace(0.5, 1.0, 100) if spec.mse_clip else (1.0,)
-    for g in range(n_groups):
-        block = w[:, g * gsize:(g + 1) * gsize]
-        for r in range(m):
-            cell = block[r]
-            best = None
-            for ratio in ratios:
-                scale, zero = _fit_cell(cell * ratio, spec) if ratio != 1.0 else _fit_cell(cell, spec)
-                err = _cell_mse(cell, scale, zero, spec) if len(ratios) > 1 else 0.0
-                if best is None or err < best[0]:
-                    best = (err, scale, zero)
-            scales[r, g] = best[1]
-            zeros[r, g] = best[2]
-    return GridParams(scales=scales, zero_points=zeros, spec=spec)
+    cells = w.reshape(m, n_groups, n // n_groups)
+    cmin = cells.min(axis=2)
+    cmax = cells.max(axis=2)
+    if not spec.mse_clip:
+        return _fit_cells(cmin, cmax, spec)
+    ratios = np.linspace(0.5, 1.0, 100)
+    # a cell whose every error overflows keeps the first ratio, as a running minimum would
+    best = _fit_cells(ratios[0] * cmin, ratios[0] * cmax, spec)
+    best_err = np.full((m, n_groups), np.inf)
+    for ratio in ratios:
+        # a positive ratio preserves order, so min(cell * r) == r * min(cell) exactly
+        cand = _fit_cells(ratio * cmin, ratio * cmax, spec)
+        scale, zero = cand.scales[:, :, None], cand.zero_points[:, :, None]
+        _, approx = round_to_grid(cells, scale, zero, spec)
+        err = np.sum((cells - approx) ** 2, axis=2)
+        better = err < best_err  # strict: the first minimizing ratio wins
+        best_err[better] = err[better]
+        best.scales[better] = cand.scales[better]
+        best.zero_points[better] = cand.zero_points[better]
+    return best
 
 
 def round_to_grid(x, scale, zero, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -19,8 +19,10 @@ import numpy as np
 from scipy.special import ndtr
 
 from .calibration import AlphaStrategy, CalibBatch, objective_direct, sample_folded_alphas
-from .errors import BudgetExceeded
-from .grid import GridParams, column_grid, dequantize, levels, round_to_grid
+from .errors import BudgetExceeded, InvalidSpec
+from .grid import (
+    _DEGENERATE_SCALE, GridParams, GridSpec, column_grid, dequantize, levels, round_to_grid,
+)
 from .linalg import cholesky, solve_with_factor
 from .rng import SeededRng
 from .solvers import RoundResult
@@ -32,6 +34,7 @@ __all__ = [
     "AlphaScan",
     "exhaustive_row",
     "greedy_reference",
+    "fit_grid_reference",
     "gptaq_reference",
     "alpha_grid_scan",
     "dither_experiment",
@@ -135,6 +138,62 @@ def greedy_reference(
     return codes
 
 
+def _fit_cell(values: np.ndarray, spec: GridSpec) -> tuple[float, int]:
+    """Scale and zero point for one (row, group) cell."""
+    vmin = float(values.min())
+    vmax = float(values.max())
+    if vmax == vmin:
+        return _DEGENERATE_SCALE, _zero_for(vmin, _DEGENERATE_SCALE, spec)
+    if spec.symmetric:
+        scale = max(abs(vmin), abs(vmax)) / spec.code_max
+        return max(scale, _DEGENERATE_SCALE), 0
+    scale = max((vmax - vmin) / (spec.num_levels - 1), _DEGENERATE_SCALE)
+    return scale, _zero_for(vmin, scale, spec)
+
+
+def _zero_for(vmin: float, scale: float, spec: GridSpec) -> int:
+    if spec.symmetric:
+        return 0
+    z = int(np.floor(-vmin / scale + 0.5))
+    return int(np.clip(z, 0, spec.code_max))
+
+
+def _cell_mse(values: np.ndarray, scale: float, zero: int, spec: GridSpec) -> float:
+    _, approx = round_to_grid(values, scale, zero, spec)
+    return float(np.sum((values - approx) ** 2))
+
+
+def fit_grid_reference(w: np.ndarray, spec: GridSpec) -> GridParams:
+    """Per-cell grid fit: a Python loop over groups, rows and clip ratios.
+
+    Same contract as :func:`snrq.grid.fit_grid` (finite 2-D weights, a
+    dividing group_size): with ``spec.mse_clip`` each cell takes the first of
+    100 ratios over [0.5, 1.0] whose shrunk min/max range gives the smallest
+    squared round-trip error.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    m, n = w.shape
+    n_groups = spec.groups_for(n)
+    gsize = n if spec.group_size == 0 else spec.group_size
+
+    scales = np.empty((m, n_groups), dtype=np.float64)
+    zeros = np.zeros((m, n_groups), dtype=np.int32)
+    ratios = np.linspace(0.5, 1.0, 100) if spec.mse_clip else (1.0,)
+    for g in range(n_groups):
+        block = w[:, g * gsize:(g + 1) * gsize]
+        for r in range(m):
+            cell = block[r]
+            best = None
+            for ratio in ratios:
+                scale, zero = _fit_cell(cell * ratio, spec) if ratio != 1.0 else _fit_cell(cell, spec)
+                err = _cell_mse(cell, scale, zero, spec) if len(ratios) > 1 else 0.0
+                if best is None or err < best[0]:
+                    best = (err, scale, zero)
+            scales[r, g] = best[1]
+            zeros[r, g] = best[2]
+    return GridParams(scales=scales, zero_points=zeros, spec=spec)
+
+
 def _trailing_solve(rhs: np.ndarray, x_tail: np.ndarray, damping_abs: float) -> np.ndarray:
     """Least-squares spread of an m x N target onto the trailing columns."""
     h_tail = x_tail @ x_tail.T
@@ -219,7 +278,7 @@ def alpha_grid_scan(
 ) -> AlphaScan:
     """Scan the interpolation weight on an even grid; quadratic, so convex."""
     if grid_points < 3:
-        raise ValueError(f"grid_points must be >= 3, got {grid_points}")
+        raise InvalidSpec(f"grid_points must be >= 3, got {grid_points}")
     alphas = np.linspace(0.0, 1.0, grid_points)
     values = np.array([objective_direct(w, w_hat, batch, a) for a in alphas])
     return AlphaScan(alpha_best=float(alphas[int(np.argmin(values))]), alphas=alphas, values=values)
@@ -242,10 +301,12 @@ class DitherSetup:
     n_trials: int = 100_000
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.w, self.x, self.tau_s, self.tau_z)):
+            raise InvalidSpec("w, x, tau_s and tau_z must be finite")
         if self.tau_s <= 0 or self.tau_z <= 0:
-            raise ValueError("tau_s and tau_z must be positive")
+            raise InvalidSpec("tau_s and tau_z must be positive")
         if self.n_sequences < 1 or self.n_trials < 1:
-            raise ValueError("n_sequences and n_trials must be >= 1")
+            raise InvalidSpec("n_sequences and n_trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -331,7 +392,7 @@ def sampling_variance_sweep(
     from . import pipeline  # deferred: the oracle is otherwise pipeline-free
 
     if n_repeats < 1:
-        raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
+        raise InvalidSpec(f"n_repeats must be >= 1, got {n_repeats}")
     if n_repeats == 1:
         warnings.warn("n_repeats == 1: standard deviations degenerate to 0", stacklevel=2)
 

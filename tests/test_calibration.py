@@ -75,7 +75,7 @@ def test_shape_mismatch_rejected(rng):
 
 def test_mode_aliases():
     assert AlphaStrategy(mode="sample").mode == "sampled"
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         AlphaStrategy(mode="bogus")
 
 

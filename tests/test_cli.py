@@ -1,9 +1,13 @@
 """Command-line surface: subcommands, exit codes, artifact round trips."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snrq.cli import cli_main
 
@@ -205,6 +209,17 @@ def test_dither_demo_zero_trials_is_usage_error(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--w", "nan"), ("--x", "inf"), ("--tau-s", "inf")])
+def test_dither_demo_non_finite_input_is_usage_error(capsys, flag, value):
+    argv = {"--w": "0.3", "--x": "1", "--tau-s": "1"}
+    argv[flag] = value
+    code, out, err = run(capsys, "dither-demo", *[t for kv in argv.items() for t in kv],
+                         "--trials", "10")
+    assert code == 1
+    assert "usage error" in err
+    assert out == ""
+
+
 def test_variance_sweep_zero_repeats_is_usage_error(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text("{}")
@@ -230,3 +245,59 @@ def test_synth_weight_paths_resolve_against_config_dir(tmp_path, capsys, monkeyp
                        "--out-dir", "run")
     assert code == 0, err
     assert (elsewhere / "run" / "report.json").is_file()
+
+
+def test_alpha_scan_too_few_grid_points_is_usage_error(capsys):
+    code, _, err = run(capsys, "alpha-scan", "--synth", "--grid-points", "2")
+    assert code == 1
+    assert "usage error" in err
+
+
+def test_oracle_negative_synth_n_is_usage_error(capsys):
+    code, _, err = run(capsys, "oracle", "--synth-n", "-3")
+    assert code == 1
+    assert "usage error" in err
+
+
+def test_sweep_empty_values_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text("{}")
+    code, _, err = run(capsys, "sweep", "--config", str(p), "--axis", "K", "--values", ",")
+    assert code == 1
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_sweep_non_finite_integer_value_is_usage_error(tmp_path, capsys, value):
+    p = tmp_path / "cfg.json"
+    p.write_text("{}")
+    code, _, err = run(capsys, "sweep", "--config", str(p), "--axis", "K", "--values", value)
+    assert code == 1
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize("bits", ["1", "9"])
+def test_oracle_bits_out_of_range_is_usage_error(capsys, bits):
+    code, _, err = run(capsys, "oracle", "--synth-n", "3", "--bits", bits)
+    assert code == 1
+    assert "usage error" in err
+
+
+_fast_argv = st.one_of(
+    st.builds(
+        lambda n, bits, asym: ["oracle", "--synth-n", str(n), "--bits", str(bits)]
+        + (["--asymmetric"] if asym else []),
+        st.integers(-3, 8), st.integers(0, 10), st.booleans(),
+    ),
+    st.builds(lambda k: ["alpha-scan", "--synth", "--grid-points", str(k)], st.integers(-2, 20)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(argv=_fast_argv)
+def test_fast_subcommands_exit_0_1_2_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

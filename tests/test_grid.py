@@ -1,10 +1,13 @@
 """Grid fitting, nearest-level rounding, level enumeration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from snrq import GridSpec, InvalidSpec, fit_grid, levels
 from snrq.grid import column_grid, dequantize, round_to_grid
+from snrq.oracle import fit_grid_reference
 
 
 def nearest_level(x, row, col, params):
@@ -189,3 +192,42 @@ def test_mse_clip_never_worse(rng):
     base = total_err(fit_grid(w, GridSpec(bits=3, symmetric=True)))
     clip = total_err(fit_grid(w, GridSpec(bits=3, symmetric=True, mse_clip=True)))
     assert clip <= base + 1e-12
+
+
+def test_fit_grid_matches_per_cell_reference(rng):
+    # bit-equal to the per-cell loop: same ranges, same pairwise sums, same first-minimum rule
+    cases = 0
+    for bits in range(2, 9):
+        for symmetric in (True, False):
+            for mse_clip in (True, False):
+                for _ in range(8):
+                    m, n_groups = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+                    gsize = int(rng.choice([1, 2, 5, 16]))
+                    group_size = 0 if n_groups == 1 and rng.random() < 0.5 else gsize
+                    mag = 10.0 ** rng.uniform(-6, 3)
+                    w = mag * (rng.normal(size=(m, n_groups * gsize)) + rng.choice([0.0, 2.0]))
+                    w[0, :gsize] = w[0, 0]      # constant cell
+                    w[-1, -gsize:] = 0.0        # all-zero cell
+                    spec = GridSpec(bits=bits, symmetric=symmetric, group_size=group_size,
+                                    mse_clip=mse_clip)
+                    got, ref = fit_grid(w, spec), fit_grid_reference(w, spec)
+                    assert np.array_equal(got.scales, ref.scales), spec
+                    assert np.array_equal(got.zero_points, ref.zero_points), spec
+                    assert got.zero_points.dtype == np.int32
+                    cases += 1
+    assert cases >= 200
+
+
+def test_fit_grid_mse_clip_memory_is_linear(rng):
+    # one array pass per ratio; all 100 ratios at once would need >= 100 * m * n * 8 bytes
+    m, n = 128, 256
+    w = rng.normal(size=(m, n))
+    spec = GridSpec(bits=4, symmetric=False, group_size=64, mse_clip=True)
+    fit_grid(w, spec)
+    tracemalloc.start()
+    try:
+        fit_grid(w, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * m * n * 8

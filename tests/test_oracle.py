@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from snrq import BudgetExceeded, GridSpec, SeededRng, cholesky, fit_grid, snrq_greedy
+from snrq import BudgetExceeded, GridSpec, InvalidSpec, SeededRng, cholesky, fit_grid, snrq_greedy
 from snrq.grid import levels
 from snrq.oracle import (
     DitherSetup,
@@ -82,7 +82,7 @@ def test_alpha_scan_convex_and_matches_closed_form(rng):
 
 
 def test_alpha_scan_needs_three_points(rng):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         alpha_grid_scan(np.ones((1, 2)), np.ones((1, 2)), random_batch(rng, 2, 4), 2)
 
 
@@ -119,9 +119,9 @@ def test_dither_smoothed_variance_below_bound():
 
 
 def test_dither_setup_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         DitherSetup(w=0.3, x=1.0, tau_z=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         DitherSetup(w=0.3, x=1.0, n_trials=0)
 
 
