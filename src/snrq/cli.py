@@ -281,12 +281,15 @@ def _cmd_sweep(args) -> int:
     values = _parse_values(args.values)
     if not values:
         raise UsageError("--values needs at least one value")
+    if args.axis in ("K", "cd_passes"):
+        bad = [v for v in values if not v.is_integer()]
+        if bad:
+            raise UsageError(f"axis {args.axis} takes integers, got {bad[0]}")
+        values = [int(v) for v in values]
     try:
-        if args.axis in ("K", "cd_passes"):
-            values = [int(v) for v in values]
         for v in values:
             sweep_config(cfg, args.axis, v)
-    except (InvalidSpec, ValueError, OverflowError) as e:
+    except InvalidSpec as e:
         raise UsageError(f"bad --values for axis {args.axis}: {e}") from None
     _emit(sweep(cfg, args.axis, values), args.out)
     return 0

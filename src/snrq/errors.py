@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config field checks that raise them."""
+
+import numbers
 
 
 class SnrqError(Exception):
@@ -37,4 +39,23 @@ class BudgetExceeded(SnrqError):
 
 
 class MemoryBudget(SnrqError):
-    """The successive-rounding kernel's state would exceed the configured memory cap."""
+    """The successive-rounding kernel's state would exceed the configured memory cap.
+
+    The kernel holds the state of all m*K beams of a layer at once, so the
+    charge grows with m*K; a layer that many rows wide hits the cap sooner
+    than when rows were rounded in fixed-size chunks.
+    """
+
+
+def require_int(name: str, value, minimum: int | None = None) -> None:
+    """Raise InvalidSpec unless ``value`` is an integer (bools rejected) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidSpec(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def require_bool(name: str, value) -> None:
+    """Raise InvalidSpec unless ``value`` is true or false."""
+    if not isinstance(value, bool):
+        raise InvalidSpec(f"{name} must be true or false, got {value!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpec, NonFinite
+from .errors import InvalidSpec, NonFinite, require_bool, require_int
 
 __all__ = [
     "GridSpec",
@@ -47,10 +47,12 @@ class GridSpec:
     mse_clip: bool = False
 
     def __post_init__(self):
-        if not 2 <= self.bits <= 8:
+        require_int("bits", self.bits, 2)
+        if self.bits > 8:
             raise InvalidSpec(f"bits must be in [2, 8], got {self.bits}")
-        if self.group_size < 0:
-            raise InvalidSpec(f"group_size must be >= 0, got {self.group_size}")
+        require_int("group_size", self.group_size, 0)
+        require_bool("symmetric", self.symmetric)
+        require_bool("mse_clip", self.mse_clip)
 
     @property
     def num_levels(self) -> int:

@@ -30,7 +30,7 @@ from .calibration import (
     module_wise_alpha_schedule,
     shifted_target,
 )
-from .errors import InvalidSpec, ShapeMismatch, SnrqError
+from .errors import InvalidSpec, ShapeMismatch, SnrqError, require_int
 from .grid import GridSpec, fit_grid
 from .matio import read_matrix, write_matrix
 from .rng import SeededRng
@@ -86,8 +86,7 @@ class CalibrationConfig:
     distribution: str = "normal"
 
     def __post_init__(self):
-        if self.n_sequences < 1:
-            raise InvalidSpec("n_sequences must be >= 1")
+        require_int("n_sequences", self.n_sequences, 1)
         if self.distribution not in ("normal", "uniform"):
             raise InvalidSpec(f"unknown input distribution {self.distribution!r}")
 
@@ -104,11 +103,14 @@ class NetworkConfig:
         if self.nonlinearity not in NONLINEARITIES:
             raise InvalidSpec(f"nonlinearity must be one of {NONLINEARITIES}")
         if self.dims is not None:
-            object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-            if len(self.dims) < 2 or any(d < 1 for d in self.dims):
+            if len(self.dims) < 2:
                 raise InvalidSpec("dims needs at least two positive entries")
-        elif self.depth < 1 or self.width < 1:
-            raise InvalidSpec("depth and width must be >= 1")
+            for d in self.dims:
+                require_int("dims entry", d, 1)
+            object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        else:
+            require_int("depth", self.depth, 1)
+            require_int("width", self.width, 1)
 
     def layer_dims(self) -> tuple[int, ...]:
         if self.dims is not None:
@@ -138,8 +140,7 @@ class RunConfig:
             raise InvalidSpec(f"damping must be a finite number >= 0, got {self.damping!r}")
         if not finite(self.gptaq_alpha):
             raise InvalidSpec(f"gptaq_alpha must be a finite number, got {self.gptaq_alpha!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise InvalidSpec(f"seed must be an integer, got {self.seed!r}")
+        require_int("seed", self.seed)
 
     def with_updates(self, **kw) -> "RunConfig":
         return replace(self, **kw)
@@ -456,10 +457,10 @@ def sweep_config(config: RunConfig, axis: str, value) -> RunConfig:
         )
     if axis == "K":
         return config.with_updates(
-            solver=replace(config.solver, solver="ksnrq", beam_width=int(value))
+            solver=replace(config.solver, solver="ksnrq", beam_width=value)
         )
     if axis == "cd_passes":
-        return config.with_updates(solver=replace(config.solver, cd_passes=int(value)))
+        return config.with_updates(solver=replace(config.solver, cd_passes=value))
     raise InvalidSpec(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
 
 

@@ -17,29 +17,28 @@ center for column j is
 Successive rounding is one kernel over K beams and blocks of B columns
 (greedy is K = 1; lazy batching only regroups the updates into blocks, so B
 never changes a decision). Its entry points differ in (K, B) and the target:
-  * snrq_greedy    (1, n) on the shifted target M: nearest-level rounding of
-                   the center
-  * snrq_lazy      (1, block_size): the same codes, block-restructured
+  * snrq_greedy    (1, block_size) on the shifted target M: nearest-level
+                   rounding of the center
+  * snrq_lazy      the same function as snrq_greedy, kept as a config name
   * ksnrq_beam     (beam_width, block_size): K-best beam search under the exact
                    accumulated branch metrics
-  * gptq_round     (1, n) on the weights W: classic left-to-right error
-                   feedback makes exactly these decisions
-  * gptaq_round    (1, n) on W shifted by the single-component mismatch
-                   correction, scored by the exact asymmetric objective
+  * gptq_round     (1, block_size) on the weights W: classic left-to-right
+                   error feedback makes exactly these decisions
+  * gptaq_round    (1, block_size) on W shifted by the single-component
+                   mismatch correction, scored by the exact asymmetric objective
 
 Other solvers:
   * rtn_round      nearest rounding, no error feedback (baseline)
   * cd_refine      cyclic exact single-coordinate re-optimization passes
 
-Rows are embarrassingly parallel; work is split into fixed 64-row chunks so
-results are bit-identical for any worker count (``SNRQ_THREADS`` caps workers,
-0 or unset means auto).
+Rows are independent problems. Every solver handles all rows of a layer in
+one vectorized pass: a column step is a few array operations over all rows
+(and beams), so a row's codes do not depend on which other rows share the
+layer.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -47,7 +46,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .calibration import CalibBatch
-from .errors import InvalidSpec, MemoryBudget
+from .errors import InvalidSpec, MemoryBudget, require_bool, require_int
 from .grid import GridParams, column_grid, dequantize, round_to_grid
 from .linalg import cholesky, solve_with_factor  # solve_with_factor: perfbench tracer only
 
@@ -66,12 +65,9 @@ __all__ = [
     "gptaq_round",
     "proxy_row_scores",
     "proxy_column_costs",
-    "worker_count",
 ]
 
 SOLVER_NAMES = ("rtn", "snrq", "snrq_lazy", "ksnrq", "gptq", "gptaq")
-
-ROW_CHUNK = 64  # fixed partition size; workers only change scheduling
 
 
 @dataclass(frozen=True)
@@ -88,8 +84,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.solver not in SOLVER_NAMES:
             raise InvalidSpec(f"solver must be one of {SOLVER_NAMES}, got {self.solver!r}")
-        if self.beam_width < 1 or self.block_size < 1 or self.cd_passes < 0:
-            raise InvalidSpec("beam_width/block_size must be >= 1 and cd_passes >= 0")
+        require_int("beam_width", self.beam_width, 1)
+        require_int("block_size", self.block_size, 1)
+        require_int("cd_passes", self.cd_passes, 0)
+        require_int("memory_budget_mb", self.memory_budget_mb, 1)
+        require_bool("act_order", self.act_order)
 
 
 @dataclass
@@ -143,30 +142,6 @@ def order_and_factor(h: np.ndarray, cfg: SolverConfig) -> OrderedFactor:
     elif cfg.solver in ("gptq", "gptaq"):
         perm = perm[::-1]
     return OrderedFactor(perm, cholesky(h[np.ix_(perm, perm)]))
-
-
-def worker_count() -> int:
-    raw = os.environ.get("SNRQ_THREADS", "0")
-    try:
-        v = int(raw)
-    except ValueError:
-        v = 0
-    if v <= 0:
-        return min(os.cpu_count() or 1, 8)
-    return v
-
-
-def _run_chunked(task, m: int) -> None:
-    """Run task(row_slice) over fixed 64-row chunks, possibly threaded."""
-    chunks = [slice(s, min(s + ROW_CHUNK, m)) for s in range(0, m, ROW_CHUNK)]
-    workers = worker_count()
-    if workers <= 1 or len(chunks) <= 1:
-        for c in chunks:
-            task(c)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for f in [pool.submit(task, c) for c in chunks]:
-            f.result()
 
 
 def proxy_row_scores(q_dequant: np.ndarray, m_ref: np.ndarray, l_chol: np.ndarray) -> np.ndarray:
@@ -252,18 +227,15 @@ def _kernel_bytes(m: int, n: int, k: int, bsz: int, n_levels: int) -> int:
     Layer-wide, per m x n entry: the ordered target (8 B), the gathered
     grid (12 B) and the permuted codes (4 B), alive throughout, plus the
     scattered codes and dequantization at the end (28 B); per n x n entry:
-    the unit-lower factor and its two temporaries (24 B). Per live chunk of
-    r rows, per beam: the repeated target and value/code tails (20 B x n)
-    plus one tail-sized temporary (8 B x n); the block buffers, correction,
-    their row gathers and the center difference (40 B x B); and the
-    candidate arrays with their sort order (32 B x W, W = 2 min(K, A) - 1).
+    the unit-lower factor and its two temporaries (24 B). All m*K beams are
+    live at once; per beam: the repeated target and difference/code tails
+    (20 B x n) plus one tail-sized temporary (8 B x n); the block buffers,
+    correction and their row gathers (40 B x B); and the candidate arrays
+    with their sort order (32 B x W, W = 2 min(K, A) - 1).
     """
     b = min(bsz, n)
     width = 2 * min(k, n_levels) - 1
-    r = min(m, ROW_CHUNK)
-    live = min(worker_count(), -(-m // ROW_CHUNK))
-    chunk = r * k * (28 * n + 40 * b + 32 * width + 64)
-    return m * n * 52 + n * n * 24 + live * chunk
+    return m * n * 52 + n * n * 24 + m * k * (28 * n + 40 * b + 32 * width + 64)
 
 
 def _keep_best(s, center, near_c, scale, zero, cost, offsets, spec):
@@ -278,11 +250,8 @@ def _keep_best(s, center, near_c, scale, zero, cost, offsets, spec):
     cand_s = s[:, :, None] + cost * (center[:, :, None] - cand_v) ** 2
     cand_s[(cand_c < spec.code_min) | (cand_c > spec.code_max)] = np.inf
     order = np.argsort(cand_s.reshape(r, -1), axis=1, kind="stable")[:, :k]
-
-    def pick(a):
-        return np.take_along_axis(a.reshape(r, -1), order, axis=1)
-
-    return pick(cand_s), order // len(offsets), pick(cand_v), pick(cand_c)
+    flat = order + np.arange(r)[:, None] * cand_s[0].size  # flat index of each survivor
+    return cand_s.ravel()[flat], order // len(offsets), cand_v.ravel()[flat], cand_c.ravel()[flat]
 
 
 def _successive_round(mp, fact, params, cfg, k, bsz) -> RoundResult:
@@ -296,12 +265,12 @@ def _successive_round(mp, fact, params, cfg, k, bsz) -> RoundResult:
     stable sort keeps the K best, ties toward the lower (parent, level). With
     K = 1 the nearest code is the only candidate, so the sort is skipped.
 
-    Beams are flattened into (rows*K) x columns arrays, beam b of row i at
-    i*K + b, so that centers and the cross-block correction
-    (M - Q)[:, i:] Lu[i:, block] are plain 2-D matrix products. Inside a
-    block only the block-local buffers follow each survivor's parent; the
-    decided tail follows the block's ancestor index once, at the end of the
-    block.
+    All rows run in one pass. Beams are flattened into (m*K) x columns
+    arrays, beam b of row i at i*K + b, so that centers and the cross-block
+    correction (T - Q)[:, i:] Lu[i:, block] are plain 2-D matrix products.
+    Decided columns are kept as differences T - Q. Inside a block only the
+    block-local buffers follow each survivor's parent; the decided tail
+    follows the block's ancestor index once, at the end of the block.
 
     Raises:
         MemoryBudget: the allocation charged by :func:`_kernel_bytes` exceeds
@@ -323,52 +292,45 @@ def _successive_round(mp, fact, params, cfg, k, bsz) -> RoundResult:
     reach = min(k, spec.num_levels) - 1
     offsets = np.arange(-reach, reach + 1, dtype=np.int32)
 
-    codes_p = np.empty((m, n), dtype=np.int32)
-    scores = np.empty(m)
-
-    def task(rows: slice) -> None:
-        mk = np.repeat(mp[rows], k, axis=0)  # row i's target at flat beams i*K .. i*K+K-1
-        r = mk.shape[0] // k
-        base = np.arange(r)[:, None] * k
-        s = np.full((r, k), np.inf)
-        s[:, 0] = 0.0
-        tail_v = np.zeros((r * k, n))
-        tail_c = np.zeros((r * k, n), dtype=np.int32)
-        i = n
-        while i > 0:
-            start = max(0, i - bsz)
-            width = i - start
-            t_corr = (mk[:, i:] - tail_v[:, i:]) @ lu[i:, start:i] if i < n else None
-            bq = np.zeros((r * k, width))
-            bc = np.zeros((r * k, width), dtype=np.int32)
-            anc = np.arange(r * k)  # block-start beam of each survivor
-            for j in range(width - 1, -1, -1):
-                t = start + j
-                center = mk[:, t] + (mk[:, t + 1:i] - bq[:, j + 1:]) @ lu[t + 1:i, t]
-                if t_corr is not None:
-                    center += t_corr[:, j] if k == 1 else t_corr[anc, j]
-                center = center.reshape(r, k)
-                sc, zc = scale_p[rows, t, None], zero_p[rows, t, None]
-                near_c, near_v = round_to_grid(center, sc, zc, spec)
-                if k == 1:
-                    s += ldiag_sq[t] * (center - near_v) ** 2
-                    bq[:, j], bc[:, j] = near_v[:, 0], near_c[:, 0]
-                    continue
-                s, parent, v_j, c_j = _keep_best(s, center, near_c, sc, zc, ldiag_sq[t], offsets, spec)
-                src = (base + parent).ravel()
-                anc, bq, bc = anc[src], bq[src], bc[src]
-                bq[:, j], bc[:, j] = v_j.ravel(), c_j.ravel()
-            if k > 1 and i < n:
-                tail_v[:, i:] = tail_v[anc, i:]
-                tail_c[:, i:] = tail_c[anc, i:]
-            tail_v[:, start:i] = bq
-            tail_c[:, start:i] = bc
-            i = start
-        codes_p[rows] = tail_c[base[:, 0] + np.argmin(s, axis=1)]
-        scores[rows] = np.min(s, axis=1)
-
-    _run_chunked(task, m)
-    return _finish(codes_p, perm, params, scores)
+    mk = np.repeat(mp, k, axis=0)  # row i's target at flat beams i*K .. i*K+K-1
+    base = np.arange(m)[:, None] * k
+    s = np.full((m, k), np.inf)
+    s[:, 0] = 0.0
+    tail_d = np.zeros((m * k, n))  # decided columns' T - Q
+    tail_c = np.zeros((m * k, n), dtype=np.int32)
+    i = n
+    while i > 0:
+        start = max(0, i - bsz)
+        width = i - start
+        t_corr = tail_d[:, i:] @ lu[i:, start:i] if i < n else None
+        bd = np.empty((m * k, width))  # T - Q of the block's decided columns
+        bc = np.zeros((m * k, width), dtype=np.int32)
+        anc = np.arange(m * k)  # block-start beam of each survivor
+        for j in range(width - 1, -1, -1):
+            t = start + j
+            center = mk[:, t] + bd[:, j + 1:] @ lu[t + 1:i, t]
+            if t_corr is not None:
+                center += t_corr[:, j] if k == 1 else t_corr[anc, j]
+            center = center.reshape(m, k)
+            sc, zc = scale_p[:, t, None], zero_p[:, t, None]
+            near_c, near_v = round_to_grid(center, sc, zc, spec)
+            if k == 1:
+                s += ldiag_sq[t] * (center - near_v) ** 2
+                bd[:, j], bc[:, j] = mk[:, t] - near_v[:, 0], near_c[:, 0]
+                continue
+            s, parent, v_j, c_j = _keep_best(s, center, near_c, sc, zc, ldiag_sq[t], offsets, spec)
+            src = (base + parent).ravel()
+            anc, bd, bc = anc[src], bd[src], bc[src]
+            bd[:, j], bc[:, j] = mk[:, t] - v_j.ravel(), c_j.ravel()
+        if k > 1 and i < n:
+            tail_d[:, i:] = tail_d[anc, i:]
+            tail_c[:, i:] = tail_c[anc, i:]
+        tail_d[:, start:i] = bd
+        tail_c[:, start:i] = bc
+        i = start
+    codes_p = tail_c[base[:, 0] + np.argmin(s, axis=1)]
+    del mk, tail_d, tail_c  # free the beam state before _finish allocates, as _kernel_bytes assumes
+    return _finish(codes_p, perm, params, np.min(s, axis=1))
 
 
 def snrq_greedy(
@@ -377,27 +339,18 @@ def snrq_greedy(
     params: GridParams,
     cfg: SolverConfig = SolverConfig(),
 ) -> RoundResult:
-    """Reverse-order greedy rounding of the shifted target: K = 1, B = n.
+    """Reverse-order greedy rounding of the shifted target: K = 1, B = block_size.
 
     For j = n-1 .. 0 the interference-cancelled center is rounded to its
     nearest level; the accumulated per-row score is the levelwise sum
-    sum_j L_jj^2 (c_j - q_j)^2, equal to the exact proxy.
-    """
-    return _successive_round(_ordered(m_alpha, fact), fact, params, cfg, 1, len(fact.perm))
-
-
-def snrq_lazy(
-    m_alpha: np.ndarray,
-    fact: OrderedFactor,
-    params: GridParams,
-    cfg: SolverConfig = SolverConfig(),
-) -> RoundResult:
-    """Greedy rounding in blocks of ``cfg.block_size`` columns: K = 1, B = block_size.
-
-    The cross-block correction is computed once per block; decisions are
-    identical to :func:`snrq_greedy` for every block size.
+    sum_j L_jj^2 (c_j - q_j)^2, equal to the exact proxy. The block size
+    only regroups the updates, so it never changes a decision.
     """
     return _successive_round(_ordered(m_alpha, fact), fact, params, cfg, 1, cfg.block_size)
+
+
+# ``solver="snrq_lazy"`` names the same blocked greedy kernel as ``"snrq"``
+snrq_lazy = snrq_greedy
 
 
 def ksnrq_beam(
@@ -465,31 +418,25 @@ def cd_refine(
     if traj is not None:
         traj[0] = float(np.sum(scores))
 
-    def sweep(rows: slice, log: bool = False) -> None:
-        res = (values[rows] - m_alpha[rows]) @ root  # rowwise R q - y, R = root^T
-        for p in range(passes):
-            for j in range(n):
-                g = res @ root[j]
-                center = values[rows, j] - g / h_diag[j]
-                levels_j = scale[rows, j, None] * (level_codes[None, :] - zero[rows, j, None])
-                d = (levels_j - center[:, None]) ** 2
-                # nearest level, ties toward the larger code
-                idx = (d.shape[1] - 1) - np.argmin(d[:, ::-1], axis=1)
-                old_idx = codes[rows, j] - spec.code_min
-                rr = np.arange(d.shape[0])
-                gain = d[rr, idx] - d[rr, old_idx]      # <= 0 by argmin over levels
-                new_v = levels_j[rr, idx]
-                res += (new_v - values[rows, j])[:, None] * root[j][None, :]
-                scores[rows] += h_diag[j] * gain
-                values[rows, j] = new_v
-                codes[rows, j] = (idx + spec.code_min).astype(np.int32)
-                if log:
-                    traj[1 + p * n + j] = float(np.sum(scores))
-
-    if record_trajectory:
-        sweep(slice(0, m), log=True)  # all rows at once, so every update has a global objective
-    else:
-        _run_chunked(sweep, m)
+    res = (values - m_alpha) @ root  # rowwise R q - y, R = root^T
+    rr = np.arange(m)
+    for p in range(passes):
+        for j in range(n):
+            g = res @ root[j]
+            center = values[:, j] - g / h_diag[j]
+            levels_j = scale[:, j, None] * (level_codes[None, :] - zero[:, j, None])
+            d = (levels_j - center[:, None]) ** 2
+            # nearest level, ties toward the larger code
+            idx = (d.shape[1] - 1) - np.argmin(d[:, ::-1], axis=1)
+            old_idx = codes[:, j] - spec.code_min
+            gain = d[rr, idx] - d[rr, old_idx]      # <= 0 by argmin over levels
+            new_v = levels_j[rr, idx]
+            res += (new_v - values[:, j])[:, None] * root[j][None, :]
+            scores += h_diag[j] * gain
+            values[:, j] = new_v
+            codes[:, j] = (idx + spec.code_min).astype(np.int32)
+            if traj is not None:
+                traj[1 + p * n + j] = float(np.sum(scores))
     return replace(
         result, codes=codes, q_dequant=dequantize(codes, params), proxy_loss=float(np.sum(scores)),
         per_row_scores=scores, objective_trajectory=traj,
@@ -514,9 +461,11 @@ def gptq_round(
     Its running values are the centers of the reverse-order kernel on target
     W, in the reverse of GPTQ's order (that is what :func:`order_and_factor`
     builds for ``gptq``), so the kernel makes exactly GPTQ's decisions.
-    Scores are the levelwise proxy ||(Q - W)[:, perm] L||^2 per row.
+    Like GPTQ's lazy batch updates, the kernel runs in blocks of
+    ``cfg.block_size`` columns. Scores are the levelwise proxy
+    ||(Q - W)[:, perm] L||^2 per row.
     """
-    return _successive_round(_ordered(w, fact), fact, params, cfg, 1, len(fact.perm))
+    return _successive_round(_ordered(w, fact), fact, params, cfg, 1, cfg.block_size)
 
 
 def gptaq_round(
@@ -547,7 +496,7 @@ def gptaq_round(
     d = np.tril((dx @ batch.xq.T)[np.ix_(perm, perm)], -1)
     z = np.tril(solve_triangular(low, d.T, lower=True).T, -1)
     u = solve_triangular(low, z.T, lower=True, trans="T").T
-    result = _successive_round(wp + mismatch_scale * (wp @ u), fact, params, cfg, 1, len(perm))
+    result = _successive_round(wp + mismatch_scale * (wp @ u), fact, params, cfg, 1, cfg.block_size)
     resid = (result.q_dequant - w) @ batch.xq - mismatch_scale * (w @ dx)
     scores = np.sum(resid * resid, axis=1)
     return replace(result, proxy_loss=float(np.sum(scores)), per_row_scores=scores)

@@ -393,14 +393,14 @@ def test_c13_end_to_end_desk_analog():
     assert ok
 
 
-def test_c14_determinism(tmp_path, monkeypatch):
+def test_c14_determinism(tmp_path):
     t0 = time.perf_counter()
     cfg = RunConfig(
         grid=GridSpec(bits=3, symmetric=True),
         alpha=AlphaStrategy(mode="sampled", beta_lambda=5.0),
         solver=SolverConfig(solver="snrq", act_order=True),
         calibration=CalibrationConfig(n_sequences=128),
-        network=NetworkConfig(depth=3, width=96),  # > one 64-row chunk
+        network=NetworkConfig(depth=3, width=96),
         seed=5,
     )
     net = synth_network(cfg.network, cfg.seed)
@@ -416,13 +416,6 @@ def test_c14_determinism(tmp_path, monkeypatch):
         == (tmp_path / "b" / "layer_00_codes.snrqmat").read_bytes()
     )
 
-    hashes = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("SNRQ_THREADS", threads)
-        hashes.append(quantize_network(net, cfg)["determinism_hash"])
-    monkeypatch.delenv("SNRQ_THREADS")
-    worker_invariant = hashes[0] == hashes[1]
-
-    ok = byte_identical and same_codes and worker_invariant
-    report_line("C14", ok, "reports byte-identical modulo timing; worker count changes nothing", t0)
+    ok = byte_identical and same_codes
+    report_line("C14", ok, "reports byte-identical modulo timing", t0)
     assert ok

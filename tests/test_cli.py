@@ -195,6 +195,47 @@ def test_bad_top_level_scalar_is_usage_error(tmp_path, capsys, entry):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("section,entry", [
+    ("solver", {"solver": "ksnrq", "beam_width": 1.5}),
+    ("solver", {"solver": "ksnrq", "beam_width": True}),
+    ("solver", {"cd_passes": 0.5}),
+    ("solver", {"block_size": 2.5}),
+    ("solver", {"act_order": "no"}),
+    ("solver", {"memory_budget_mb": -1}),
+    ("grid", {"bits": 3.5}),
+    ("grid", {"group_size": 2.5}),
+    ("grid", {"symmetric": "yes"}),
+    ("grid", {"mse_clip": 1}),
+    ("calibration", {"n_sequences": 16.5}),
+    ("network", {"depth": 1, "width": 8.5}),
+    ("network", {"depth": 1.5, "width": 8}),
+    ("network", {"dims": [8.5, 4]}),
+], ids=["float-beam-width", "bool-beam-width", "float-cd-passes", "float-block-size",
+        "str-act-order", "negative-memory-budget", "float-bits", "float-group-size",
+        "str-symmetric", "int-mse-clip", "float-n-sequences", "float-width", "float-depth",
+        "float-dims"])
+def test_config_field_of_wrong_type_is_usage_error(tmp_path, capsys, section, entry):
+    cfg = {"network": {"depth": 1, "width": 8}, "calibration": {"n_sequences": 16}}
+    cfg[section] = dict(cfg.get(section, {}), **entry)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "quantize", "--config", str(p))
+    assert code == 1
+    assert "usage error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("axis,values", [("cd_passes", "0.7,1.9"), ("K", "2,2.5")])
+def test_sweep_non_integral_integer_value_is_usage_error(tmp_path, capsys, axis, values):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"network": {"depth": 1, "width": 8},
+                             "calibration": {"n_sequences": 16}}))
+    code, out, err = run(capsys, "sweep", "--config", str(p), "--axis", axis, "--values", values)
+    assert code == 1
+    assert "usage error" in err
+    assert out == ""
+
+
 def test_sweep_zero_beam_width_is_usage_error(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text("{}")

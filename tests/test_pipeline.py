@@ -231,17 +231,6 @@ def test_report_determinism_and_artifacts(tmp_path):
     assert report_file["determinism_hash"] == r1["determinism_hash"]
 
 
-def test_worker_count_invariance(monkeypatch, tmp_path):
-    hashes = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("SNRQ_THREADS", threads)
-        cfg = small_config(network=NetworkConfig(depth=2, width=96),
-                           calibration=CalibrationConfig(n_sequences=128))
-        net = synth_network(cfg.network, cfg.seed)
-        hashes.append(quantize_network(net, cfg)["determinism_hash"])
-    assert hashes[0] == hashes[1]
-
-
 def test_config_roundtrip_and_unknown_keys():
     cfg = small_config()
     d = cfg.to_dict()

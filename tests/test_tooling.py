@@ -52,9 +52,8 @@ def test_row_chunk_workers_call_no_traced_name(rng, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(solvers, attr, wrapper)
-    monkeypatch.setenv("SNRQ_THREADS", "2")
 
-    m, n = 150, 12  # three 64-row chunks
+    m, n = 150, 12
     w = rng.normal(size=(m, n))
     h = random_spd(rng, n)
     h[np.diag_indices(n)] += np.linspace(0, 5, n)[::-1]  # act_order permutes
