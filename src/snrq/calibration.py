@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidSpec, NonFinite, ShapeMismatch
+from .errors import InvalidSpec, NonFinite, ShapeMismatch, require_finite
 from .linalg import cholesky, solve_with_factor  # cholesky: perfbench tracer only
 from .rng import SeededRng
 
@@ -88,8 +88,10 @@ class AlphaStrategy:
         object.__setattr__(self, "mode", mode)
         if mode not in ALPHA_MODES:
             raise InvalidSpec(f"alpha mode must be one of {ALPHA_MODES}, got {self.mode!r}")
+        require_finite("alpha_value", self.alpha_value)
         if not 0.0 <= self.alpha_value <= 1.0:
             raise InvalidSpec(f"alpha_value must be in [0, 1], got {self.alpha_value}")
+        require_finite("beta_lambda", self.beta_lambda)
         if self.beta_lambda <= 0:
             raise InvalidSpec(f"beta_lambda must be positive, got {self.beta_lambda}")
 

@@ -32,6 +32,7 @@ from .oracle import (
 from .pipeline import (
     NetworkConfig,
     RunConfig,
+    json_text,
     quantize_network,
     sweep,
     sweep_config,
@@ -73,8 +74,8 @@ def _load_config(path: str, overrides: dict) -> RunConfig:
     return cfg.with_updates(**updates) if updates else cfg
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _emit(payload: dict, out: str | Path | None) -> None:
+    text = json_text(payload)
     if out:
         Path(out).write_text(text + "\n")
     print(text)
@@ -152,8 +153,7 @@ def build_parser() -> _Parser:
 def _cmd_quantize(args) -> int:
     cfg = _load_config(args.config, {"seed": args.seed, "out_dir": args.out_dir})
     net = synth_network(cfg.network, cfg.seed)
-    report = quantize_network(net, cfg)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _emit(quantize_network(net, cfg), None)
     return 0
 
 
@@ -174,8 +174,7 @@ def _cmd_synth(args) -> int:
         "seed": args.seed,
         "weight_paths": paths,
     }
-    (out / "network.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(manifest, indent=2, sort_keys=True))
+    _emit(manifest, out / "network.json")
     return 0
 
 

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the config field checks that raise them."""
 
+import math
 import numbers
 
 
@@ -53,6 +54,13 @@ def require_int(name: str, value, minimum: int | None = None) -> None:
         raise InvalidSpec(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise InvalidSpec(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def require_finite(name: str, value) -> None:
+    """Raise InvalidSpec unless ``value`` is a finite real number (bools rejected)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise InvalidSpec(f"{name} must be a finite number, got {value!r}")
 
 
 def require_bool(name: str, value) -> None:

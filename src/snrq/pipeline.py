@@ -6,6 +6,14 @@ teacher/student mismatch). Layers are quantized in order; the dequantized
 result of each layer becomes the student prefix for the next, exactly the
 sequential setting the calibration statistics assume.
 
+The calibration activations are carried from layer to layer: starting from
+the raw inputs, each solved layer advances the teacher path by
+``act(W_l @ xf)`` and the student path by ``act(Q_l @ xq)``, one matmul per
+path and layer, so the pipeline never replays a prefix. After the last layer
+(which has no activation) the carried pair is the calibration output. The
+same float operations run in the same order as the prefix replay of
+``forward_collect``, so every batch is bit-identical to it.
+
 All randomness flows from the single config seed through fixed stream ids,
 so identical configs produce byte-identical reports modulo timing fields.
 """
@@ -15,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -30,7 +37,7 @@ from .calibration import (
     module_wise_alpha_schedule,
     shifted_target,
 )
-from .errors import InvalidSpec, ShapeMismatch, SnrqError, require_int
+from .errors import InvalidSpec, NonFinite, ShapeMismatch, SnrqError, require_finite, require_int
 from .grid import GridSpec, fit_grid
 from .matio import read_matrix, write_matrix
 from .rng import SeededRng
@@ -60,6 +67,7 @@ __all__ = [
     "sweep_config",
     "strip_timing",
     "determinism_hash",
+    "json_text",
 ]
 
 # fixed rng stream ids; layer-indexed streams add the layer number
@@ -133,13 +141,10 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        def finite(v):
-            return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-        if not (finite(self.damping) and self.damping >= 0):
-            raise InvalidSpec(f"damping must be a finite number >= 0, got {self.damping!r}")
-        if not finite(self.gptaq_alpha):
-            raise InvalidSpec(f"gptaq_alpha must be a finite number, got {self.gptaq_alpha!r}")
+        require_finite("damping", self.damping)
+        if self.damping < 0:
+            raise InvalidSpec(f"damping must be >= 0, got {self.damping!r}")
+        require_finite("gptaq_alpha", self.gptaq_alpha)
         require_int("seed", self.seed)
 
     def with_updates(self, **kw) -> "RunConfig":
@@ -258,6 +263,11 @@ def forward_collect(
 
     The teacher path runs the full-precision prefix, the student path the
     dequantized prefix; with an empty prefix the two coincide exactly.
+
+    This replays the whole prefix from the raw inputs. It is the reference
+    that tests compare the carried activations of ``quantize_network``
+    against, and a span the benchmark tracer wraps; the pipeline does not
+    call it.
     """
     l = len(quantized_prefix)
     if l >= net.depth:
@@ -330,11 +340,30 @@ def _trace_summary(trace: np.ndarray) -> dict:
     }
 
 
+def _carry(layer: np.ndarray, h: np.ndarray, last: bool, nonlinearity: str) -> np.ndarray:
+    """One layer step of a carried path; the activation runs in place on the fresh product."""
+    h = layer @ h
+    if not last and nonlinearity == "relu":
+        np.maximum(h, 0.0, out=h)
+    return h
+
+
+def _require_finite(where: str, values: dict) -> None:
+    bad = sorted(k for k, v in values.items() if not math.isfinite(v))
+    if bad:
+        raise NonFinite(f"{where}: {', '.join(bad)} not finite")
+
+
+# overflow and NaN surface as a non-finite layer or end-to-end value, which
+# raises NonFinite; numpy's warnings would only repeat that on stderr
+@np.errstate(over="ignore", invalid="ignore")
 def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
     """Quantize every layer in order and return the report dictionary.
 
     When ``config.out_dir`` is set, per-layer code/dequant matrices and the
     report JSON are also written there (codes as the i32 binary variant).
+    Raises NonFinite, before the report is written, when a layer's proxy
+    loss, weight MSE or activation error, or an end-to-end MSE, is not finite.
     """
     t_start = time.perf_counter()
     out_dir = Path(config.out_dir) if config.out_dir else None
@@ -354,10 +383,11 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
     prefix: list[np.ndarray] = []
     records = []
     prev = None
+    xf = xq = x_cal
     for l, w in enumerate(net.layers):
         t_layer = time.perf_counter()
         try:
-            batch = forward_collect(net, x_cal, prefix)
+            batch = CalibBatch(xf=xf, xq=xq)
             strategy, alpha_summary = _alpha_for_layer(config, l, prev)
             rng = SeededRng(seed, STREAM_ALPHA + l)
             stats = accumulate_stats(batch, strategy, config.damping, rng)
@@ -368,6 +398,11 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
         except SnrqError as e:
             e.args = (f"layer {l}: {e}",)
             raise
+        # drop the previous batch before the step, so at most two pairs are alive
+        prev = {"w": w, "q": result.q_dequant, "batch": batch}
+        last = l + 1 == net.depth
+        xf = _carry(w, xf, last, net.nonlinearity)
+        xq = _carry(result.q_dequant, xq, last, net.nonlinearity)
         solve_ms = (time.perf_counter() - t_layer) * 1e3
 
         row_scores = proxy_row_scores(result.q_dequant[:, fact.perm], m_alpha[:, fact.perm], fact.low)
@@ -383,6 +418,8 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
             "mean_activation_error": float(np.mean(np.abs(batch.xf - batch.xq))),
             "solve_ms": solve_ms,
         }
+        _require_finite(f"layer {l}", {k: record[k] for k in (
+            "proxy_loss", "weight_mse", "mean_activation_error")})
         if out_dir is not None:
             codes_file = f"layer_{l:02d}_codes.snrqmat"
             deq_file = f"layer_{l:02d}_dequant.snrqmat"
@@ -392,30 +429,37 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
             record["dequant_file"] = deq_file
         records.append(record)
         prefix.append(result.q_dequant)
-        prev = {"w": w, "q": result.q_dequant, "batch": batch}
 
-    y_f_cal = _forward_output(net.layers, x_cal, net.nonlinearity)
-    y_q_cal = _forward_output(prefix, x_cal, net.nonlinearity)
+    # the carried pair is now the calibration output; the held-out pair is
+    # not carried, which would keep two more activation arrays alive per layer
     y_f_held = _forward_output(net.layers, x_held, net.nonlinearity)
     y_q_held = _forward_output(prefix, x_held, net.nonlinearity)
+    end_to_end = {
+        "calibration_output_mse": float(np.mean((xq - xf) ** 2)),
+        "heldout_output_mse": float(np.mean((y_q_held - y_f_held) ** 2)),
+    }
+    _require_finite("end to end", end_to_end)
 
     report = {
         "version": REPORT_VERSION,
         "tool": {"name": "snrq", "version": __version__},
         "config": config.to_dict(),
         "layers": records,
-        "end_to_end": {
-            "calibration_output_mse": float(np.mean((y_q_cal - y_f_cal) ** 2)),
-            "heldout_output_mse": float(np.mean((y_q_held - y_f_held) ** 2)),
-        },
+        "end_to_end": end_to_end,
         "total_ms": (time.perf_counter() - t_start) * 1e3,
     }
     report["determinism_hash"] = determinism_hash(report)
     if out_dir is not None:
-        with open(out_dir / "report.json", "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
+        (out_dir / "report.json").write_text(json_text(report) + "\n")
     return report
+
+
+def json_text(payload) -> str:
+    """The one JSON writer for reports and CLI output: standard JSON, no NaN or Infinity."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise NonFinite(f"refusing to write non-standard JSON: {e}") from None
 
 
 def strip_timing(obj):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snrq.cli import cli_main
+from snrq.matio import write_matrix
 
 
 def run(capsys, *argv):
@@ -89,6 +91,26 @@ def test_synth_then_quantize_roundtrip(tmp_path, capsys):
         assert (out_dir / rec["codes_file"]).is_file()
         assert (out_dir / rec["dequant_file"]).is_file()
         assert rec["proxy_loss"] >= 0.0
+
+
+def test_overflowing_finite_weights_exit_2_without_infinity(tmp_path, capsys):
+    # every weight is finite, but squares of the second layer's errors overflow
+    rng = np.random.default_rng(0)
+    write_matrix(tmp_path / "w0.snrqmat", rng.normal(size=(8, 8)), dtype="f64")
+    write_matrix(tmp_path / "w1.snrqmat", 1e200 * rng.normal(size=(8, 8)), dtype="f64")
+    cfg = {"calibration": {"n_sequences": 16},
+           "network": {"dims": [8, 8, 8], "weight_paths": ["w0.snrqmat", "w1.snrqmat"]}}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "quantize", "--config", str(p),
+                             "--out-dir", str(tmp_path / "run"))
+    assert code == 2
+    assert "Infinity" not in out + err
+    assert err.splitlines() == ["error: layer 1: proxy_loss, weight_mse not finite"]
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not (tmp_path / "run" / "report.json").exists()
 
 
 def test_dither_demo_prints_closed_form(capsys):
@@ -210,10 +232,15 @@ def test_bad_top_level_scalar_is_usage_error(tmp_path, capsys, entry):
     ("network", {"depth": 1, "width": 8.5}),
     ("network", {"depth": 1.5, "width": 8}),
     ("network", {"dims": [8.5, 4]}),
+    ("alpha", {"alpha_mode": "sample", "beta_lambda": float("nan")}),
+    ("alpha", {"alpha_mode": "sample", "beta_lambda": float("inf")}),
+    ("alpha", {"alpha_mode": "sample", "beta_lambda": True}),
+    ("alpha", {"alpha_value": True}),
 ], ids=["float-beam-width", "bool-beam-width", "float-cd-passes", "float-block-size",
         "str-act-order", "negative-memory-budget", "float-bits", "float-group-size",
         "str-symmetric", "int-mse-clip", "float-n-sequences", "float-width", "float-depth",
-        "float-dims"])
+        "float-dims", "nan-beta-lambda", "inf-beta-lambda", "bool-beta-lambda",
+        "bool-alpha-value"])
 def test_config_field_of_wrong_type_is_usage_error(tmp_path, capsys, section, entry):
     cfg = {"network": {"depth": 1, "width": 8}, "calibration": {"n_sequences": 16}}
     cfg[section] = dict(cfg.get(section, {}), **entry)
@@ -315,6 +342,17 @@ def test_sweep_non_finite_integer_value_is_usage_error(tmp_path, capsys, value):
     code, _, err = run(capsys, "sweep", "--config", str(p), "--axis", "K", "--values", value)
     assert code == 1
     assert "usage error" in err
+
+
+def test_sweep_non_finite_beta_lambda_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"network": {"depth": 1, "width": 4},
+                             "calibration": {"n_sequences": 8}}))
+    code, out, err = run(capsys, "sweep", "--config", str(p), "--axis", "beta_lambda",
+                         "--values", "inf")
+    assert code == 1
+    assert "usage error" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("bits", ["1", "9"])

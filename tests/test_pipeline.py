@@ -5,20 +5,26 @@ import json
 import numpy as np
 import pytest
 
-from snrq import AlphaStrategy, GridSpec, InvalidSpec, SolverConfig, read_matrix
+from snrq import AlphaStrategy, GridSpec, InvalidSpec, NonFinite, SolverConfig, read_matrix
+from snrq import pipeline
 from snrq.oracle import sampling_variance_sweep
 from snrq.pipeline import (
+    STREAM_CALIBRATION,
     CalibrationConfig,
     NetworkConfig,
     RunConfig,
     ToyNetwork,
+    _draw_inputs,
+    _forward_output,
     determinism_hash,
     forward_collect,
+    json_text,
     quantize_network,
     strip_timing,
     sweep,
     synth_network,
 )
+from snrq.rng import SeededRng
 
 
 def small_config(**kw) -> RunConfig:
@@ -325,3 +331,61 @@ def test_variance_sweep_degenerate_cases():
     varied = sampling_variance_sweep(cfg, 3)
     assert varied["modes"]["sampled"]["std"] >= 0.0
     assert "sampled_std_leq_fixed" in varied
+
+
+@pytest.mark.parametrize("mode", ["fixed", "closed_form", "sampled"])
+@pytest.mark.parametrize("nonlinearity", ["relu", "none"])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_carried_batches_equal_prefix_replay(monkeypatch, depth, nonlinearity, mode):
+    batches, dequants = [], []
+    accumulate_stats, solve_layer = pipeline.accumulate_stats, pipeline._solve_layer
+
+    def recording_stats(batch, *args):
+        batches.append(batch)
+        return accumulate_stats(batch, *args)
+
+    def recording_solve(*args):
+        result = solve_layer(*args)
+        dequants.append(result.q_dequant)
+        return result
+
+    monkeypatch.setattr(pipeline, "accumulate_stats", recording_stats)
+    monkeypatch.setattr(pipeline, "_solve_layer", recording_solve)
+    cfg = small_config(
+        alpha=AlphaStrategy(mode=mode, alpha_value=0.5),
+        network=NetworkConfig(dims=(6, 9, 5, 8, 7)[:depth + 1], nonlinearity=nonlinearity),
+    )
+    net = synth_network(cfg.network, cfg.seed)
+    report = quantize_network(net, cfg)
+
+    x_cal = _draw_inputs(net.input_dim, cfg.calibration.n_sequences,
+                         SeededRng(cfg.seed, STREAM_CALIBRATION), cfg.calibration.distribution)
+    assert len(batches) == len(dequants) == depth
+    # compared after the run, so a later layer writing into an earlier batch also fails
+    for l, batch in enumerate(batches):
+        replay = forward_collect(net, x_cal, dequants[:l])
+        assert np.array_equal(batch.xf, replay.xf), f"layer {l} teacher"
+        assert np.array_equal(batch.xq, replay.xq), f"layer {l} student"
+    y_f = _forward_output(net.layers, x_cal, nonlinearity)
+    y_q = _forward_output(dequants, x_cal, nonlinearity)
+    assert report["end_to_end"]["calibration_output_mse"] == float(np.mean((y_q - y_f) ** 2))
+
+
+def test_quantize_network_replays_no_prefix(monkeypatch):
+    cfg = small_config(network=NetworkConfig(depth=4, width=10))
+    net = synth_network(cfg.network, cfg.seed)
+    expected = quantize_network(net, cfg)["determinism_hash"]
+
+    def replay(*args, **kwargs):
+        raise AssertionError("quantize_network replayed a prefix from the raw inputs")
+
+    monkeypatch.setattr(pipeline, "forward_collect", replay)
+    monkeypatch.setattr(pipeline, "_forward_input_to_layer", replay)
+    assert quantize_network(net, cfg)["determinism_hash"] == expected
+
+
+def test_json_text_refuses_non_finite_values():
+    assert json_text({"a": 1.5}) == '{\n  "a": 1.5\n}'
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NonFinite):
+            json_text({"layers": [{"proxy_loss": bad}]})

@@ -1,7 +1,8 @@
-"""The benchmark tracer (perfbench/tracer.py) still finds every function it wraps."""
+"""The benchmark (perfbench/) still resolves every traced function and loads every workload."""
 
 import importlib
 import importlib.util
+import json
 import threading
 from pathlib import Path
 
@@ -18,10 +19,12 @@ from snrq import (
     snrq_lazy,
 )
 from snrq import solvers
+from snrq.pipeline import RunConfig
 
 from conftest import random_batch, random_spd
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def load_tracer():
@@ -36,6 +39,14 @@ def test_tracer_targets_resolve():
     missing = [(mod, attr) for mod, attr, *_ in targets
                if not callable(getattr(importlib.import_module(mod), attr, None))]
     assert missing == []
+
+
+def test_benchmark_workload_configs_load():
+    # a tighter config check must not silently reject a benchmark workload
+    workloads = json.loads((PERFBENCH / "workloads.json").read_text())["workloads"]
+    assert workloads
+    for workload in workloads.values():
+        RunConfig.from_dict(workload["config"])
 
 
 def test_row_chunk_workers_call_no_traced_name(rng, monkeypatch):
