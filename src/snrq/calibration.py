@@ -34,7 +34,6 @@ __all__ = [
     "closed_form_alpha",
     "module_wise_alpha_schedule",
     "sample_folded_alphas",
-    "gamma_weight",
 ]
 
 DEGENERATE_U_THRESHOLD = 1e-24
@@ -121,11 +120,6 @@ def sample_folded_alphas(n: int, beta_lambda: float, rng: SeededRng) -> np.ndarr
     """Per-sequence weights: fold Beta(l, l) draws onto [0, 1/2]."""
     b = rng.beta(beta_lambda, beta_lambda, size=n)
     return np.minimum(b, 1.0 - b)
-
-
-def gamma_weight(alpha: float) -> float:
-    """Implied regularization weight a/(1-a); monotone on [0, 1)."""
-    return alpha / (1.0 - alpha)
 
 
 def accumulate_stats(

@@ -4,9 +4,11 @@ Nothing here shares code paths with the solvers it checks: the exhaustive
 search enumerates every candidate, the greedy reference restates the
 successive-rounding recursion one row and one column at a time, the GPTAQ
 reference runs the left-to-right feedback loop with a least-squares solve
-per column, the alpha scan evaluates the raw objective on a grid, and the
-dithering experiment estimates variances by plain Monte Carlo against the
-closed forms.
+per column, the column costs restate the levelwise proxy decomposition one
+column at a time, the alpha scan evaluates the raw objective on a grid, and
+the dithering experiment estimates variances by plain Monte Carlo against
+the closed forms. Helpers used only by the tests (``gamma_weight``) live
+here too.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .calibration import AlphaStrategy, CalibBatch, objective_direct, sample_folded_alphas
 from .errors import BudgetExceeded, InvalidSpec
@@ -25,7 +26,7 @@ from .grid import (
 )
 from .linalg import cholesky, solve_with_factor
 from .rng import SeededRng
-from .solvers import RoundResult
+from .solvers import RoundResult, _unit_lower
 
 __all__ = [
     "OracleResult",
@@ -34,9 +35,11 @@ __all__ = [
     "AlphaScan",
     "exhaustive_row",
     "greedy_reference",
+    "proxy_column_costs",
     "fit_grid_reference",
     "gptaq_reference",
     "alpha_grid_scan",
+    "gamma_weight",
     "dither_experiment",
     "sampling_variance_sweep",
 ]
@@ -136,6 +139,17 @@ def greedy_reference(
             q[j] = lv[a]
             codes[i, order[j]] = params.spec.code_min + a
     return codes
+
+
+def proxy_column_costs(e: np.ndarray, l_chol: np.ndarray) -> np.ndarray:
+    """Levelwise decomposition terms L_jj^2 ||E_j + sum_{k>j} E_k L_kj/L_jj||^2."""
+    n = l_chol.shape[0]
+    lu = _unit_lower(l_chol)
+    out = np.empty(n)
+    for j in range(n):
+        v = e[:, j] + e[:, j + 1:] @ lu[j + 1:, j]
+        out[j] = l_chol[j, j] ** 2 * float(np.sum(v * v))
+    return out
 
 
 def _fit_cell(values: np.ndarray, spec: GridSpec) -> tuple[float, int]:
@@ -284,6 +298,11 @@ def alpha_grid_scan(
     return AlphaScan(alpha_best=float(alphas[int(np.argmin(values))]), alphas=alphas, values=values)
 
 
+def gamma_weight(alpha: float) -> float:
+    """Implied regularization weight a/(1-a); monotone on [0, 1)."""
+    return alpha / (1.0 - alpha)
+
+
 # ---------------------------------------------------------------------------
 # binary-grid dithering experiment
 # ---------------------------------------------------------------------------
@@ -319,6 +338,14 @@ class DitherResult:
     se_smoothed_hat: float
 
 
+_erfc = np.vectorize(math.erfc, otypes=[np.float64])
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, Phi(x) = erfc(-x / sqrt 2) / 2, elementwise."""
+    return 0.5 * _erfc(-x / math.sqrt(2.0))
+
+
 def _variance_se(samples: np.ndarray) -> float:
     """Asymptotic standard error of the sample variance."""
     n = len(samples)
@@ -348,7 +375,7 @@ def dither_experiment(setup: DitherSetup, rng: SeededRng) -> DitherResult:
     span = abs(1.0 - w) - abs(w)
 
     loss_fixed = abs(x) * np.where(u >= 0.0, abs(1.0 - w), abs(w))
-    smooth = abs(x) * (abs(w) + span * ndtr(u / setup.tau_z))
+    smooth = abs(x) * (abs(w) + span * _ndtr(u / setup.tau_z))
 
     var_fixed_closed = (x * x / 4.0) * span * span
     var_bound = (x * x * span * span) / (2.0 * math.pi * setup.tau_z ** 2) * (
@@ -417,7 +444,9 @@ def sampling_variance_sweep(
         arr = np.array(vals)
         out["modes"][name] = {
             "mean": float(arr.mean()),
-            "std": float(arr.std(ddof=1)) if n_repeats > 1 else 0.0,
+            # shifted by the first loss, so identical repeats give exactly 0
+            # (the mean of n equal floats need not equal them)
+            "std": float((arr - arr[0]).std(ddof=1)) if n_repeats > 1 else 0.0,
             "losses": vals,
         }
     out["sampled_std_leq_fixed"] = bool(

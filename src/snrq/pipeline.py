@@ -361,14 +361,17 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
     """Quantize every layer in order and return the report dictionary.
 
     When ``config.out_dir`` is set, per-layer code/dequant matrices and the
-    report JSON are also written there (codes as the i32 binary variant).
-    Raises NonFinite, before the report is written, when a layer's proxy
+    report JSON are also written there (codes as the i32 binary variant); a
+    ``report.json`` already there is removed first, so a failed run leaves
+    none. Raises NonFinite, before the report is written, when a layer's proxy
     loss, weight MSE or activation error, or an end-to-end MSE, is not finite.
     """
     t_start = time.perf_counter()
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+        # a report from an earlier run must not outlive the layer files it describes
+        (out_dir / "report.json").unlink(missing_ok=True)
 
     seed = config.seed
     x_cal = _draw_inputs(

@@ -43,12 +43,11 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .calibration import CalibBatch
 from .errors import InvalidSpec, MemoryBudget, require_bool, require_int
 from .grid import GridParams, column_grid, dequantize, round_to_grid
-from .linalg import cholesky, solve_with_factor  # solve_with_factor: perfbench tracer only
+from .linalg import cholesky, solve_l, solve_lt, solve_with_factor  # solve_with_factor: perfbench tracer only
 
 __all__ = [
     "SolverConfig",
@@ -64,7 +63,6 @@ __all__ = [
     "gptq_round",
     "gptaq_round",
     "proxy_row_scores",
-    "proxy_column_costs",
 ]
 
 SOLVER_NAMES = ("rtn", "snrq", "snrq_lazy", "ksnrq", "gptq", "gptaq")
@@ -148,17 +146,6 @@ def proxy_row_scores(q_dequant: np.ndarray, m_ref: np.ndarray, l_chol: np.ndarra
     """Independent recomputation of the exact row objectives ||(Q - M) L||^2."""
     el = (q_dequant - m_ref) @ l_chol
     return np.sum(el * el, axis=1)
-
-
-def proxy_column_costs(e: np.ndarray, l_chol: np.ndarray) -> np.ndarray:
-    """Levelwise decomposition terms L_jj^2 ||E_j + sum_{k>j} E_k L_kj/L_jj||^2."""
-    n = l_chol.shape[0]
-    lu = _unit_lower(l_chol)
-    out = np.empty(n)
-    for j in range(n):
-        v = e[:, j] + e[:, j + 1:] @ lu[j + 1:, j]
-        out[j] = l_chol[j, j] ** 2 * float(np.sum(v * v))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +481,8 @@ def gptaq_round(
     dx = batch.delta
     # kernel order: U is strictly lower, row i = D[i, :i] (L_i L_i^T)^{-1} with L_i = low[:i, :i]
     d = np.tril((dx @ batch.xq.T)[np.ix_(perm, perm)], -1)
-    z = np.tril(solve_triangular(low, d.T, lower=True).T, -1)
-    u = solve_triangular(low, z.T, lower=True, trans="T").T
+    z = np.tril(solve_lt(low, d), -1)
+    u = solve_l(low, z)
     result = _successive_round(wp + mismatch_scale * (wp @ u), fact, params, cfg, 1, cfg.block_size)
     resid = (result.q_dequant - w) @ batch.xq - mismatch_scale * (w @ dx)
     scores = np.sum(resid * resid, axis=1)

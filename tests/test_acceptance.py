@@ -41,6 +41,7 @@ from snrq.oracle import (
     exhaustive_row,
     gptaq_reference,
     greedy_reference,
+    proxy_column_costs,
     sample_folded_alphas,
 )
 from snrq.pipeline import (
@@ -52,7 +53,6 @@ from snrq.pipeline import (
     strip_timing,
     synth_network,
 )
-from snrq.solvers import proxy_column_costs
 
 from conftest import natural, random_batch, random_spd
 

@@ -17,7 +17,8 @@ from snrq import (
     order_and_factor,
     shifted_target,
 )
-from snrq.calibration import gamma_weight, sample_folded_alphas
+from snrq.calibration import sample_folded_alphas
+from snrq.oracle import gamma_weight
 
 from conftest import random_batch
 

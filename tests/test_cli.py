@@ -3,15 +3,20 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import snrq
 from snrq.cli import cli_main
-from snrq.matio import write_matrix
+from snrq.matio import read_matrix, write_matrix
 
 
 def run(capsys, *argv):
@@ -380,3 +385,68 @@ def test_fast_subcommands_exit_0_1_2_without_traceback(argv):
         code = cli_main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_failed_run_leaves_no_stale_report(tmp_path, capsys):
+    # a report from an earlier run in the same directory must not describe
+    # layer files that a later, failed run has overwritten
+    out_dir = tmp_path / "run"
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"calibration": {"n_sequences": 16},
+                                 "network": {"depth": 1, "width": 4}}))
+    assert run(capsys, "quantize", "--config", str(small), "--out-dir", str(out_dir))[0] == 0
+    assert (out_dir / "report.json").exists()
+
+    rng = np.random.default_rng(0)
+    write_matrix(tmp_path / "w0.snrqmat", rng.normal(size=(8, 8)), dtype="f64")
+    write_matrix(tmp_path / "w1.snrqmat", 1e200 * rng.normal(size=(8, 8)), dtype="f64")
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"calibration": {"n_sequences": 16},
+                               "network": {"dims": [8, 8, 8],
+                                           "weight_paths": ["w0.snrqmat", "w1.snrqmat"]}}))
+    assert run(capsys, "quantize", "--config", str(big), "--out-dir", str(out_dir))[0] == 2
+    assert read_matrix(out_dir / "layer_00_codes.snrqmat").shape == (8, 8)
+    assert not (out_dir / "report.json").exists()
+
+
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+from snrq.cli import cli_main
+
+tmp = Path(sys.argv[1])
+base = {"calibration": {"n_sequences": 16}, "network": {"depth": 2, "width": 8},
+        "grid": {"bits": 3}}
+runs = []
+solvers = [(s, {"solver": s}) for s in ("rtn", "snrq", "snrq_lazy", "ksnrq", "gptq", "gptaq")]
+for name, solver in solvers + [("cd", {"solver": "snrq", "cd_passes": 1})]:
+    cfg = tmp / f"{name}.json"
+    cfg.write_text(json.dumps(dict(base, solver=dict(solver, beam_width=2))))
+    runs.append(["quantize", "--config", str(cfg), "--out-dir", str(tmp / name)])
+cfg = tmp / "cd.json"
+runs += [
+    ["synth", "--depth", "2", "--dim", "8", "--out-dir", str(tmp / "net")],
+    ["oracle", "--synth-n", "4", "--bits", "2"],
+    ["alpha-scan", "--synth", "--grid-points", "5"],
+    ["dither-demo", "--w", "0.3", "--x", "1", "--trials", "1000"],
+    ["variance-sweep", "--config", str(cfg), "--repeats", "2"],
+    ["sweep", "--config", str(cfg), "--axis", "K", "--values", "1,2"],
+]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli_main(argv))
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_no_subcommand_loads_scipy(tmp_path):
+    # the production path is numpy only; scipy is a test dependency
+    src = Path(snrq.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * 13, "scipy": []}

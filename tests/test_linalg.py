@@ -1,10 +1,12 @@
-"""Cholesky and SPD-solve contracts."""
+"""Cholesky and triangular-solve contracts, checked against scipy's LAPACK wrappers."""
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from snrq import NotPositiveDefinite, ShapeMismatch, cholesky
-from snrq.linalg import solve_with_factor
+from snrq.linalg import solve_l, solve_lt, solve_with_factor
 
 from conftest import random_spd
 
@@ -81,3 +83,40 @@ def test_solve_with_factor_matches_solve(rng):
     b = rng.normal(size=(2, 6))
     expected = np.linalg.solve(h, b.T).T  # h is symmetric: Y h = b
     assert np.allclose(solve_with_factor(cholesky(h), b), expected, rtol=1e-10, atol=1e-12)
+
+
+def rank_deficient_gram(rng, n, damping):
+    x = rng.normal(size=(n, max(1, n // 2)))
+    h = x @ x.T
+    return h + damping * np.mean(np.diag(h)) * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 197])
+@pytest.mark.parametrize("damping", [1e-2, 1e-10])
+def test_blocked_solves_match_solve_triangular(rng, n, damping):
+    low = cholesky(rank_deficient_gram(rng, n, damping))
+    b = rng.normal(size=(7, n))
+    cases = [
+        (solve_lt(low, b), solve_triangular(low, b.T, lower=True).T, low.T),
+        (solve_l(low, b), solve_triangular(low, b.T, lower=True, trans="T").T, low),
+    ]
+    for x, ref, divisor in cases:
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(x @ divisor - b) <= 1e-15 * np.linalg.norm(x) * np.linalg.norm(low)
+
+
+def test_cholesky_failed_pivot_matches_lapack(rng):
+    for _ in range(50):
+        n = int(rng.integers(2, 150))
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        eig = rng.uniform(0.1, 10.0, size=n)
+        eig[rng.choice(n, size=int(rng.integers(1, 3)), replace=False)] *= -1.0
+        h = q @ np.diag(eig) @ q.T
+        h = 0.5 * (h + h.T)
+        partial, info = dpotrf(h, lower=1, clean=1)
+        assert info > 0
+        with pytest.raises(NotPositiveDefinite) as exc:
+            cholesky(h)
+        expected = partial[info - 1, info - 1]
+        assert exc.value.pivot_index == info - 1
+        assert abs(exc.value.pivot_value - expected) <= 1e-10 * abs(expected)

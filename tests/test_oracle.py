@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from snrq import BudgetExceeded, GridSpec, InvalidSpec, SeededRng, cholesky, fit_grid, snrq_greedy
 from snrq.grid import levels
@@ -11,6 +12,7 @@ from snrq.oracle import (
     dither_experiment,
     exhaustive_row,
     folded_alpha_mean,
+    _ndtr,
 )
 from snrq.solvers import SolverConfig
 
@@ -87,6 +89,11 @@ def test_alpha_scan_needs_three_points(rng):
 
 
 # --- dithering ----------------------------------------------------------
+
+
+def test_ndtr_matches_scipy():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 20001), [0.0, -0.0, 1e-300, -1e-300]])
+    assert np.max(np.abs(_ndtr(x) - ndtr(x))) <= 1e-15
 
 
 def test_dither_symmetric_weight_degenerates():

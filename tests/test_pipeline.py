@@ -188,7 +188,7 @@ def test_all_solvers_run_through_pipeline(solver):
     ("rtn", 1), ("snrq", 0), ("snrq_lazy", 0), ("ksnrq", 0), ("gptq", 0), ("gptaq", 0),
 ])
 def test_one_factorization_per_layer(monkeypatch, solver, cd_passes, act_order):
-    from snrq import calibration, linalg, solvers
+    from snrq import calibration, solvers
 
     calls = {"names": 0, "lapack": 0}
 
@@ -200,7 +200,7 @@ def test_one_factorization_per_layer(monkeypatch, solver, cd_passes, act_order):
 
     for mod in (calibration, solvers):  # the names the benchmark tracer wraps
         monkeypatch.setattr(mod, "cholesky", counted(mod.cholesky, "names"))
-    monkeypatch.setattr(linalg, "dpotrf", counted(linalg.dpotrf, "lapack"))
+    monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky, "lapack"))
     cfg = small_config(
         solver=SolverConfig(solver=solver, beam_width=2, block_size=4,
                             act_order=act_order, cd_passes=cd_passes),
@@ -331,6 +331,16 @@ def test_variance_sweep_degenerate_cases():
     varied = sampling_variance_sweep(cfg, 3)
     assert varied["modes"]["sampled"]["std"] >= 0.0
     assert "sampled_std_leq_fixed" in varied
+
+
+def test_variance_sweep_identical_losses_have_zero_spread(monkeypatch):
+    # three equal floats whose mean, (a + a + a) / 3, is not a
+    loss = 5.888131383978264
+    monkeypatch.setattr(pipeline, "synth_network", lambda spec, seed: None)
+    monkeypatch.setattr(pipeline, "quantize_network",
+                        lambda net, cfg: {"layers": [{"proxy_loss": loss}]})
+    out = sampling_variance_sweep(small_config(), 3)
+    assert [m["std"] for m in out["modes"].values()] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("mode", ["fixed", "closed_form", "sampled"])

@@ -25,8 +25,8 @@ from snrq import (
     snrq_lazy,
 )
 from snrq.grid import GridParams, levels
-from snrq.oracle import exhaustive_row, gptaq_reference, greedy_reference
-from snrq.solvers import _kernel_bytes, proxy_column_costs, proxy_row_scores
+from snrq.oracle import exhaustive_row, gptaq_reference, greedy_reference, proxy_column_costs
+from snrq.solvers import _kernel_bytes, proxy_row_scores
 
 from conftest import natural, random_spd
 

@@ -1,5 +1,7 @@
-"""The benchmark (perfbench/) still resolves every traced function and loads every workload."""
+"""The benchmark (perfbench/) still resolves every traced function and loads every workload;
+the package keeps to its declared dependencies."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -7,6 +9,7 @@ import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from snrq import (
     GridSpec,
@@ -23,7 +26,8 @@ from snrq.pipeline import RunConfig
 
 from conftest import random_batch, random_spd
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
 
@@ -77,3 +81,25 @@ def test_row_chunk_workers_call_no_traced_name(rng, monkeypatch):
     gptaq_cfg = SolverConfig(solver="gptaq")
     gptaq_round(w, order_and_factor(batch.xq @ batch.xq.T, gptaq_cfg), params, gptaq_cfg, batch)
     assert threads == {threading.get_ident()}
+
+
+def test_package_imports_no_scipy():
+    # scipy serves the tests and the benchmark's environment record only
+    offenders = []
+    for path in sorted((ROOT / "src" / "snrq").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert offenders == []
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [dep.split(">")[0].split("=")[0] for dep in project["dependencies"]] == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
