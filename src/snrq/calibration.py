@@ -110,9 +110,7 @@ class CalibStats:
 
     h: np.ndarray
     c_alpha: np.ndarray
-    damping: float
     damping_abs: float
-    n_samples: int
     alpha_trace: np.ndarray
 
 
@@ -164,9 +162,7 @@ def accumulate_stats(
     return CalibStats(
         h=h,
         c_alpha=c_alpha,
-        damping=damping,
         damping_abs=damping_abs,
-        n_samples=batch.n_sequences,
         alpha_trace=trace,
     )
 

@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .calibration import CalibBatch
-from .errors import InvalidSpec, SnrqError
+from .errors import InvalidSpec, ShapeMismatch, SnrqError
 from .grid import GridSpec, fit_grid, levels
 from .linalg import cholesky
 from .matio import read_matrix, write_matrix
@@ -158,8 +158,11 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    dims = tuple(int(t) for t in args.dims.split(",")) if args.dims else None
-    spec = NetworkConfig(depth=args.depth, width=args.dim, dims=dims, nonlinearity=args.nonlinearity)
+    try:
+        dims = tuple(int(t) for t in args.dims.split(",")) if args.dims else None
+        spec = NetworkConfig(depth=args.depth, width=args.dim, dims=dims, nonlinearity=args.nonlinearity)
+    except (InvalidSpec, ValueError) as e:
+        raise UsageError(f"bad --depth/--dim/--dims: {e}") from None
     net = synth_network(spec, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -187,7 +190,12 @@ def _cmd_oracle(args) -> int:
         r_upper = read_matrix(args.r_path)
         y = read_matrix(args.y_path).ravel()
         n = r_upper.shape[0]
-        w_row = np.linalg.solve(r_upper, y)[None, :]
+        if r_upper.shape != (n, n) or y.shape != (n,):
+            raise ShapeMismatch(f"need an n x n R and n values of y, got {r_upper.shape} and {y.size}")
+        try:
+            w_row = np.linalg.solve(r_upper, y)[None, :]
+        except np.linalg.LinAlgError as e:
+            raise SnrqError(f"--r-path {args.r_path}: cannot solve R w = y ({e})") from None
     elif args.synth_n is not None:
         if args.synth_n < 1:
             raise UsageError(f"--synth-n must be >= 1, got {args.synth_n}")
@@ -201,16 +209,7 @@ def _cmd_oracle(args) -> int:
         raise UsageError("oracle needs either --r-path/--y-path or --synth-n")
     params = fit_grid(w_row, spec)
     level_lists = [levels(0, j, params) for j in range(n)]
-    res = exhaustive_row(r_upper, y, level_lists)
-    _emit(
-        {
-            "best_codes": res.best_codes.tolist(),
-            "best_values": res.best_values.tolist(),
-            "best_cost": res.best_cost,
-            "n_evaluated": res.n_evaluated,
-        },
-        args.out,
-    )
+    _emit(asdict(exhaustive_row(r_upper, y, level_lists)), args.out)
     return 0
 
 
@@ -233,14 +232,7 @@ def _cmd_alpha_scan(args) -> int:
         scan = alpha_grid_scan(w, w_hat, CalibBatch(xf=xf, xq=xq), args.grid_points)
     except InvalidSpec as e:
         raise UsageError(f"bad --grid-points: {e}") from None
-    _emit(
-        {
-            "alpha_best": scan.alpha_best,
-            "alphas": scan.alphas.tolist(),
-            "values": scan.values.tolist(),
-        },
-        args.out,
-    )
+    _emit(asdict(scan), args.out)
     return 0
 
 
@@ -252,18 +244,7 @@ def _cmd_dither(args) -> int:
         )
     except InvalidSpec as e:
         raise UsageError(str(e)) from None
-    res = dither_experiment(setup, SeededRng(args.seed, 13))
-    _emit(
-        {
-            "var_fixed_hat": res.var_fixed_hat,
-            "var_smoothed_hat": res.var_smoothed_hat,
-            "var_fixed_closed": res.var_fixed_closed,
-            "var_bound": res.var_bound,
-            "se_fixed_hat": res.se_fixed_hat,
-            "se_smoothed_hat": res.se_smoothed_hat,
-        },
-        args.out,
-    )
+    _emit(asdict(dither_experiment(setup, SeededRng(args.seed, 13))), args.out)
     return 0
 
 

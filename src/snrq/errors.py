@@ -43,8 +43,7 @@ class MemoryBudget(SnrqError):
     """The successive-rounding kernel's state would exceed the configured memory cap.
 
     The kernel holds the state of all m*K beams of a layer at once, so the
-    charge grows with m*K; a layer that many rows wide hits the cap sooner
-    than when rows were rounded in fixed-size chunks.
+    charge grows with m*K.
     """
 
 

@@ -2,7 +2,8 @@
 
 Nothing here shares code paths with the solvers it checks: the exhaustive
 search enumerates every candidate, the greedy reference restates the
-successive-rounding recursion one row and one column at a time, the GPTAQ
+successive-rounding recursion one row and one column at a time, the CD
+reference scores every level of a coordinate by the full objective, the GPTAQ
 reference runs the left-to-right feedback loop with a least-squares solve
 per column, the column costs restate the levelwise proxy decomposition one
 column at a time, the alpha scan evaluates the raw objective on a grid, and
@@ -35,6 +36,7 @@ __all__ = [
     "AlphaScan",
     "exhaustive_row",
     "greedy_reference",
+    "cd_reference",
     "proxy_column_costs",
     "fit_grid_reference",
     "gptaq_reference",
@@ -139,6 +141,29 @@ def greedy_reference(
             q[j] = lv[a]
             codes[i, order[j]] = params.spec.code_min + a
     return codes
+
+
+def cd_reference(codes, m_target, fact, params: GridParams, passes: int) -> np.ndarray:
+    """Coordinate-descent codes, one row and one coordinate at a time.
+
+    Coordinates are swept in original column order. Each visit scores every
+    level of the cell by the full row objective ||(q - m_i)[perm] L||^2 and
+    keeps the last minimum, which is the larger code on ties.
+    """
+    perm, low = fact
+    out = np.array(codes, dtype=np.int64)
+    for i, q in enumerate(dequantize(out, params)):
+        for _ in range(passes):
+            for j in range(len(q)):
+                lv = levels(i, j, params)
+                cand = np.repeat(q[None, :], len(lv), axis=0)
+                cand[:, j] = lv
+                e = (cand - m_target[i])[:, perm] @ low
+                obj = np.sum(e * e, axis=1)
+                a = int(np.flatnonzero(obj == obj.min())[-1])
+                q[j] = lv[a]
+                out[i, j] = params.spec.code_min + a
+    return out
 
 
 def proxy_column_costs(e: np.ndarray, l_chol: np.ndarray) -> np.ndarray:

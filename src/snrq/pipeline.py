@@ -457,10 +457,17 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
     return report
 
 
+def _plain(obj):
+    """numpy arrays and scalars as lists and Python numbers, for :func:`json_text`."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def json_text(payload) -> str:
     """The one JSON writer for reports and CLI output: standard JSON, no NaN or Infinity."""
     try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_plain)
     except ValueError as e:
         raise NonFinite(f"refusing to write non-standard JSON: {e}") from None
 

@@ -32,10 +32,6 @@ class SeededRng:
         """Derive an independent sibling stream under the same seed."""
         return SeededRng(self.seed, stream_id)
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
     def normal(self, size=None, loc: float = 0.0, scale: float = 1.0) -> np.ndarray:
         return self._gen.normal(loc=loc, scale=scale, size=size)
 

@@ -375,8 +375,9 @@ def cd_refine(
 ) -> RoundResult:
     """Cyclic exact single-coordinate re-optimization of a rounding result.
 
-    Each coordinate update moves q_j to the grid level nearest the exact
-    conditional center of the full quadratic, so the objective never
+    Each coordinate update rounds the exact conditional center of the full
+    quadratic with :func:`round_to_grid` and moves q_j to that level only
+    when the move does not raise the objective, so the objective never
     increases. Coordinates are swept in original column order. With
     ``record_trajectory`` the total objective after every single-coordinate
     update is returned on the result (index 0 is the starting value).
@@ -384,7 +385,7 @@ def cd_refine(
     if passes < 0:
         raise InvalidSpec(f"passes must be >= 0, got {passes}")
     m_alpha = np.asarray(m_alpha, dtype=np.float64)
-    m, n = m_alpha.shape
+    n = m_alpha.shape[1]
     root = np.empty(fact.low.shape)  # C order: the sweep reads rows
     root[fact.perm] = fact.low  # H = root root^T in original column order
     if passes == 0:
@@ -395,8 +396,6 @@ def cd_refine(
 
     h_diag = np.sum(root * root, axis=1)
     scale, zero = column_grid(params, np.arange(n))
-    spec = params.spec
-    level_codes = np.arange(spec.code_min, spec.code_max + 1, dtype=np.float64)
 
     codes = result.codes.copy()
     values = result.q_dequant.copy()
@@ -406,22 +405,18 @@ def cd_refine(
         traj[0] = float(np.sum(scores))
 
     res = (values - m_alpha) @ root  # rowwise R q - y, R = root^T
-    rr = np.arange(m)
     for p in range(passes):
         for j in range(n):
-            g = res @ root[j]
-            center = values[:, j] - g / h_diag[j]
-            levels_j = scale[:, j, None] * (level_codes[None, :] - zero[:, j, None])
-            d = (levels_j - center[:, None]) ** 2
-            # nearest level, ties toward the larger code
-            idx = (d.shape[1] - 1) - np.argmin(d[:, ::-1], axis=1)
-            old_idx = codes[:, j] - spec.code_min
-            gain = d[rr, idx] - d[rr, old_idx]      # <= 0 by argmin over levels
-            new_v = levels_j[rr, idx]
-            res += (new_v - values[:, j])[:, None] * root[j][None, :]
-            scores += h_diag[j] * gain
+            q_j = values[:, j]
+            center = q_j - (res @ root[j]) / h_diag[j]
+            near_c, near_v = round_to_grid(center, scale[:, j], zero[:, j], params.spec)
+            gain = (near_v - center) ** 2 - (q_j - center) ** 2
+            take = gain <= 0.0  # a pick one ulp worse than q_j keeps q_j
+            new_v = np.where(take, near_v, q_j)
+            res += (new_v - q_j)[:, None] * root[j][None, :]
+            scores += h_diag[j] * np.where(take, gain, 0.0)
+            codes[take, j] = near_c[take]
             values[:, j] = new_v
-            codes[:, j] = (idx + spec.code_min).astype(np.int32)
             if traj is not None:
                 traj[1 + p * n + j] = float(np.sum(scores))
     return replace(

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -15,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snrq
+from snrq import CalibBatch, GridSpec, SeededRng, cholesky, fit_grid, levels
 from snrq.cli import cli_main
 from snrq.matio import read_matrix, write_matrix
+from snrq.oracle import DitherSetup, alpha_grid_scan, dither_experiment, exhaustive_row
 
 
 def run(capsys, *argv):
@@ -367,22 +370,115 @@ def test_oracle_bits_out_of_range_is_usage_error(capsys, bits):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--dims", "a,b"], ["--dims", "4"], ["--depth", "0"], ["--dim", "-3"],
+], ids=["non-integer-dims", "one-dim", "zero-depth", "negative-dim"])
+def test_synth_bad_flags_are_usage_errors(tmp_path, capsys, flags):
+    code, out, err = run(capsys, "synth", *flags, "--out-dir", str(tmp_path / "net"))
+    assert code == 1
+    assert err.startswith("usage error")
+    assert out == ""
+    assert not (tmp_path / "net").exists()
+
+
+def _oracle_files(tmp_path, r, y):
+    write_matrix(tmp_path / "r.snrqmat", np.asarray(r, dtype=float), dtype="f64")
+    write_matrix(tmp_path / "y.snrqmat", np.asarray(y, dtype=float), dtype="f64")
+    return ["oracle", "--r-path", str(tmp_path / "r.snrqmat"),
+            "--y-path", str(tmp_path / "y.snrqmat")]
+
+
+@pytest.mark.parametrize("r, y, message", [
+    ([[1, 2, 3], [0, 1, 4]], [[1, 2]], "need an n x n R"),
+    ([[2, 1], [0, 1]], [[1, 2, 3]], "need an n x n R"),
+    ([[0, 1], [0, 1]], [[1, 2]], "--r-path"),
+], ids=["non-square-r", "wrong-y-length", "singular-r"])
+def test_oracle_bad_matrix_files_exit_2(tmp_path, capsys, r, y, message):
+    code, out, err = run(capsys, *_oracle_files(tmp_path, r, y))
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert out == ""
+
+
+def test_oracle_matrix_files_solve_for_the_row(tmp_path, capsys):
+    code, out, _ = run(capsys, *_oracle_files(tmp_path, [[2, 1], [0, 1]], [[1, 2]]))
+    assert code == 0
+    assert json.loads(out)["n_evaluated"] == 4 ** 2
+
+
+def test_result_commands_print_every_dataclass_field(capsys):
+    # stdout is every field of the result, arrays as lists, numbers as Python writes them
+    def dumped(payload):
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    rng = SeededRng(3, 7)
+    a = rng.normal(size=(4, 8))
+    r_upper = cholesky(a @ a.T + 4 * np.eye(4)).T
+    w_row = rng.normal(size=(1, 4))
+    params = fit_grid(w_row, GridSpec(bits=2, symmetric=True))
+    res = exhaustive_row(r_upper, r_upper @ w_row[0], [levels(0, j, params) for j in range(4)])
+    expected = dumped({"best_codes": res.best_codes.tolist(), "best_values": res.best_values.tolist(),
+                       "best_cost": res.best_cost, "n_evaluated": res.n_evaluated})
+    assert run(capsys, "oracle", "--synth-n", "4", "--seed", "3")[1] == expected
+
+    rng = SeededRng(5, 11)
+    w = rng.normal(size=(4, 8))
+    w_hat = w + 0.1 * rng.normal(size=(4, 8))
+    xq = rng.normal(size=(8, 32))
+    xf = xq + 0.2 * rng.normal(size=(8, 32))
+    scan = alpha_grid_scan(w, w_hat, CalibBatch(xf=xf, xq=xq), 7)
+    expected = dumped({"alpha_best": scan.alpha_best, "alphas": scan.alphas.tolist(),
+                       "values": scan.values.tolist()})
+    assert run(capsys, "alpha-scan", "--synth", "--grid-points", "7", "--seed", "5")[1] == expected
+
+    res = dither_experiment(DitherSetup(w=0.3, x=1.0, n_trials=500), SeededRng(2, 13))
+    expected = dumped({k: getattr(res, k) for k in (
+        "var_fixed_hat", "var_smoothed_hat", "var_fixed_closed", "var_bound",
+        "se_fixed_hat", "se_smoothed_hat")})
+    assert run(capsys, "dither-demo", "--w", "0.3", "--x", "1", "--trials", "500",
+               "--seed", "2")[1] == expected
+
+
+def _oracle_case(n, non_square, long_y, zero_diag, seed):
+    """oracle over small integer R and y files: R possibly non-square or with a zero on its
+    diagonal, y possibly one value too long."""
+    rng = np.random.default_rng(seed)
+    r = np.triu(rng.integers(-3, 4, size=(n, n + non_square))).astype(float)
+    r[np.diag_indices(n)] = rng.integers(1, 4, size=n)
+    if zero_diag:
+        k = rng.integers(n)
+        r[k, k] = 0.0
+    y = rng.integers(-3, 4, size=(1, n + long_y)).astype(float)
+    return ["oracle", "--r-path", "r.snrqmat", "--y-path", "y.snrqmat"], {"r.snrqmat": r, "y.snrqmat": y}
+
+
 _fast_argv = st.one_of(
     st.builds(
-        lambda n, bits, asym: ["oracle", "--synth-n", str(n), "--bits", str(bits)]
-        + (["--asymmetric"] if asym else []),
+        lambda n, bits, asym: (["oracle", "--synth-n", str(n), "--bits", str(bits)]
+                               + (["--asymmetric"] if asym else []), {}),
         st.integers(-3, 8), st.integers(0, 10), st.booleans(),
     ),
-    st.builds(lambda k: ["alpha-scan", "--synth", "--grid-points", str(k)], st.integers(-2, 20)),
+    st.builds(lambda k: (["alpha-scan", "--synth", "--grid-points", str(k)], {}), st.integers(-2, 20)),
+    st.builds(
+        lambda dims, depth, dim: (["synth", "--dims", dims, "--depth", str(depth), "--dim", str(dim),
+                                   "--out-dir", "net"], {}),
+        st.text(alphabet="0123,- a", max_size=6), st.integers(-2, 3), st.integers(-2, 6),
+    ),
+    st.builds(_oracle_case, st.integers(1, 4), st.booleans(), st.booleans(), st.booleans(),
+              st.integers(0, 2 ** 16)),
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(argv=_fast_argv)
-def test_fast_subcommands_exit_0_1_2_without_traceback(argv):
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=_fast_argv)
+def test_fast_subcommands_exit_0_1_2_without_traceback(case):
+    argv, files = case
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(argv)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, a in files.items():
+            write_matrix(name, a, dtype="f64")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
 

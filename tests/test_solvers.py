@@ -24,9 +24,11 @@ from snrq import (
     snrq_greedy,
     snrq_lazy,
 )
-from snrq.grid import GridParams, levels
-from snrq.oracle import exhaustive_row, gptaq_reference, greedy_reference, proxy_column_costs
-from snrq.solvers import _kernel_bytes, proxy_row_scores
+from snrq.grid import GridParams, dequantize, levels
+from snrq.oracle import (
+    cd_reference, exhaustive_row, gptaq_reference, greedy_reference, proxy_column_costs,
+)
+from snrq.solvers import RoundResult, _kernel_bytes, proxy_row_scores
 
 from conftest import natural, random_spd
 
@@ -347,6 +349,37 @@ def test_cd_on_greedy_suboptimal_instance():
     out = cd_refine(greedy, m_row, natural(l), grid_01(), passes=1, record_trajectory=True)
     assert out.proxy_loss <= 0.41 + 1e-12
     assert np.all(np.diff(out.objective_trajectory) <= 1e-15)
+
+
+def test_cd_matches_reference(rng):
+    # cd_refine (round_to_grid of the conditional center) against the
+    # brute-force level scan of the full objective
+    for trial in range(120):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(2, 13))
+        divs = [g for g in range(2, n) if n % g == 0]
+        group = int(rng.choice(divs)) if divs and trial % 4 >= 2 else 0
+        spec = GridSpec(bits=int(rng.integers(2, 9)), symmetric=bool(trial % 2), group_size=group)
+        cfg = SolverConfig(act_order=bool((trial // 4) % 2), beam_width=2)
+        w = rng.normal(size=(m, n))
+        target = w + 0.3 * rng.normal(size=(m, n))
+        params = fit_grid(w, spec)
+        fact = order_and_factor(random_spd(rng, n, 0.3), cfg)
+        start = (rtn_round(w, params, m_ref=target, fact=fact),
+                 snrq_greedy(target, fact, params, cfg),
+                 ksnrq_beam(target, fact, params, cfg))[trial % 3]
+        passes = 1 + trial % 3
+        out = cd_refine(start, target, fact, params, passes)
+        assert np.array_equal(out.codes, cd_reference(start.codes, target, fact, params, passes)), trial
+    # exact ties on {0,1,2,3} with H = I: both sides take the larger code (3.5 clamps to 3)
+    for row in ([0.5, 0.5], [1.5, 2.5], [0.5, 3.5]):
+        target = np.array([row])
+        for codes in ([[0, 0]], [[3, 3]], [[0, 3]]):
+            codes = np.array(codes, dtype=np.int32)
+            start = RoundResult(codes, dequantize(codes, grid_01()), 0.0, np.zeros(1))
+            out = cd_refine(start, target, natural(np.eye(2)), grid_01(), passes=2)
+            ref = cd_reference(codes, target, natural(np.eye(2)), grid_01(), passes=2)
+            assert np.array_equal(out.codes, ref)
+            assert np.array_equal(out.codes, np.minimum(np.ceil(target), 3))
 
 
 # --- gptq ---------------------------------------------------------------
