@@ -15,8 +15,6 @@ from .calibration import (
     CalibStats,
     accumulate_stats,
     closed_form_alpha,
-    decomposition_check,
-    objective_direct,
     shifted_target,
 )
 from .errors import (
@@ -41,7 +39,6 @@ from .solvers import (
     gptq_round,
     ksnrq_beam,
     order_and_factor,
-    permutation_from_diag,
     rtn_round,
     snrq_greedy,
     snrq_lazy,
@@ -69,16 +66,13 @@ __all__ = [
     "cd_refine",
     "cholesky",
     "closed_form_alpha",
-    "decomposition_check",
     "dequantize",
     "fit_grid",
     "gptaq_round",
     "gptq_round",
     "ksnrq_beam",
     "levels",
-    "objective_direct",
     "order_and_factor",
-    "permutation_from_diag",
     "read_matrix",
     "rtn_round",
     "shifted_target",

@@ -14,7 +14,7 @@ closed form, or Beta-sampled per sequence), and produces M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +29,6 @@ __all__ = [
     "AlphaChoice",
     "accumulate_stats",
     "shifted_target",
-    "objective_direct",
-    "decomposition_check",
     "closed_form_alpha",
     "module_wise_alpha_schedule",
     "sample_folded_alphas",
@@ -93,9 +91,6 @@ class AlphaStrategy:
         require_finite("beta_lambda", self.beta_lambda)
         if self.beta_lambda <= 0:
             raise InvalidSpec(f"beta_lambda must be positive, got {self.beta_lambda}")
-
-    def with_alpha(self, alpha: float) -> "AlphaStrategy":
-        return replace(self, alpha_value=float(alpha))
 
 
 @dataclass
@@ -181,40 +176,6 @@ def shifted_target(w: np.ndarray, stats: CalibStats, fact: tuple[np.ndarray, np.
     m = np.empty((w.shape[0], len(perm)))
     m[:, perm] = solve_with_factor(low, (w @ stats.c_alpha)[:, perm])
     return m
-
-
-def objective_direct(
-    w: np.ndarray, w_hat: np.ndarray, batch: CalibBatch, alpha: float
-) -> float:
-    """Exact interpolated objective from raw activations (ground truth)."""
-    w = np.asarray(w, dtype=np.float64)
-    w_hat = np.asarray(w_hat, dtype=np.float64)
-    if w.shape != w_hat.shape or w.shape[1] != batch.n_features:
-        raise ShapeMismatch(
-            f"w {w.shape}, w_hat {w_hat.shape}, batch features {batch.n_features}"
-        )
-    x_alpha = alpha * batch.xf + (1.0 - alpha) * batch.xq
-    r = w @ x_alpha - w_hat @ batch.xq
-    return float(np.sum(r * r))
-
-
-def decomposition_check(
-    w: np.ndarray, w_hat: np.ndarray, batch: CalibBatch, alpha: float
-) -> tuple[float, float, float]:
-    """Both sides of the interpolation identity, computed independently.
-
-    Returns (lhs, rhs, const_term) with
-    lhs  = direct objective at ``alpha``,
-    rhs  = a*L_asym + (1-a)*L_sym - a(1-a)*||w(xf-xq)||_F^2,
-    const_term = the subtracted cross term.
-    """
-    lhs = objective_direct(w, w_hat, batch, alpha)
-    l_asym = objective_direct(w, w_hat, batch, 1.0)
-    l_sym = objective_direct(w, w_hat, batch, 0.0)
-    u = np.asarray(w) @ batch.delta
-    const = alpha * (1.0 - alpha) * float(np.sum(u * u))
-    rhs = alpha * l_asym + (1.0 - alpha) * l_sym - const
-    return lhs, rhs, const
 
 
 @dataclass(frozen=True)

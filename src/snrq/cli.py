@@ -30,6 +30,8 @@ from .oracle import (
     sampling_variance_sweep,
 )
 from .pipeline import (
+    NONLINEARITIES,
+    SWEEP_AXES,
     NetworkConfig,
     RunConfig,
     json_text,
@@ -102,7 +104,7 @@ def build_parser() -> _Parser:
     s.add_argument("--depth", type=int, default=4)
     s.add_argument("--dim", type=int, default=64)
     s.add_argument("--dims", default=None, help="comma-separated layer dims, overrides --depth/--dim")
-    s.add_argument("--nonlinearity", choices=("none", "relu"), default="relu")
+    s.add_argument("--nonlinearity", choices=NONLINEARITIES, default="relu")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out-dir", required=True)
 
@@ -143,7 +145,7 @@ def build_parser() -> _Parser:
 
     w = sub.add_parser("sweep", help="sweep one config axis")
     w.add_argument("--config", required=True)
-    w.add_argument("--axis", required=True, choices=("alpha", "beta_lambda", "K", "cd_passes"))
+    w.add_argument("--axis", required=True, choices=SWEEP_AXES)
     w.add_argument("--values", required=True, help="comma-separated values")
     w.add_argument("--seed", type=int, default=None)
     w.add_argument("--out", default=None)

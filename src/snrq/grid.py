@@ -84,9 +84,6 @@ class GridParams:
     zero_points: np.ndarray
     spec: GridSpec = field(default_factory=GridSpec)
 
-    def group_of(self, col: int) -> int:
-        return 0 if self.spec.group_size == 0 else col // self.spec.group_size
-
 
 def _fit_cells(vmin: np.ndarray, vmax: np.ndarray, spec: GridSpec) -> GridParams:
     """Scales and zero points for cells with the given value ranges."""
@@ -168,9 +165,9 @@ def column_grid(params: GridParams, cols: np.ndarray) -> tuple[np.ndarray, np.nd
 def levels(row: int, col: int, params: GridParams) -> np.ndarray:
     """All A = 2^bits dequantized values for one grid cell, ascending."""
     spec = params.spec
-    g = params.group_of(col)
+    scale, zero = column_grid(params, [col])
     codes = np.arange(spec.code_min, spec.code_max + 1)
-    return params.scales[row, g] * (codes - params.zero_points[row, g])
+    return scale[row, 0] * (codes - zero[row, 0])
 
 
 def dequantize(codes: np.ndarray, params: GridParams) -> np.ndarray:

@@ -21,9 +21,10 @@ from .errors import NonFinite, NotPositiveDefinite, ShapeMismatch
 __all__ = ["cholesky", "solve_lt", "solve_l", "solve_with_factor"]
 
 _BLOCK = 32
+_SYMMETRY_TOL = 1e-9  # largest |h - h^T| accepted, relative to max |h|
 
 
-def cholesky(h: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
+def cholesky(h: np.ndarray) -> np.ndarray:
     """Factor a symmetric positive-definite matrix as h = L L^T.
 
     The input is symmetrized (averaging away accumulation-order asymmetry,
@@ -32,7 +33,7 @@ def cholesky(h: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
 
     Raises:
         NonFinite: h contains NaN or Inf.
-        ShapeMismatch: h is not square, or asymmetric beyond ``rel_tol``.
+        ShapeMismatch: h is not square, or asymmetric beyond ``_SYMMETRY_TOL``.
         NotPositiveDefinite: a pivot <= 0 is encountered.
     """
     h = np.asarray(h, dtype=np.float64)
@@ -41,7 +42,7 @@ def cholesky(h: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeMismatch(f"cholesky needs a square matrix, got {h.shape}")
     scale = np.max(np.abs(h))
-    if scale > 0 and np.max(np.abs(h - h.T)) > rel_tol * scale:
+    if scale > 0 and np.max(np.abs(h - h.T)) > _SYMMETRY_TOL * scale:
         raise ShapeMismatch("cholesky input is not symmetric within tolerance")
 
     sym = 0.5 * (h + h.T)

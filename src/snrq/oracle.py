@@ -6,10 +6,11 @@ successive-rounding recursion one row and one column at a time, the CD
 reference scores every level of a coordinate by the full objective, the GPTAQ
 reference runs the left-to-right feedback loop with a least-squares solve
 per column, the column costs restate the levelwise proxy decomposition one
-column at a time, the alpha scan evaluates the raw objective on a grid, and
-the dithering experiment estimates variances by plain Monte Carlo against
-the closed forms. Helpers used only by the tests (``gamma_weight``) live
-here too.
+column at a time, the interpolated objective and both sides of its
+decomposition identity are computed from raw activations, the alpha scan
+evaluates that objective on a grid, and the dithering experiment estimates
+variances by plain Monte Carlo against the closed forms. Helpers used only
+by the tests (``gamma_weight``) live here too.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import AlphaStrategy, CalibBatch, objective_direct, sample_folded_alphas
-from .errors import BudgetExceeded, InvalidSpec
+from .calibration import AlphaStrategy, CalibBatch, sample_folded_alphas
+from .errors import BudgetExceeded, InvalidSpec, NonFinite, ShapeMismatch
 from .grid import (
     _DEGENERATE_SCALE, GridParams, GridSpec, column_grid, dequantize, levels, round_to_grid,
 )
-from .linalg import cholesky, solve_with_factor
 from .rng import SeededRng
 from .solvers import RoundResult, _unit_lower
 
@@ -40,6 +40,8 @@ __all__ = [
     "proxy_column_costs",
     "fit_grid_reference",
     "gptaq_reference",
+    "objective_direct",
+    "decomposition_check",
     "alpha_grid_scan",
     "gamma_weight",
     "dither_experiment",
@@ -60,6 +62,7 @@ class OracleResult:
     n_evaluated: int
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def exhaustive_row(
     r_upper: np.ndarray,
     y: np.ndarray,
@@ -70,10 +73,12 @@ def exhaustive_row(
 
     Candidates are visited in lexicographic order (last coordinate fastest),
     and only strict improvements are kept, so ties resolve to the
-    lexicographically smallest code vector.
+    lexicographically smallest code vector. A cost that overflows is inf
+    and never improves.
 
     Raises:
         BudgetExceeded: the candidate count exceeds ``budget``.
+        NonFinite: no candidate has a finite cost.
     """
     r_upper = np.asarray(r_upper, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -101,6 +106,8 @@ def exhaustive_row(
         if costs[k] < best_cost:
             best_cost = float(costs[k])
             best_codes = codes[k].copy()
+    if best_codes is None:
+        raise NonFinite("every candidate's cost ||R q - y||^2 overflows")
     best_values = np.array([level_arrays[j][best_codes[j]] for j in range(n)])
     return OracleResult(
         best_codes=best_codes.astype(np.int64),
@@ -238,7 +245,7 @@ def _trailing_solve(rhs: np.ndarray, x_tail: np.ndarray, damping_abs: float) -> 
     h_tail = x_tail @ x_tail.T
     if damping_abs > 0:
         h_tail = h_tail + damping_abs * np.eye(h_tail.shape[0])
-    return solve_with_factor(cholesky(h_tail), rhs @ x_tail.T)
+    return np.linalg.solve(h_tail, x_tail @ rhs.T).T
 
 
 def gptaq_reference(
@@ -299,8 +306,41 @@ def gptaq_reference(
     # report against the exact asymmetric objective residual
     resid = (q_deq - w) @ batch.xq - mismatch_scale * (w @ batch.delta)
     scores = np.sum(resid * resid, axis=1)
-    return RoundResult(codes=codes, q_dequant=q_deq, proxy_loss=float(np.sum(scores)),
-                       per_row_scores=scores)
+    return RoundResult(codes=codes, q_dequant=q_deq, per_row_scores=scores)
+
+
+def objective_direct(
+    w: np.ndarray, w_hat: np.ndarray, batch: CalibBatch, alpha: float
+) -> float:
+    """Exact interpolated objective from raw activations (ground truth)."""
+    w = np.asarray(w, dtype=np.float64)
+    w_hat = np.asarray(w_hat, dtype=np.float64)
+    if w.shape != w_hat.shape or w.shape[1] != batch.n_features:
+        raise ShapeMismatch(
+            f"w {w.shape}, w_hat {w_hat.shape}, batch features {batch.n_features}"
+        )
+    x_alpha = alpha * batch.xf + (1.0 - alpha) * batch.xq
+    r = w @ x_alpha - w_hat @ batch.xq
+    return float(np.sum(r * r))
+
+
+def decomposition_check(
+    w: np.ndarray, w_hat: np.ndarray, batch: CalibBatch, alpha: float
+) -> tuple[float, float, float]:
+    """Both sides of the interpolation identity, computed independently.
+
+    Returns (lhs, rhs, const_term) with
+    lhs  = direct objective at ``alpha``,
+    rhs  = a*L_asym + (1-a)*L_sym - a(1-a)*||w(xf-xq)||_F^2,
+    const_term = the subtracted cross term.
+    """
+    lhs = objective_direct(w, w_hat, batch, alpha)
+    l_asym = objective_direct(w, w_hat, batch, 1.0)
+    l_sym = objective_direct(w, w_hat, batch, 0.0)
+    u = np.asarray(w) @ batch.delta
+    const = alpha * (1.0 - alpha) * float(np.sum(u * u))
+    rhs = alpha * l_asym + (1.0 - alpha) * l_sym - const
+    return lhs, rhs, const
 
 
 @dataclass(frozen=True)

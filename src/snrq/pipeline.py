@@ -119,6 +119,8 @@ class NetworkConfig:
         else:
             require_int("depth", self.depth, 1)
             require_int("width", self.width, 1)
+        if self.weight_paths is not None:
+            object.__setattr__(self, "weight_paths", tuple(self.weight_paths))
 
     def layer_dims(self) -> tuple[int, ...]:
         if self.dims is not None:
@@ -177,10 +179,6 @@ class RunConfig:
             bad = set(sub) - allowed
             if bad:
                 raise InvalidSpec(f"unknown {name} config keys: {sorted(bad)}")
-            if "weight_paths" in sub and sub["weight_paths"] is not None:
-                sub["weight_paths"] = tuple(sub["weight_paths"])
-            if "dims" in sub and sub["dims"] is not None:
-                sub["dims"] = tuple(sub["dims"])
             kwargs[name] = cls(**sub)
         for scalar in ("damping", "gptaq_alpha", "seed", "out_dir"):
             if scalar in d:
@@ -294,7 +292,7 @@ def _alpha_for_layer(config: RunConfig, layer: int, prev) -> tuple[AlphaStrategy
     if strategy.mode == "closed_form":
         prev_result = (prev["w"], prev["q"], prev["batch"]) if layer > 0 and prev else None
         a = module_wise_alpha_schedule(prev_result, default_alpha=strategy.alpha_value)
-        return strategy.with_alpha(a), {"mode": "closed_form", "alpha_used": a}
+        return replace(strategy, alpha_value=a), {"mode": "closed_form", "alpha_used": a}
     if strategy.mode == "sampled":
         return strategy, {"mode": "sampled", "beta_lambda": strategy.beta_lambda}
     return strategy, {"mode": strategy.mode, "alpha_used": strategy.alpha_value}
@@ -408,8 +406,7 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
         xq = _carry(result.q_dequant, xq, last, net.nonlinearity)
         solve_ms = (time.perf_counter() - t_layer) * 1e3
 
-        row_scores = proxy_row_scores(result.q_dequant[:, fact.perm], m_alpha[:, fact.perm], fact.low)
-        proxy = float(np.sum(row_scores))
+        proxy = float(np.sum(proxy_row_scores(result.q_dequant, m_alpha, fact)))
         if strategy.mode == "sampled":
             alpha_summary = dict(alpha_summary, alpha_trace=_trace_summary(stats.alpha_trace))
         record = {

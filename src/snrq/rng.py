@@ -28,10 +28,6 @@ class SeededRng:
             np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
         )
 
-    def stream(self, stream_id: int) -> "SeededRng":
-        """Derive an independent sibling stream under the same seed."""
-        return SeededRng(self.seed, stream_id)
-
     def normal(self, size=None, loc: float = 0.0, scale: float = 1.0) -> np.ndarray:
         return self._gen.normal(loc=loc, scale=scale, size=size)
 

@@ -31,6 +31,9 @@ Other solvers:
   * rtn_round      nearest rounding, no error feedback (baseline)
   * cd_refine      cyclic exact single-coordinate re-optimization passes
 
+The one scorer of the proxy is :func:`proxy_row_scores`, which takes the
+layer's factor and returns ||(Q - T)[:, perm] L||^2 per row.
+
 Rows are independent problems. Every solver handles all rows of a layer in
 one vectorized pass: a column step is a few array operations over all rows
 (and beams), so a row's codes do not depend on which other rows share the
@@ -53,7 +56,6 @@ __all__ = [
     "SolverConfig",
     "RoundResult",
     "OrderedFactor",
-    "permutation_from_diag",
     "order_and_factor",
     "rtn_round",
     "snrq_greedy",
@@ -95,15 +97,18 @@ class RoundResult:
 
     ``codes`` are in original column order; ``q_dequant`` is exactly
     dequantize(codes). ``per_row_scores`` are the solver's accumulated row
-    objectives and sum to ``proxy_loss``. ``objective_trajectory`` is only
-    populated by :func:`cd_refine` when tracking is requested.
+    objectives; ``proxy_loss`` is their sum. :func:`cd_refine` sets
+    ``objective_trajectory``, the total objective along its updates.
     """
 
     codes: np.ndarray
     q_dequant: np.ndarray
-    proxy_loss: float
     per_row_scores: np.ndarray
     objective_trajectory: np.ndarray | None = None
+
+    @property
+    def proxy_loss(self) -> float:
+        return float(np.sum(self.per_row_scores))
 
 
 class OrderedFactor(NamedTuple):
@@ -113,22 +118,13 @@ class OrderedFactor(NamedTuple):
     low: np.ndarray
 
 
-def permutation_from_diag(h: np.ndarray) -> np.ndarray:
-    """Stable ascending sort of the diagonal; ties keep original order.
-
-    With reverse-order decoding, columns with the largest diagonal curvature
-    are decided first.
-    """
-    return np.argsort(np.diag(h), kind="stable")
-
-
 def order_and_factor(h: np.ndarray, cfg: SolverConfig) -> OrderedFactor:
     """Fix the decision order from diag(h) and ``cfg``, then factor h in it.
 
-    Under ``cfg.act_order`` the order is :func:`permutation_from_diag`;
-    otherwise it is the natural order, reversed for the left-to-right
-    ``gptq``/``gptaq`` so that column 0 is decided first. This is the only
-    factorization a layer makes.
+    Under ``cfg.act_order`` the order is a stable ascending sort of diag(h),
+    so the columns of largest curvature are decided first; otherwise it is
+    the natural order, reversed for the left-to-right ``gptq``/``gptaq`` so
+    that column 0 is decided first. This is the only factorization a layer makes.
 
     Raises:
         NotPositiveDefinite: h is not positive definite.
@@ -136,15 +132,15 @@ def order_and_factor(h: np.ndarray, cfg: SolverConfig) -> OrderedFactor:
     h = np.asarray(h, dtype=np.float64)
     perm = np.arange(h.shape[0])
     if cfg.act_order:
-        perm = permutation_from_diag(h)
+        perm = np.argsort(np.diag(h), kind="stable")
     elif cfg.solver in ("gptq", "gptaq"):
         perm = perm[::-1]
     return OrderedFactor(perm, cholesky(h[np.ix_(perm, perm)]))
 
 
-def proxy_row_scores(q_dequant: np.ndarray, m_ref: np.ndarray, l_chol: np.ndarray) -> np.ndarray:
-    """Independent recomputation of the exact row objectives ||(Q - M) L||^2."""
-    el = (q_dequant - m_ref) @ l_chol
+def proxy_row_scores(q_dequant: np.ndarray, m_ref: np.ndarray, fact: OrderedFactor) -> np.ndarray:
+    """Exact row objectives ||(Q - M)[:, perm] L||^2, recomputed from Q in original column order."""
+    el = (q_dequant - m_ref)[:, fact.perm] @ fact.low
     return np.sum(el * el, axis=1)
 
 
@@ -167,12 +163,10 @@ def _finish(codes_p, perm, params, scores) -> RoundResult:
     """Scatter permuted results back to original column order."""
     codes = np.empty_like(codes_p)
     codes[:, perm] = codes_p
-    scores = np.asarray(scores, dtype=np.float64)
     return RoundResult(
         codes=codes,
         q_dequant=dequantize(codes, params),
-        proxy_loss=float(np.sum(scores)),
-        per_row_scores=scores,
+        per_row_scores=np.asarray(scores, dtype=np.float64),
     )
 
 
@@ -181,26 +175,17 @@ def _finish(codes_p, perm, params, scores) -> RoundResult:
 # ---------------------------------------------------------------------------
 
 
-def rtn_round(
-    w: np.ndarray,
-    params: GridParams,
-    m_ref: np.ndarray | None = None,
-    fact: OrderedFactor | None = None,
-) -> RoundResult:
-    """Round-to-nearest baseline, no error feedback.
+def rtn_round(w: np.ndarray, params: GridParams, m_ref: np.ndarray, fact: OrderedFactor) -> RoundResult:
+    """Round-to-nearest baseline, no error feedback, scored against the proxy (m_ref, fact).
 
-    Scores are reported against the supplied proxy (m_ref, fact) when given,
-    otherwise against the plain weight-rounding error ||Q - w||^2 per row.
+    With ``m_ref = w`` and an identity factor the scores are the plain
+    weight-rounding error ||Q - w||^2 per row.
     """
     w = np.asarray(w, dtype=np.float64)
-    m, n = w.shape
+    n = w.shape[1]
     scale, zero = column_grid(params, np.arange(n))
     codes, values = round_to_grid(w, scale, zero, params.spec)
-    if m_ref is not None and fact is not None:
-        scores = proxy_row_scores(values[:, fact.perm], _ordered(m_ref, fact), fact.low)
-    else:
-        scores = np.sum((values - w) ** 2, axis=1)
-    return _finish(codes, np.arange(n), params, scores)
+    return _finish(codes, np.arange(n), params, proxy_row_scores(values, m_ref, fact))
 
 
 # ---------------------------------------------------------------------------
@@ -371,40 +356,33 @@ def cd_refine(
     fact: OrderedFactor,
     params: GridParams,
     passes: int,
-    record_trajectory: bool = False,
 ) -> RoundResult:
     """Cyclic exact single-coordinate re-optimization of a rounding result.
 
     Each coordinate update rounds the exact conditional center of the full
     quadratic with :func:`round_to_grid` and moves q_j to that level only
     when the move does not raise the objective, so the objective never
-    increases. Coordinates are swept in original column order. With
-    ``record_trajectory`` the total objective after every single-coordinate
-    update is returned on the result (index 0 is the starting value).
+    increases. Coordinates are swept in original column order. The result's
+    ``objective_trajectory`` holds the total objective after every update
+    (index 0 is the starting value); ``passes == 0`` returns ``result``.
     """
     if passes < 0:
         raise InvalidSpec(f"passes must be >= 0, got {passes}")
+    if passes == 0:
+        return result
     m_alpha = np.asarray(m_alpha, dtype=np.float64)
     n = m_alpha.shape[1]
     root = np.empty(fact.low.shape)  # C order: the sweep reads rows
     root[fact.perm] = fact.low  # H = root root^T in original column order
-    if passes == 0:
-        if record_trajectory:
-            start = proxy_row_scores(result.q_dequant, m_alpha, root)
-            return replace(result, objective_trajectory=np.array([float(np.sum(start))]))
-        return result
-
     h_diag = np.sum(root * root, axis=1)
     scale, zero = column_grid(params, np.arange(n))
 
     codes = result.codes.copy()
     values = result.q_dequant.copy()
-    scores = proxy_row_scores(values, m_alpha, root)
-    traj = np.empty(1 + passes * n) if record_trajectory else None
-    if traj is not None:
-        traj[0] = float(np.sum(scores))
-
     res = (values - m_alpha) @ root  # rowwise R q - y, R = root^T
+    scores = np.sum(res * res, axis=1)
+    traj = np.empty(1 + passes * n)
+    traj[0] = scores.sum()
     for p in range(passes):
         for j in range(n):
             q_j = values[:, j]
@@ -417,11 +395,10 @@ def cd_refine(
             scores += h_diag[j] * np.where(take, gain, 0.0)
             codes[take, j] = near_c[take]
             values[:, j] = new_v
-            if traj is not None:
-                traj[1 + p * n + j] = float(np.sum(scores))
+            traj[1 + p * n + j] = scores.sum()
     return replace(
-        result, codes=codes, q_dequant=dequantize(codes, params), proxy_loss=float(np.sum(scores)),
-        per_row_scores=scores, objective_trajectory=traj,
+        result, codes=codes, q_dequant=dequantize(codes, params), per_row_scores=scores,
+        objective_trajectory=traj,
     )
 
 
@@ -481,4 +458,4 @@ def gptaq_round(
     result = _successive_round(wp + mismatch_scale * (wp @ u), fact, params, cfg, 1, cfg.block_size)
     resid = (result.q_dequant - w) @ batch.xq - mismatch_scale * (w @ dx)
     scores = np.sum(resid * resid, axis=1)
-    return replace(result, proxy_loss=float(np.sum(scores)), per_row_scores=scores)
+    return replace(result, per_row_scores=scores)

@@ -21,12 +21,10 @@ from snrq import (
     cd_refine,
     cholesky,
     closed_form_alpha,
-    decomposition_check,
     fit_grid,
     gptaq_round,
     gptq_round,
     ksnrq_beam,
-    objective_direct,
     order_and_factor,
     rtn_round,
     shifted_target,
@@ -37,10 +35,12 @@ from snrq.grid import GridParams, levels
 from snrq.oracle import (
     DitherSetup,
     alpha_grid_scan,
+    decomposition_check,
     dither_experiment,
     exhaustive_row,
     gptaq_reference,
     greedy_reference,
+    objective_direct,
     proxy_column_costs,
     sample_folded_alphas,
 )
@@ -291,7 +291,7 @@ def test_c10_cd_monotonicity():
         fact = natural(cholesky(h))
         params = fit_grid(w, GridSpec(bits=3, symmetric=True))
         start = rtn_round(w, params, m_ref=w, fact=fact)
-        out = cd_refine(start, w, fact, params, passes=3, record_trajectory=True)
+        out = cd_refine(start, w, fact, params, passes=3)
         ok = ok and bool(np.all(np.diff(out.objective_trajectory) <= 0.0))
     # refinement cannot move a global optimum
     for _ in range(5):

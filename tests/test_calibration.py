@@ -12,13 +12,11 @@ from snrq import (
     SolverConfig,
     accumulate_stats,
     closed_form_alpha,
-    decomposition_check,
-    objective_direct,
     order_and_factor,
     shifted_target,
 )
 from snrq.calibration import sample_folded_alphas
-from snrq.oracle import gamma_weight
+from snrq.oracle import decomposition_check, gamma_weight, objective_direct
 
 from conftest import random_batch
 

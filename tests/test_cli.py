@@ -392,11 +392,12 @@ def _oracle_files(tmp_path, r, y):
     ([[1, 2, 3], [0, 1, 4]], [[1, 2]], "need an n x n R"),
     ([[2, 1], [0, 1]], [[1, 2, 3]], "need an n x n R"),
     ([[0, 1], [0, 1]], [[1, 2]], "--r-path"),
-], ids=["non-square-r", "wrong-y-length", "singular-r"])
+    ([[1e200, 0], [0, 1e200]], [[1e200, 1e200]], "overflows"),
+], ids=["non-square-r", "wrong-y-length", "singular-r", "overflowing-costs"])
 def test_oracle_bad_matrix_files_exit_2(tmp_path, capsys, r, y, message):
     code, out, err = run(capsys, *_oracle_files(tmp_path, r, y))
     assert code == 2
-    assert err.startswith("error:") and message in err
+    assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
     assert out == ""
 
 

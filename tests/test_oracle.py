@@ -1,10 +1,14 @@
 """Ground-truth machinery: enumeration, alpha scans, dithering Monte Carlo."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from snrq import BudgetExceeded, GridSpec, InvalidSpec, SeededRng, cholesky, fit_grid, snrq_greedy
+from snrq import (
+    BudgetExceeded, GridSpec, InvalidSpec, NonFinite, SeededRng, cholesky, fit_grid, snrq_greedy,
+)
 from snrq.grid import levels
 from snrq.oracle import (
     DitherSetup,
@@ -47,6 +51,15 @@ def test_exhaustive_tie_break_lexicographic():
 def test_exhaustive_budget():
     with pytest.raises(BudgetExceeded):
         exhaustive_row(np.eye(30), np.zeros(30), [np.array([0.0, 1.0])] * 30)
+
+
+def test_exhaustive_every_cost_overflowing_is_non_finite():
+    # every ||R q - y||^2 is inf, so no candidate can be the minimizer
+    r_upper = np.diag([1e200, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow itself is not reported as a warning
+        with pytest.raises(NonFinite, match="overflows"):
+            exhaustive_row(r_upper, np.array([1e200, 1e200]), [np.array([-1.0, 0.0, 0.5])] * 2)
 
 
 def test_exhaustive_beats_greedy(rng):

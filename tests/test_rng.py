@@ -25,11 +25,6 @@ def test_stream_independent_of_evaluation_order():
         assert np.array_equal(first[k], second[k])
 
 
-def test_stream_helper_equivalent_to_ctor():
-    root = SeededRng(5, 0)
-    assert np.array_equal(root.stream(11).uniform(size=8), SeededRng(5, 11).uniform(size=8))
-
-
 def test_beta_and_integers_reproducible():
     r1, r2 = SeededRng(1, 2), SeededRng(1, 2)
     assert np.array_equal(r1.beta(5.0, 5.0, size=32), r2.beta(5.0, 5.0, size=32))

@@ -19,7 +19,6 @@ from snrq import (
     gptq_round,
     ksnrq_beam,
     order_and_factor,
-    permutation_from_diag,
     rtn_round,
     snrq_greedy,
     snrq_lazy,
@@ -62,17 +61,17 @@ def layer_instance(rng, m=8, n=16, bits=3, ridge=None):
 
 def test_permutation_sorted_input_is_identity():
     h = np.diag([1.0, 2.0, 3.0])
-    assert np.array_equal(permutation_from_diag(h), [0, 1, 2])
+    assert np.array_equal(order_and_factor(h, SolverConfig()).perm, [0, 1, 2])
 
 
 def test_permutation_sorts_ascending():
     h = np.diag([3.0, 1.0, 2.0])
-    assert np.array_equal(permutation_from_diag(h), [1, 2, 0])
+    assert np.array_equal(order_and_factor(h, SolverConfig()).perm, [1, 2, 0])
 
 
 def test_permutation_stable_on_ties():
     h = np.diag([2.0, 2.0, 2.0])
-    assert np.array_equal(permutation_from_diag(h), [0, 1, 2])
+    assert np.array_equal(order_and_factor(h, SolverConfig()).perm, [0, 1, 2])
 
 
 # --- greedy -------------------------------------------------------------
@@ -83,7 +82,7 @@ def test_greedy_single_column(rng):
     l = np.array([[1.7]])
     params = fit_grid(w, GridSpec(bits=3, symmetric=True))
     res = snrq_greedy(w, natural(l), params, NO_PERM)
-    base = rtn_round(w, params)
+    base = rtn_round(w, params, w, natural(np.eye(w.shape[1])))
     assert np.array_equal(res.codes, base.codes)
     expected = 1.7 ** 2 * np.sum((w - res.q_dequant) ** 2)
     assert np.isclose(res.proxy_loss, expected, rtol=1e-12)
@@ -107,7 +106,7 @@ def test_greedy_diagonal_h_equals_rtn(rng):
     params = fit_grid(w, GridSpec(bits=3, symmetric=True))
     l = np.diag(rng.uniform(0.5, 2.0, size=10))
     res = snrq_greedy(w, natural(l), params, NO_PERM)
-    base = rtn_round(w, params)
+    base = rtn_round(w, params, w, natural(np.eye(w.shape[1])))
     assert np.array_equal(res.codes, base.codes)
 
 
@@ -115,10 +114,29 @@ def test_greedy_proxy_matches_recomputation(rng):
     for cfg in (NO_PERM, PERM):
         w, h, l, params = layer_instance(rng)
         res = snrq_greedy(w, order_and_factor(h, cfg), params, cfg)
-        rec = proxy_row_scores(res.q_dequant, w, l)  # natural-order factor
+        rec = proxy_row_scores(res.q_dequant, w, natural(l))
         assert np.allclose(res.per_row_scores, rec, rtol=1e-9)
         assert abs(res.proxy_loss - rec.sum()) <= 1e-9 * max(1.0, rec.sum())
         assert abs(res.per_row_scores.sum() - res.proxy_loss) <= 1e-9 * max(1.0, res.proxy_loss)
+
+
+def test_proxy_row_scores_gathers_columns_in_factor_order(rng):
+    # subtracting before the gather gives the same floats as subtracting gathered columns
+    w, h, l, params = layer_instance(rng, m=6, n=12)
+    h[np.diag_indices(12)] += np.linspace(0, 5, 12)[::-1]  # act_order permutes
+    fact = order_and_factor(h, PERM)
+    assert not np.array_equal(fact.perm, np.arange(12))
+    q = snrq_greedy(w, fact, params, PERM).q_dequant
+    el = (q[:, fact.perm] - w[:, fact.perm]) @ fact.low
+    assert np.array_equal(proxy_row_scores(q, w, fact), np.sum(el * el, axis=1))
+
+
+def test_rtn_scores_with_identity_factor_are_weight_error(rng):
+    # m_ref = w and L = I score the plain weight-rounding error, bit for bit
+    w = rng.normal(size=(7, 12)) * np.repeat([1.0, 30.0, 0.01], 4)[None, :]
+    params = fit_grid(w, GridSpec(bits=3, symmetric=False, group_size=4))
+    res = rtn_round(w, params, w, natural(np.eye(12)))
+    assert np.array_equal(res.per_row_scores, np.sum((res.q_dequant - w) ** 2, axis=1))
 
 
 def test_columnwise_decomposition_identity(rng):
@@ -246,7 +264,7 @@ def test_beam_score_matches_recomputed_row_objective(rng):
     w, h, l, params = layer_instance(rng, m=6, n=12)
     for k in (1, 2, 4):
         res = ksnrq_beam(w, natural(l), params, SolverConfig(act_order=False, beam_width=k))
-        rec = proxy_row_scores(res.q_dequant, w, l)
+        rec = proxy_row_scores(res.q_dequant, w, natural(l))
         assert np.allclose(res.per_row_scores, rec, rtol=1e-9, atol=1e-12)
 
 
@@ -323,10 +341,10 @@ def test_cd_monotone_trajectory(rng):
     for _ in range(10):
         w, h, l, params = layer_instance(rng, m=4, n=10)
         res = rtn_round(w, params, m_ref=w, fact=natural(l))
-        out = cd_refine(res, w, natural(l), params, passes=3, record_trajectory=True)
+        out = cd_refine(res, w, natural(l), params, passes=3)
         traj = out.objective_trajectory
         assert np.all(np.diff(traj) <= 1e-15)
-        rec = proxy_row_scores(out.q_dequant, w, l).sum()
+        rec = proxy_row_scores(out.q_dequant, w, natural(l)).sum()
         assert abs(traj[-1] - rec) <= 1e-9 * max(1.0, rec)
 
 
@@ -346,7 +364,7 @@ def test_cd_on_greedy_suboptimal_instance():
     l = np.array([[1.0, 0.0], [0.6, 1.0]])
     m_row = np.linalg.solve(l.T, np.array([1.0, 0.5]))[None, :]
     greedy = snrq_greedy(m_row, natural(l), grid_01(), NO_PERM)
-    out = cd_refine(greedy, m_row, natural(l), grid_01(), passes=1, record_trajectory=True)
+    out = cd_refine(greedy, m_row, natural(l), grid_01(), passes=1)
     assert out.proxy_loss <= 0.41 + 1e-12
     assert np.all(np.diff(out.objective_trajectory) <= 1e-15)
 
@@ -375,7 +393,7 @@ def test_cd_matches_reference(rng):
         target = np.array([row])
         for codes in ([[0, 0]], [[3, 3]], [[0, 3]]):
             codes = np.array(codes, dtype=np.int32)
-            start = RoundResult(codes, dequantize(codes, grid_01()), 0.0, np.zeros(1))
+            start = RoundResult(codes, dequantize(codes, grid_01()), np.zeros(1))
             out = cd_refine(start, target, natural(np.eye(2)), grid_01(), passes=2)
             ref = cd_reference(codes, target, natural(np.eye(2)), grid_01(), passes=2)
             assert np.array_equal(out.codes, ref)
@@ -390,14 +408,14 @@ def test_gptq_diagonal_h_is_rtn(rng):
     h = np.diag(rng.uniform(0.5, 3.0, size=9))
     params = fit_grid(w, GridSpec(bits=3, symmetric=True))
     res = gptq_round(w, gptq_factor(h, NO_PERM), params, NO_PERM)
-    base = rtn_round(w, params)
+    base = rtn_round(w, params, w, natural(np.eye(w.shape[1])))
     assert np.array_equal(res.codes, base.codes)
 
 
 def test_gptq_single_column(rng):
     w = rng.normal(size=(4, 1))
     res = gptq_round(w, gptq_factor(np.array([[2.0]]), NO_PERM), fit_grid(w, GridSpec(bits=3)), NO_PERM)
-    base = rtn_round(w, fit_grid(w, GridSpec(bits=3)))
+    base = rtn_round(w, fit_grid(w, GridSpec(bits=3)), w, natural(np.eye(1)))
     assert np.array_equal(res.codes, base.codes)
 
 
@@ -525,5 +543,5 @@ def test_oracle_lower_bounds_every_solver(rng):
             ksnrq_beam(w, natural(l), params, SolverConfig(act_order=False, beam_width=3)),
             gptq_round(w, gptq_factor(h, NO_PERM), params, NO_PERM),
         ):
-            rec = proxy_row_scores(res.q_dequant, w, l).sum()
+            rec = proxy_row_scores(res.q_dequant, w, natural(l)).sum()
             assert orc.best_cost <= rec + tol
