@@ -7,7 +7,7 @@ first pivot <= 0 and raises :class:`NotPositiveDefinite` with its index and
 value. The right-solves by L^T and L run over blocks of ``_BLOCK`` columns:
 the off-diagonal updates are matrix products, and each diagonal block is
 applied through its inverse; all the block inverses come from one batched
-``np.linalg.inv`` call.
+``np.linalg.inv`` call, made once for both passes of a two-sided solve.
 """
 
 from __future__ import annotations
@@ -85,9 +85,14 @@ def _diagonal_inverses(low: np.ndarray) -> np.ndarray:
     return np.linalg.inv(blocks)
 
 
-def solve_lt(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Right-divide by L^T: returns b L^{-T} for lower-triangular L, left to right."""
-    inv = _diagonal_inverses(low)
+def solve_lt(low: np.ndarray, b: np.ndarray, inv: np.ndarray | None = None) -> np.ndarray:
+    """Right-divide by L^T: returns b L^{-T} for lower-triangular L, left to right.
+
+    ``inv`` is ``_diagonal_inverses(low)``, for a caller that solves with the
+    same L more than once; it is computed here when not given.
+    """
+    if inv is None:
+        inv = _diagonal_inverses(low)
     x = np.array(b, dtype=np.float64)
     n = low.shape[0]
     for s in range(0, n, _BLOCK):
@@ -96,9 +101,13 @@ def solve_lt(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_l(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Right-divide by L: returns b L^{-1} for lower-triangular L, right to left."""
-    inv = _diagonal_inverses(low)
+def solve_l(low: np.ndarray, b: np.ndarray, inv: np.ndarray | None = None) -> np.ndarray:
+    """Right-divide by L: returns b L^{-1} for lower-triangular L, right to left.
+
+    ``inv`` is as for :func:`solve_lt`.
+    """
+    if inv is None:
+        inv = _diagonal_inverses(low)
     x = np.array(b, dtype=np.float64)
     n = low.shape[0]
     for s in reversed(range(0, n, _BLOCK)):
@@ -109,4 +118,5 @@ def solve_l(low: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def solve_with_factor(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Right-divide by the factored matrix: returns b (LL^T)^{-1}."""
-    return solve_l(low, solve_lt(low, b))
+    inv = _diagonal_inverses(low)
+    return solve_l(low, solve_lt(low, b, inv), inv)

@@ -1,8 +1,9 @@
 """Independent ground-truth machinery.
 
 Nothing here shares code paths with the solvers it checks: the exhaustive
-search enumerates every candidate, the greedy reference restates the
-successive-rounding recursion one row and one column at a time, the CD
+search enumerates every candidate, the greedy and beam references restate
+the successive-rounding recursion one row and one column at a time (the
+beam one expanding each beam by 2K - 1 codes around its nearest one), the CD
 reference scores every level of a coordinate by the full objective, the GPTAQ
 reference runs the left-to-right feedback loop with a least-squares solve
 per column, the column costs restate the levelwise proxy decomposition one
@@ -27,7 +28,7 @@ from .grid import (
     _DEGENERATE_SCALE, GridParams, GridSpec, column_grid, dequantize, levels, round_to_grid,
 )
 from .rng import SeededRng
-from .solvers import RoundResult, _unit_lower
+from .solvers import RoundResult
 
 __all__ = [
     "OracleResult",
@@ -36,6 +37,7 @@ __all__ = [
     "AlphaScan",
     "exhaustive_row",
     "greedy_reference",
+    "beam_reference",
     "cd_reference",
     "proxy_column_costs",
     "fit_grid_reference",
@@ -150,6 +152,53 @@ def greedy_reference(
     return codes
 
 
+def beam_reference(m_target: np.ndarray, fact, params: GridParams, k: int) -> np.ndarray:
+    """K-best beam codes, unblocked, one row and one column at a time.
+
+    Columns are decided in the reverse of the factor's order ``fact.perm``.
+    Each beam's center is c_t = T_t + sum_{s>t} (T_s - Q_s) L_st / L_tt; the
+    beam is expanded by its nearest level (ties toward the larger code) and
+    the min(K, A) - 1 levels on either side, where a level off the grid
+    scores +inf. A candidate scores its parent's score plus L_tt^2 (c - v)^2,
+    and a stable sort of the (parent, level) candidates keeps the K best,
+    ties toward the lower (parent, level). Returns the codes of each row's
+    best beam (the first on ties) in original column order.
+    """
+    perm, low = fact
+    m_target = np.asarray(m_target, dtype=np.float64)
+    m, n = m_target.shape
+    spec = params.spec
+    reach = min(k, spec.num_levels) - 1
+    offsets = np.arange(-reach, reach + 1)
+    cost = np.diag(low) ** 2
+    codes = np.empty((m, n), dtype=np.int64)
+    for i in range(m):
+        target = m_target[i, perm]
+        scores = np.full(k, np.inf)
+        scores[0] = 0.0
+        q = np.zeros((k, n))
+        idx = np.zeros((k, n), dtype=np.int64)  # level index per beam and column
+        for t in range(n - 1, -1, -1):
+            lv = levels(i, int(perm[t]), params)
+            center = target[t] + (target[t + 1:] - q[:, t + 1:]) @ low[t + 1:, t] / low[t, t]
+            cand = np.empty((k, len(offsets)), dtype=np.int64)
+            for b in range(k):
+                dist = np.abs(lv - center[b])
+                cand[b] = int(np.flatnonzero(dist == dist.min())[-1]) + offsets
+            on_grid = (cand >= 0) & (cand < len(lv))
+            vals = lv[np.clip(cand, 0, len(lv) - 1)]
+            cand_s = scores[:, None] + cost[t] * (center[:, None] - vals) ** 2
+            cand_s[~on_grid] = np.inf
+            keep = np.argsort(cand_s.ravel(), kind="stable")[:k]
+            parent = keep // len(offsets)
+            scores = cand_s.ravel()[keep]
+            q, idx = q[parent], idx[parent]
+            q[:, t] = vals.ravel()[keep]
+            idx[:, t] = cand.ravel()[keep]
+        codes[i, perm] = spec.code_min + idx[int(np.argmin(scores))]
+    return codes
+
+
 def cd_reference(codes, m_target, fact, params: GridParams, passes: int) -> np.ndarray:
     """Coordinate-descent codes, one row and one coordinate at a time.
 
@@ -176,7 +225,7 @@ def cd_reference(codes, m_target, fact, params: GridParams, passes: int) -> np.n
 def proxy_column_costs(e: np.ndarray, l_chol: np.ndarray) -> np.ndarray:
     """Levelwise decomposition terms L_jj^2 ||E_j + sum_{k>j} E_k L_kj/L_jj||^2."""
     n = l_chol.shape[0]
-    lu = _unit_lower(l_chol)
+    lu = l_chol / np.diag(l_chol)[None, :] - np.eye(n)  # unit lower factor minus the identity
     out = np.empty(n)
     for j in range(n):
         v = e[:, j] + e[:, j + 1:] @ lu[j + 1:, j]

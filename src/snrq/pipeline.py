@@ -323,7 +323,7 @@ def _solve_layer(
     else:  # pragma: no cover - guarded by SolverConfig validation
         raise InvalidSpec(f"unknown solver {name!r}")
     if cfg.cd_passes > 0:
-        result = cd_refine(result, m_alpha, fact, params, cfg.cd_passes)
+        result = cd_refine(result, m_alpha, fact, params, cfg.cd_passes, cfg.block_size)
     return result
 
 

@@ -21,7 +21,9 @@ never changes a decision). Its entry points differ in (K, B) and the target:
                    rounding of the center
   * snrq_lazy      the same function as snrq_greedy, kept as a config name
   * ksnrq_beam     (beam_width, block_size): K-best beam search under the exact
-                   accumulated branch metrics
+                   accumulated branch metrics; each beam is expanded by a
+                   window of min(K + 1, A) codes found in closed form from
+                   its center, which holds every code that can survive
   * gptq_round     (1, block_size) on the weights W: classic left-to-right
                    error feedback makes exactly these decisions
   * gptaq_round    (1, block_size) on W shifted by the single-component
@@ -29,7 +31,11 @@ never changes a decision). Its entry points differ in (K, B) and the target:
 
 Other solvers:
   * rtn_round      nearest rounding, no error feedback (baseline)
-  * cd_refine      cyclic exact single-coordinate re-optimization passes
+  * cd_refine      cyclic exact single-coordinate re-optimization passes on
+                   the gradient G = (Q - M) H, blocked like the kernel: moves
+                   inside a block of block_size coordinates update only the
+                   block's columns of G, and one matrix product the rest;
+                   a pass that moves nothing ends the refinement
 
 The one scorer of the proxy is :func:`proxy_row_scores`, which takes the
 layer's factor and returns ||(Q - T)[:, perm] L||^2 per row.
@@ -50,7 +56,8 @@ import numpy as np
 from .calibration import CalibBatch
 from .errors import InvalidSpec, MemoryBudget, require_bool, require_int
 from .grid import GridParams, column_grid, dequantize, round_to_grid
-from .linalg import cholesky, solve_l, solve_lt, solve_with_factor  # solve_with_factor: perfbench tracer only
+# solve_with_factor: perfbench tracer only
+from .linalg import _diagonal_inverses, cholesky, solve_l, solve_lt, solve_with_factor
 
 __all__ = [
     "SolverConfig",
@@ -200,42 +207,59 @@ def _kernel_bytes(m: int, n: int, k: int, bsz: int, n_levels: int) -> int:
     grid (12 B) and the permuted codes (4 B), alive throughout, plus the
     scattered codes and dequantization at the end (28 B); per n x n entry:
     the unit-lower factor and its two temporaries (24 B). All m*K beams are
-    live at once; per beam: the repeated target and difference/code tails
-    (20 B x n) plus one tail-sized temporary (8 B x n); the block buffers,
-    correction and their row gathers (40 B x B); and the candidate arrays
-    with their sort order (32 B x W, W = 2 min(K, A) - 1).
+    live at once; per beam: the difference/code tails (12 B x n) plus the
+    tail-sized temporary of the end-of-block ancestor gather (8 B x n); the
+    block buffers, correction and their row gathers (32 B x B); the
+    candidate values, scores and sort order (24 B x W, W = min(K, A) + 1);
+    and 64 B of per-beam vectors.
     """
     b = min(bsz, n)
-    width = 2 * min(k, n_levels) - 1
-    return m * n * 52 + n * n * 24 + m * k * (28 * n + 40 * b + 32 * width + 64)
+    width = min(k, n_levels) + 1
+    return m * n * 52 + n * n * 24 + m * k * (20 * n + 32 * b + 24 * width + 64)
 
 
-def _keep_best(s, center, near_c, scale, zero, cost, offsets, spec):
-    """Expand K beams by the codes near their centers and keep the K best.
+def _keep_best(s, center, scale, zero, cost, spec):
+    """Expand K beams by a window of codes around their centers and keep the K best.
 
-    Returns the survivors' (scores, parents, values, codes), each r x K; the
-    candidate arrays are freed on return.
+    With kk = min(K, A), each beam scores the w = min(kk + 1, A) codes from
+    lo = floor(x - kk/2 + 1/2), x = center / scale + zero, clamped into the
+    grid. A candidate's score is a valley in its code, so a beam's kk best
+    codes by (score, level) form a window that starts at lo or lo + 1; the w
+    codes hold both, and one stable sort of the (parent, level) candidates
+    keeps the K best, ties toward the lower (parent, level).
+
+    Returns the survivors' (scores, parents, values, codes), each r x K, the
+    codes as integral floats; the candidate arrays are freed on return.
     """
     r, k = s.shape
-    cand_c = near_c[:, :, None] + offsets
-    cand_v = scale[:, :, None] * (cand_c - zero[:, :, None])
-    cand_s = s[:, :, None] + cost * (center[:, :, None] - cand_v) ** 2
-    cand_s[(cand_c < spec.code_min) | (cand_c > spec.code_max)] = np.inf
+    kk = min(k, spec.num_levels)
+    w = min(kk + 1, spec.num_levels)
+    lo = np.floor(center / scale + zero - kk / 2 + 0.5)
+    np.minimum(lo, spec.code_max - w + 1, out=lo)
+    np.maximum(lo, spec.code_min, out=lo)
+    cand_v = scale[:, :, None] * ((lo - zero)[:, :, None] + np.arange(w))
+    cand_s = center[:, :, None] - cand_v
+    cand_s *= cand_s
+    cand_s *= cost
+    cand_s += s[:, :, None]  # s + cost (c - v)^2, as for K = 1
     order = np.argsort(cand_s.reshape(r, -1), axis=1, kind="stable")[:, :k]
-    flat = order + np.arange(r)[:, None] * cand_s[0].size  # flat index of each survivor
-    return cand_s.ravel()[flat], order // len(offsets), cand_v.ravel()[flat], cand_c.ravel()[flat]
+    rows = np.arange(r)[:, None]
+    parent, offset = np.divmod(order, w)
+    flat = order + rows * (k * w)  # flat index of each survivor
+    return cand_s.ravel()[flat], parent, cand_v.ravel()[flat], lo[rows, parent] + offset
 
 
 def _successive_round(mp, fact, params, cfg, k, bsz) -> RoundResult:
     """Reverse-order successive rounding with K beams and blocks of B columns.
 
     ``mp`` is the target with its columns in the decision order of ``fact``.
-    Per row, K partial assignments survive. Column t expands each beam by its
-    nearest code (one :func:`round_to_grid` of the interference-cancelled
-    center) and the K-1 codes on either side; codes outside the grid score
-    +inf. A candidate scores its parent's score plus L_tt^2 (c - v)^2, and a
-    stable sort keeps the K best, ties toward the lower (parent, level). With
-    K = 1 the nearest code is the only candidate, so the sort is skipped.
+    Per row, K partial assignments survive. A candidate scores its parent's
+    score plus L_tt^2 (c - v)^2 for the interference-cancelled center c. With
+    K = 1 the only candidate is the nearest code (one :func:`round_to_grid`
+    of c, ties toward the larger code), so nothing is sorted. With K > 1
+    each beam is expanded by a window of min(K + 1, A) codes around its
+    center, found in closed form, and a stable sort keeps the K best, ties
+    toward the lower (parent, level) (see :func:`_keep_best`).
 
     All rows run in one pass. Beams are flattened into (m*K) x columns
     arrays, beam b of row i at i*K + b, so that centers and the cross-block
@@ -261,14 +285,11 @@ def _successive_round(mp, fact, params, cfg, k, bsz) -> RoundResult:
     lu = _unit_lower(low)
     ldiag_sq = np.diag(low) ** 2
     scale_p, zero_p = column_grid(params, perm)
-    reach = min(k, spec.num_levels) - 1
-    offsets = np.arange(-reach, reach + 1, dtype=np.int32)
 
-    mk = np.repeat(mp, k, axis=0)  # row i's target at flat beams i*K .. i*K+K-1
     base = np.arange(m)[:, None] * k
     s = np.full((m, k), np.inf)
     s[:, 0] = 0.0
-    tail_d = np.zeros((m * k, n))  # decided columns' T - Q
+    tail_d = np.zeros((m * k, n))  # decided columns' T - Q, beam b of row i at i*K + b
     tail_c = np.zeros((m * k, n), dtype=np.int32)
     i = n
     while i > 0:
@@ -280,20 +301,19 @@ def _successive_round(mp, fact, params, cfg, k, bsz) -> RoundResult:
         anc = np.arange(m * k)  # block-start beam of each survivor
         for j in range(width - 1, -1, -1):
             t = start + j
-            center = mk[:, t] + bd[:, j + 1:] @ lu[t + 1:i, t]
+            target = mp[:, t, None]
+            center = (bd[:, j + 1:] @ lu[t + 1:i, t]).reshape(m, k) + target
             if t_corr is not None:
-                center += t_corr[:, j] if k == 1 else t_corr[anc, j]
-            center = center.reshape(m, k)
+                center += (t_corr[:, j] if k == 1 else t_corr[anc, j]).reshape(m, k)
             sc, zc = scale_p[:, t, None], zero_p[:, t, None]
-            near_c, near_v = round_to_grid(center, sc, zc, spec)
             if k == 1:
-                s += ldiag_sq[t] * (center - near_v) ** 2
-                bd[:, j], bc[:, j] = mk[:, t] - near_v[:, 0], near_c[:, 0]
-                continue
-            s, parent, v_j, c_j = _keep_best(s, center, near_c, sc, zc, ldiag_sq[t], offsets, spec)
-            src = (base + parent).ravel()
-            anc, bd, bc = anc[src], bd[src], bc[src]
-            bd[:, j], bc[:, j] = mk[:, t] - v_j.ravel(), c_j.ravel()
+                c_j, v_j = round_to_grid(center, sc, zc, spec)
+                s += ldiag_sq[t] * (center - v_j) ** 2
+            else:
+                s, parent, v_j, c_j = _keep_best(s, center, sc, zc, ldiag_sq[t], spec)
+                src = (base + parent).ravel()
+                anc, bd, bc = anc[src], bd[src], bc[src]
+            bd[:, j], bc[:, j] = (target - v_j).ravel(), c_j.ravel()
         if k > 1 and i < n:
             tail_d[:, i:] = tail_d[anc, i:]
             tail_c[:, i:] = tail_c[anc, i:]
@@ -301,7 +321,7 @@ def _successive_round(mp, fact, params, cfg, k, bsz) -> RoundResult:
         tail_c[:, start:i] = bc
         i = start
     codes_p = tail_c[base[:, 0] + np.argmin(s, axis=1)]
-    del mk, tail_d, tail_c  # free the beam state before _finish allocates, as _kernel_bytes assumes
+    del tail_d, tail_c  # free the beam state before _finish allocates, as _kernel_bytes assumes
     return _finish(codes_p, perm, params, np.min(s, axis=1))
 
 
@@ -356,24 +376,36 @@ def cd_refine(
     fact: OrderedFactor,
     params: GridParams,
     passes: int,
+    block_size: int,
 ) -> RoundResult:
     """Cyclic exact single-coordinate re-optimization of a rounding result.
 
-    Each coordinate update rounds the exact conditional center of the full
-    quadratic with :func:`round_to_grid` and moves q_j to that level only
-    when the move does not raise the objective, so the objective never
-    increases. Coordinates are swept in original column order. The result's
-    ``objective_trajectory`` holds the total objective after every update
-    (index 0 is the starting value); ``passes == 0`` returns ``result``.
+    Each coordinate update rounds the exact conditional center
+    q_j - G_j / H_jj, G = (Q - M) H, with :func:`round_to_grid` and moves
+    q_j to that level only when the move does not raise the objective, so
+    the objective never increases. Coordinates are swept in original column
+    order, in blocks of ``block_size``: inside a block a move updates only
+    the block's columns of its row of G, and one matrix product applies the
+    block's moves to all of G afterwards. Rows are independent, and most
+    visits move nothing, which changes no array: so each row's centers are
+    computed for the whole block at once, and after a row's first move only
+    that row is visited again, from the next coordinate on. A pass that
+    moves nothing ends the refinement. The result's ``objective_trajectory``
+    holds the total objective after every update (index 0 is the starting
+    value; skipped passes repeat the last value); ``passes == 0`` returns
+    ``result``.
     """
     if passes < 0:
         raise InvalidSpec(f"passes must be >= 0, got {passes}")
+    if block_size < 1:
+        raise InvalidSpec(f"block_size must be >= 1, got {block_size}")
     if passes == 0:
         return result
     m_alpha = np.asarray(m_alpha, dtype=np.float64)
-    n = m_alpha.shape[1]
-    root = np.empty(fact.low.shape)  # C order: the sweep reads rows
+    m, n = m_alpha.shape
+    root = np.empty(fact.low.shape)
     root[fact.perm] = fact.low  # H = root root^T in original column order
+    h = root @ root.T
     h_diag = np.sum(root * root, axis=1)
     scale, zero = column_grid(params, np.arange(n))
 
@@ -381,21 +413,55 @@ def cd_refine(
     values = result.q_dequant.copy()
     res = (values - m_alpha) @ root  # rowwise R q - y, R = root^T
     scores = np.sum(res * res, axis=1)
+    grad = res @ root.T  # G = (Q - M) H
     traj = np.empty(1 + passes * n)
     traj[0] = scores.sum()
     for p in range(passes):
-        for j in range(n):
-            q_j = values[:, j]
-            center = q_j - (res @ root[j]) / h_diag[j]
-            near_c, near_v = round_to_grid(center, scale[:, j], zero[:, j], params.spec)
-            gain = (near_v - center) ** 2 - (q_j - center) ** 2
-            take = gain <= 0.0  # a pick one ulp worse than q_j keeps q_j
-            new_v = np.where(take, near_v, q_j)
-            res += (new_v - q_j)[:, None] * root[j][None, :]
-            scores += h_diag[j] * np.where(take, gain, 0.0)
-            codes[take, j] = near_c[take]
-            values[:, j] = new_v
-            traj[1 + p * n + j] = scores.sum()
+        moved = False
+        for b0 in range(0, n, block_size):
+            blk = slice(b0, min(b0 + block_size, n))
+            g = grad[:, blk].copy()
+            step = np.zeros(g.shape)
+            running = scores.copy()
+            ev_cols, ev_rows, ev_scores = [], [], []  # each move: column, row, score after it
+            rows = np.arange(m)  # rows to scan, each from its block column ``after`` on
+            after = np.zeros(m, dtype=np.intp)
+            while True:
+                q = values[rows, blk]
+                center = q - g[rows] / h_diag[blk]
+                near_c, near_v = round_to_grid(center, scale[rows, blk], zero[rows, blk], params.spec)
+                gain = (near_v - center) ** 2 - (q - center) ** 2
+                # a move does not raise the objective and changes the level; a pick
+                # one ulp worse than q_j keeps q_j
+                move = (gain <= 0.0) & (near_v != q) & (np.arange(g.shape[1]) >= after[:, None])
+                hit = np.flatnonzero(move.any(axis=1))
+                if not hit.size:
+                    break
+                after = move[hit].argmax(axis=1)  # each moving row's first move
+                rows, j = rows[hit], b0 + after
+                step[rows, after] = near_v[hit, after] - q[hit, after]
+                g[rows] += step[rows, after, None] * h[j, blk]
+                scores[rows] += h_diag[j] * gain[hit, after]
+                codes[rows, j] = near_c[hit, after]
+                values[rows, j] = near_v[hit, after]
+                ev_cols.append(j)
+                ev_rows.append(rows)
+                ev_scores.append(scores[rows])
+                after = after + 1
+            # the objective after each update of the block: the scores change only at moves
+            out = traj[1 + p * n + b0:1 + p * n + blk.stop]
+            out[:] = traj[p * n + b0]
+            if ev_cols:
+                ev_cols, ev_rows, ev_scores = map(np.concatenate, (ev_cols, ev_rows, ev_scores))
+                for c in np.unique(ev_cols):
+                    at = ev_cols == c
+                    running[ev_rows[at]] = ev_scores[at]
+                    out[c - b0:] = running.sum()
+                grad += step @ h[blk]
+                moved = True
+        if not moved:
+            traj[1 + (p + 1) * n:] = traj[(p + 1) * n]
+            break
     return replace(
         result, codes=codes, q_dequant=dequantize(codes, params), per_row_scores=scores,
         objective_trajectory=traj,
@@ -445,7 +511,8 @@ def gptaq_round(
     :func:`gptq_round` on W + mismatch_scale * W U, U strictly upper with row
     q equal to D[q, q+1:] H[q+1:, q+1:]^{-1}. Those trailing blocks of H are
     leading blocks of the one factor (which is in the reverse order), so U
-    costs two triangular solves. Scores are the exact asymmetric objective.
+    costs two triangular solves, which share one set of block inverses.
+    Scores are the exact asymmetric objective.
     """
     w = np.asarray(w, dtype=np.float64)
     perm, low = fact
@@ -453,8 +520,8 @@ def gptaq_round(
     dx = batch.delta
     # kernel order: U is strictly lower, row i = D[i, :i] (L_i L_i^T)^{-1} with L_i = low[:i, :i]
     d = np.tril((dx @ batch.xq.T)[np.ix_(perm, perm)], -1)
-    z = np.tril(solve_lt(low, d), -1)
-    u = solve_l(low, z)
+    inv = _diagonal_inverses(low)
+    u = solve_l(low, np.tril(solve_lt(low, d, inv), -1), inv)
     result = _successive_round(wp + mismatch_scale * (wp @ u), fact, params, cfg, 1, cfg.block_size)
     resid = (result.q_dequant - w) @ batch.xq - mismatch_scale * (w @ dx)
     scores = np.sum(resid * resid, axis=1)

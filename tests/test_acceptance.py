@@ -291,7 +291,7 @@ def test_c10_cd_monotonicity():
         fact = natural(cholesky(h))
         params = fit_grid(w, GridSpec(bits=3, symmetric=True))
         start = rtn_round(w, params, m_ref=w, fact=fact)
-        out = cd_refine(start, w, fact, params, passes=3)
+        out = cd_refine(start, w, fact, params, passes=3, block_size=4)
         ok = ok and bool(np.all(np.diff(out.objective_trajectory) <= 0.0))
     # refinement cannot move a global optimum
     for _ in range(5):
@@ -301,7 +301,7 @@ def test_c10_cd_monotonicity():
         fact = natural(cholesky(h))
         params = fit_grid(w, GridSpec(bits=2, symmetric=True))
         sat = ksnrq_beam(w, fact, params, SolverConfig(act_order=False, beam_width=4 ** n))
-        refined = cd_refine(sat, w, fact, params, passes=3)
+        refined = cd_refine(sat, w, fact, params, passes=3, block_size=4)
         ok = ok and np.array_equal(refined.codes, sat.codes)
     report_line("C10", ok, "CD objective non-increasing per update, optimum is a fixed point", t0)
     assert ok

@@ -6,7 +6,8 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from snrq import NotPositiveDefinite, ShapeMismatch, cholesky
-from snrq.linalg import solve_l, solve_lt, solve_with_factor
+from snrq import linalg
+from snrq.linalg import _diagonal_inverses, solve_l, solve_lt, solve_with_factor
 
 from conftest import random_spd
 
@@ -83,6 +84,24 @@ def test_solve_with_factor_matches_solve(rng):
     b = rng.normal(size=(2, 6))
     expected = np.linalg.solve(h, b.T).T  # h is symmetric: Y h = b
     assert np.allclose(solve_with_factor(cholesky(h), b), expected, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 97])
+def test_solve_with_factor_shares_block_inverses(rng, n, monkeypatch):
+    # both passes apply the same block inverses, computed once: the result is
+    # bit-identical to the two one-sided solves, which each compute their own
+    low = cholesky(random_spd(rng, n))
+    b = rng.normal(size=(5, n))
+    expected = solve_l(low, solve_lt(low, b))
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return _diagonal_inverses(a)
+
+    monkeypatch.setattr(linalg, "_diagonal_inverses", counted)
+    assert np.array_equal(solve_with_factor(low, b), expected)
+    assert calls == [n]
 
 
 def rank_deficient_gram(rng, n, damping):

@@ -9,6 +9,7 @@ from snrq import (
     AlphaStrategy,
     CalibBatch,
     GridSpec,
+    InvalidSpec,
     MemoryBudget,
     SolverConfig,
     accumulate_stats,
@@ -23,9 +24,11 @@ from snrq import (
     snrq_greedy,
     snrq_lazy,
 )
-from snrq.grid import GridParams, dequantize, levels
+from snrq import solvers
+from snrq.grid import GridParams, dequantize, levels, round_to_grid
 from snrq.oracle import (
-    cd_reference, exhaustive_row, gptaq_reference, greedy_reference, proxy_column_costs,
+    beam_reference, cd_reference, exhaustive_row, gptaq_reference, greedy_reference,
+    proxy_column_costs,
 )
 from snrq.solvers import RoundResult, _kernel_bytes, proxy_row_scores
 
@@ -166,7 +169,7 @@ def test_rows_solved_independently_match_joint(rng):
             snrq_lazy(w_rows, fact, p, lazy_cfg),
             ksnrq_beam(w_rows, fact, p, beam_cfg),
             gptq_round(w_rows, gptq_fact, p, PERM),
-            cd_refine(snrq_lazy(w_rows, fact, p, lazy_cfg), w_rows, fact, p, passes=2),
+            cd_refine(snrq_lazy(w_rows, fact, p, lazy_cfg), w_rows, fact, p, passes=2, block_size=4),
         ]
 
     joint = solve_all(w, params)
@@ -300,9 +303,11 @@ def test_beam_memory_budget():
 
 @pytest.mark.parametrize("m,n,k,bsz,act_order", [
     (64, 128, 16, 32, False), (200, 64, 8, 16, True), (200, 96, 1, 32, True), (200, 32, 1, 1, True),
+    (128, 128, 4, 32, True),  # the beam_cd layer shape
 ])
 def test_beam_memory_charge_bounds_measured_peak(rng, m, n, k, bsz, act_order):
-    # the charge covers the state of all m*K beams, which one pass holds at once
+    # the charge covers the state of all m*K beams, which one pass holds at once;
+    # on the 3-bit grid, K = 8 and K = 16 make every one of the 2^3 levels a candidate
     w, h, l, params = layer_instance(rng, m=m, n=n)
     cfg = SolverConfig(act_order=act_order, beam_width=k, block_size=bsz)
     fact = order_and_factor(h, cfg)
@@ -317,14 +322,59 @@ def test_beam_memory_charge_bounds_measured_peak(rng, m, n, k, bsz, act_order):
     assert peak <= charge <= 2 * peak
 
 
-def test_beam_deterministic_tie_break():
-    # center exactly between levels 0 and 1 for both columns; identity L means
-    # both orders tie everywhere, lower (parent, level) pairs must win
+def test_beam_exact_tie_keeps_lower_parent_and_level():
+    # H = I and centers exactly between codes 0 and 1 of {0,1,2,3}: every
+    # candidate pair ties, and K = 2 keeps the lower level, so the codes are
+    # 0 where greedy (K = 1) rounds up to 1
     m_row = np.array([[0.5, 0.5]])
-    l = natural(np.eye(2))
-    res = ksnrq_beam(m_row, l, grid_01(), SolverConfig(act_order=False, beam_width=2))
-    again = ksnrq_beam(m_row, l, grid_01(), SolverConfig(act_order=False, beam_width=2))
-    assert np.array_equal(res.codes, again.codes)
+    cfg = SolverConfig(act_order=False, beam_width=2)
+    res = ksnrq_beam(m_row, natural(np.eye(2)), grid_01(), cfg)
+    assert np.array_equal(res.codes, [[0, 0]])
+    assert res.proxy_loss == 0.5
+    # L = [[1, 0], [0.5, 1]], target (1, 0.5): column 1 keeps codes 0 and 1 as
+    # parents 0 and 1 (score 0.25 each); their centers for column 0 are 1.25
+    # and 0.75, so (parent 0, code 1) and (parent 1, code 1) tie at 0.3125,
+    # and the lower parent is the final beam
+    l = np.array([[1.0, 0.0], [0.5, 1.0]])
+    res = ksnrq_beam(np.array([[1.0, 0.5]]), natural(l), grid_01(), cfg)
+    assert np.array_equal(res.codes, [[1, 0]])
+    assert res.proxy_loss == 0.3125
+
+
+def test_beam_matches_reference(rng):
+    # the closed-form (K + 1)-code window against the 2K - 1 codes around the
+    # nearest level, one row and one column at a time
+    for trial in range(150):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 13))
+        k, bits = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+        divs = [g for g in range(2, n) if n % g == 0]
+        group = int(rng.choice(divs)) if divs and trial % 3 == 0 else 0
+        spec = GridSpec(bits=bits, symmetric=bool(trial % 2), group_size=group)
+        cfg = SolverConfig(act_order=trial % 4 < 2, beam_width=k, block_size=int(rng.integers(1, n + 2)))
+        w = rng.normal(size=(m, n))
+        target = w + 0.3 * rng.normal(size=(m, n))
+        params = fit_grid(w, spec)
+        fact = order_and_factor(random_spd(rng, n, 0.3), cfg)
+        codes = ksnrq_beam(target, fact, params, cfg).codes
+        assert np.array_equal(codes, beam_reference(target, fact, params, k)), trial
+    # exact ties: quarter-integer targets on a half-step grid, L = I or with
+    # dyadic entries below the diagonal, so every score is exact
+    for trial in range(150):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+        k, bits = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+        spec = GridSpec(bits=bits, symmetric=bool(trial % 2))
+        params = GridParams(
+            scales=np.full((m, 1), 0.5),
+            zero_points=np.full((m, 1), 0 if spec.symmetric else 1 << (bits - 1), dtype=np.int32),
+            spec=spec,
+        )
+        target = rng.integers(-8, 9, size=(m, n)) / 4
+        low = np.eye(n)
+        if trial % 2:
+            low[np.tril_indices(n, -1)] = rng.integers(-2, 3, size=n * (n - 1) // 2) / 4
+        cfg = SolverConfig(act_order=False, beam_width=k, block_size=int(rng.integers(1, n + 2)))
+        codes = ksnrq_beam(target, natural(low), params, cfg).codes
+        assert np.array_equal(codes, beam_reference(target, natural(low), params, k)), trial
 
 
 # --- coordinate descent -------------------------------------------------
@@ -333,19 +383,46 @@ def test_beam_deterministic_tie_break():
 def test_cd_zero_passes_is_noop(rng):
     w, h, l, params = layer_instance(rng)
     res = snrq_greedy(w, natural(l), params, NO_PERM)
-    out = cd_refine(res, w, natural(l), params, passes=0)
+    out = cd_refine(res, w, natural(l), params, passes=0, block_size=4)
     assert out is res
+
+
+def test_cd_rejects_negative_passes_and_empty_blocks(rng):
+    w, h, l, params = layer_instance(rng)
+    res = snrq_greedy(w, natural(l), params, NO_PERM)
+    for passes, bsz in ((-1, 4), (1, 0)):
+        with pytest.raises(InvalidSpec):
+            cd_refine(res, w, natural(l), params, passes, bsz)
 
 
 def test_cd_monotone_trajectory(rng):
     for _ in range(10):
         w, h, l, params = layer_instance(rng, m=4, n=10)
         res = rtn_round(w, params, m_ref=w, fact=natural(l))
-        out = cd_refine(res, w, natural(l), params, passes=3)
+        out = cd_refine(res, w, natural(l), params, passes=3, block_size=4)
         traj = out.objective_trajectory
         assert np.all(np.diff(traj) <= 1e-15)
         rec = proxy_row_scores(out.q_dequant, w, natural(l)).sum()
         assert abs(traj[-1] - rec) <= 1e-9 * max(1.0, rec)
+
+
+def test_cd_trajectory_is_objective_after_each_update(rng):
+    # after update j of pass p, columns <= j hold pass p's codes and the rest
+    # pass p - 1's; each entry is the proxy objective of that state
+    for _ in range(10):
+        m, n = int(rng.integers(1, 20)), int(rng.integers(2, 12))
+        w, h, l, params = layer_instance(rng, m=m, n=n)
+        fact = order_and_factor(h, PERM)
+        start = rtn_round(w, params, m_ref=w, fact=fact)
+        bsz = int(rng.integers(1, n + 2))
+        traj = cd_refine(start, w, fact, params, 2, bsz).objective_trajectory
+        codes = [start.codes] + [cd_refine(start, w, fact, params, p, bsz).codes for p in (1, 2)]
+        assert np.isclose(traj[0], proxy_row_scores(start.q_dequant, w, fact).sum(), rtol=1e-9)
+        for p in (1, 2):
+            for j in range(n):
+                state = np.concatenate([codes[p][:, :j + 1], codes[p - 1][:, j + 1:]], axis=1)
+                obj = proxy_row_scores(dequantize(state, params), w, fact).sum()
+                assert np.isclose(traj[(p - 1) * n + j + 1], obj, rtol=1e-9, atol=1e-12), (p, j)
 
 
 def test_cd_cannot_leave_global_optimum(rng):
@@ -355,7 +432,7 @@ def test_cd_cannot_leave_global_optimum(rng):
     l = cholesky(h)
     params = fit_grid(w, GridSpec(bits=2, symmetric=True))
     sat = ksnrq_beam(w, natural(l), params, SolverConfig(act_order=False, beam_width=4 ** n))
-    out = cd_refine(sat, w, natural(l), params, passes=4)
+    out = cd_refine(sat, w, natural(l), params, passes=4, block_size=2)
     assert np.array_equal(out.codes, sat.codes)
     assert np.isclose(out.proxy_loss, sat.proxy_loss, rtol=1e-9)
 
@@ -364,14 +441,14 @@ def test_cd_on_greedy_suboptimal_instance():
     l = np.array([[1.0, 0.0], [0.6, 1.0]])
     m_row = np.linalg.solve(l.T, np.array([1.0, 0.5]))[None, :]
     greedy = snrq_greedy(m_row, natural(l), grid_01(), NO_PERM)
-    out = cd_refine(greedy, m_row, natural(l), grid_01(), passes=1)
+    out = cd_refine(greedy, m_row, natural(l), grid_01(), passes=1, block_size=1)
     assert out.proxy_loss <= 0.41 + 1e-12
     assert np.all(np.diff(out.objective_trajectory) <= 1e-15)
 
 
 def test_cd_matches_reference(rng):
-    # cd_refine (round_to_grid of the conditional center) against the
-    # brute-force level scan of the full objective
+    # cd_refine (round_to_grid of the conditional center, blocked on the
+    # gradient) against the brute-force level scan of the full objective
     for trial in range(120):
         m, n = int(rng.integers(1, 6)), int(rng.integers(2, 13))
         divs = [g for g in range(2, n) if n % g == 0]
@@ -386,18 +463,62 @@ def test_cd_matches_reference(rng):
                  snrq_greedy(target, fact, params, cfg),
                  ksnrq_beam(target, fact, params, cfg))[trial % 3]
         passes = 1 + trial % 3
-        out = cd_refine(start, target, fact, params, passes)
-        assert np.array_equal(out.codes, cd_reference(start.codes, target, fact, params, passes)), trial
+        ref = cd_reference(start.codes, target, fact, params, passes)
+        for bsz in (1, 2, n // 2, n, n + 1):
+            out = cd_refine(start, target, fact, params, passes, bsz)
+            assert np.array_equal(out.codes, ref), (trial, bsz)
     # exact ties on {0,1,2,3} with H = I: both sides take the larger code (3.5 clamps to 3)
     for row in ([0.5, 0.5], [1.5, 2.5], [0.5, 3.5]):
         target = np.array([row])
         for codes in ([[0, 0]], [[3, 3]], [[0, 3]]):
             codes = np.array(codes, dtype=np.int32)
             start = RoundResult(codes, dequantize(codes, grid_01()), np.zeros(1))
-            out = cd_refine(start, target, natural(np.eye(2)), grid_01(), passes=2)
             ref = cd_reference(codes, target, natural(np.eye(2)), grid_01(), passes=2)
-            assert np.array_equal(out.codes, ref)
-            assert np.array_equal(out.codes, np.minimum(np.ceil(target), 3))
+            assert np.array_equal(ref, np.minimum(np.ceil(target), 3))
+            for bsz in (1, 2, 3):
+                out = cd_refine(start, target, natural(np.eye(2)), grid_01(), 2, bsz)
+                assert np.array_equal(out.codes, ref)
+
+
+def test_cd_stops_at_exact_fixed_point(rng, monkeypatch):
+    # a pass that moves no code changes nothing, so the passes after it are
+    # skipped and repeat its last objective: passes=5 gives the codes, scores
+    # and trajectory prefix of a run that ends at that pass, and the codes of
+    # the reference, which runs every pass
+    stopped = 0
+    for trial in range(40):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(2, 13))
+        w, h, l, params = layer_instance(rng, m=m, n=n)
+        fact = order_and_factor(h, PERM)
+        bsz = int(rng.integers(1, n + 2))
+        runs = [rtn_round(w, params, m_ref=w, fact=fact)]
+        runs += [cd_refine(runs[0], w, fact, params, p, bsz) for p in range(1, 6)]
+        full = runs[5]
+        assert np.array_equal(full.codes, cd_reference(runs[0].codes, w, fact, params, 5))
+        assert full.objective_trajectory.shape == (1 + 5 * n,)
+        p = next((p for p in range(1, 5) if np.array_equal(runs[p].codes, runs[p - 1].codes)), None)
+        if p is None:
+            continue
+        stopped += 1
+        traj = full.objective_trajectory
+        assert np.array_equal(full.codes, runs[p].codes)
+        assert np.array_equal(full.per_row_scores, runs[p].per_row_scores)
+        assert np.array_equal(traj[:1 + p * n], runs[p].objective_trajectory)
+        assert np.all(traj[p * n:] == traj[p * n])
+    assert stopped >= 20
+    # from a converged start one pass runs (one scan of each block, which
+    # finds no move), and every entry is the starting objective
+    scans = []
+
+    def counted(*args):
+        scans.append(1)
+        return round_to_grid(*args)
+
+    monkeypatch.setattr(solvers, "round_to_grid", counted)
+    again = cd_refine(full, w, fact, params, 3, bsz)
+    assert len(scans) == -(-w.shape[1] // bsz)
+    assert np.array_equal(again.codes, full.codes)
+    assert np.all(again.objective_trajectory == again.objective_trajectory[0])
 
 
 # --- gptq ---------------------------------------------------------------

@@ -76,7 +76,7 @@ def test_row_chunk_workers_call_no_traced_name(rng, monkeypatch):
     params = fit_grid(w, GridSpec(bits=3, symmetric=True))
     lazy = snrq_lazy(w, fact, params, SolverConfig(block_size=4))
     ksnrq_beam(w, fact, params, SolverConfig(beam_width=3, block_size=4))
-    cd_refine(lazy, w, fact, params, passes=1)
+    cd_refine(lazy, w, fact, params, passes=1, block_size=4)
     batch = random_batch(rng, n, 3 * n)
     gptaq_cfg = SolverConfig(solver="gptaq")
     gptaq_round(w, order_and_factor(batch.xq @ batch.xq.T, gptaq_cfg), params, gptaq_cfg, batch)
