@@ -41,7 +41,6 @@ from .solvers import (
     order_and_factor,
     rtn_round,
     snrq_greedy,
-    snrq_lazy,
 )
 
 __all__ = [
@@ -77,6 +76,5 @@ __all__ = [
     "rtn_round",
     "shifted_target",
     "snrq_greedy",
-    "snrq_lazy",
     "write_matrix",
 ]

@@ -26,7 +26,6 @@ __all__ = [
     "CalibBatch",
     "CalibStats",
     "AlphaStrategy",
-    "AlphaChoice",
     "accumulate_stats",
     "shifted_target",
     "closed_form_alpha",
@@ -178,35 +177,27 @@ def shifted_target(w: np.ndarray, stats: CalibStats, fact: tuple[np.ndarray, np.
     return m
 
 
-@dataclass(frozen=True)
-class AlphaChoice:
-    """Result of the closed-form weight update."""
-
-    alpha: float
-    degenerate: bool
-
-
 def closed_form_alpha(
     w: np.ndarray,
     w_hat: np.ndarray,
     batch: CalibBatch,
     default_alpha: float = 0.5,
-) -> AlphaChoice:
+) -> float:
     """Minimizer of the objective over the interpolation weight, clamped to [0, 1].
 
     With U = w(xf - xq) and V = (w - w_hat)xq the unconstrained optimum is
     -<V, U> / ||U||^2. When ||U||^2 vanishes every weight is optimal, so the
-    configured default is returned with ``degenerate=True``.
+    configured default is returned.
     """
     w = np.asarray(w, dtype=np.float64)
     w_hat = np.asarray(w_hat, dtype=np.float64)
     u = w @ batch.delta
     u_sq = float(np.sum(u * u))
     if u_sq < DEGENERATE_U_THRESHOLD:
-        return AlphaChoice(alpha=float(default_alpha), degenerate=True)
+        return float(default_alpha)
     v = (w - w_hat) @ batch.xq
     raw = -float(np.sum(v * u)) / u_sq
-    return AlphaChoice(alpha=float(np.clip(raw, 0.0, 1.0)), degenerate=False)
+    return float(np.clip(raw, 0.0, 1.0))
 
 
 def module_wise_alpha_schedule(
@@ -222,4 +213,4 @@ def module_wise_alpha_schedule(
     if prev_layer_result is None:
         return float(default_alpha)
     w, w_hat, batch = prev_layer_result
-    return closed_form_alpha(w, w_hat, batch, default_alpha=default_alpha).alpha
+    return closed_form_alpha(w, w_hat, batch, default_alpha=default_alpha)

@@ -69,11 +69,11 @@ def _load_config(path: str, overrides: dict) -> RunConfig:
         paths = cfg.network.weight_paths
         if paths is not None:  # relative paths (as `snrq synth` writes them) start at the config
             network = replace(cfg.network, weight_paths=tuple(str(p.parent / w) for w in paths))
-            cfg = cfg.with_updates(network=network)
+            cfg = replace(cfg, network=network)
     except (InvalidSpec, TypeError, ValueError) as e:
         raise UsageError(f"config file {path}: {e}") from None
     updates = {k: v for k, v in overrides.items() if v is not None}
-    return cfg.with_updates(**updates) if updates else cfg
+    return replace(cfg, **updates) if updates else cfg
 
 
 def _emit(payload: dict, out: str | Path | None) -> None:
@@ -192,8 +192,9 @@ def _cmd_oracle(args) -> int:
         r_upper = read_matrix(args.r_path)
         y = read_matrix(args.y_path).ravel()
         n = r_upper.shape[0]
-        if r_upper.shape != (n, n) or y.shape != (n,):
-            raise ShapeMismatch(f"need an n x n R and n values of y, got {r_upper.shape} and {y.size}")
+        if n == 0 or r_upper.shape != (n, n) or y.shape != (n,):
+            raise ShapeMismatch(f"need an n x n R (n >= 1) and n values of y, "
+                                f"got {r_upper.shape} and {y.size}")
         try:
             w_row = np.linalg.solve(r_upper, y)[None, :]
         except np.linalg.LinAlgError as e:

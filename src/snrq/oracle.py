@@ -1,24 +1,24 @@
 """Independent ground-truth machinery.
 
 Nothing here shares code paths with the solvers it checks: the exhaustive
-search enumerates every candidate, the greedy and beam references restate
-the successive-rounding recursion one row and one column at a time (the
-beam one expanding each beam by 2K - 1 codes around its nearest one), the CD
-reference scores every level of a coordinate by the full objective, the GPTAQ
-reference runs the left-to-right feedback loop with a least-squares solve
-per column, the column costs restate the levelwise proxy decomposition one
-column at a time, the interpolated objective and both sides of its
-decomposition identity are computed from raw activations, the alpha scan
-evaluates that objective on a grid, and the dithering experiment estimates
-variances by plain Monte Carlo against the closed forms. Helpers used only
-by the tests (``gamma_weight``) live here too.
+search enumerates every candidate, the beam reference restates the
+successive-rounding recursion one row and one column at a time (expanding
+each beam by 2K - 1 codes around its nearest one; at K = 1 it is the greedy
+reference), the CD reference scores every level of a coordinate by the full
+objective, the GPTAQ reference runs the left-to-right feedback loop with a
+least-squares solve per column, the column costs restate the levelwise proxy
+decomposition one column at a time, the interpolated objective and both
+sides of its decomposition identity are computed from raw activations, the
+alpha scan evaluates that objective on a grid, and the dithering experiment
+estimates variances by plain Monte Carlo against the closed forms. Helpers
+used only by the tests (``gamma_weight``) live here too.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "DitherResult",
     "AlphaScan",
     "exhaustive_row",
-    "greedy_reference",
     "beam_reference",
     "cd_reference",
     "proxy_column_costs",
@@ -119,39 +118,6 @@ def exhaustive_row(
     )
 
 
-def greedy_reference(
-    m_target: np.ndarray, l_chol: np.ndarray, params: GridParams, act_order: bool = False
-) -> np.ndarray:
-    """Reverse-order greedy codes, unblocked, one row and one column at a time.
-
-    For j = n-1 .. 0, column j is set to the level nearest its center
-    c_j = M_j + sum_{k>j} (M_k - Q_k) L_kj / L_jj, ties toward the larger
-    code. With ``act_order`` the columns are first put in ascending order of
-    diag(L L^T) (stable sort) and L is replaced by numpy's Cholesky factor of
-    the permuted H. Returns codes in original column order.
-    """
-    m_target = np.asarray(m_target, dtype=np.float64)
-    m, n = m_target.shape
-    order = np.arange(n)
-    low = np.asarray(l_chol, dtype=np.float64)
-    if act_order:
-        h = low @ low.T
-        order = np.argsort(np.diag(h), kind="stable")
-        low = np.linalg.cholesky(h[np.ix_(order, order)])
-    codes = np.empty((m, n), dtype=np.int64)
-    for i in range(m):
-        target = m_target[i, order]
-        q = np.zeros(n)
-        for j in range(n - 1, -1, -1):
-            center = target[j] + np.dot(target[j + 1:] - q[j + 1:], low[j + 1:, j]) / low[j, j]
-            lv = levels(i, int(order[j]), params)
-            dist = np.abs(lv - center)
-            a = int(np.flatnonzero(dist == dist.min())[-1])
-            q[j] = lv[a]
-            codes[i, order[j]] = params.spec.code_min + a
-    return codes
-
-
 def beam_reference(m_target: np.ndarray, fact, params: GridParams, k: int) -> np.ndarray:
     """K-best beam codes, unblocked, one row and one column at a time.
 
@@ -162,7 +128,8 @@ def beam_reference(m_target: np.ndarray, fact, params: GridParams, k: int) -> np
     scores +inf. A candidate scores its parent's score plus L_tt^2 (c - v)^2,
     and a stable sort of the (parent, level) candidates keeps the K best,
     ties toward the lower (parent, level). Returns the codes of each row's
-    best beam (the first on ties) in original column order.
+    best beam (the first on ties) in original column order. With K = 1 this
+    is plain greedy: each column takes the level nearest its center.
     """
     perm, low = fact
     m_target = np.asarray(m_target, dtype=np.float64)
@@ -519,16 +486,14 @@ def folded_alpha_mean(beta_lambda: float, seed: int = 0) -> float:
     return float(np.mean(sample_folded_alphas(_ALPHA_MEAN_DRAWS, beta_lambda, rng)))
 
 
-def sampling_variance_sweep(
-    pipeline_config, n_repeats: int, vary_seeds: bool = True
-) -> dict:
+def sampling_variance_sweep(pipeline_config, n_repeats: int) -> dict:
     """Run-to-run spread of the end proxy loss: fixed-at-mean vs sampled.
 
     Re-runs the full toy-chain quantization ``n_repeats`` times per mode,
-    resampling the calibration data each run (unless ``vary_seeds`` is off, in
-    which case every repeat is identical and both spreads are zero). Reports
-    mean and standard deviation of the total proxy loss per mode; no hard
-    ordering is asserted, the result just flags the observed direction.
+    at seeds seed, seed + 1, ..., so each run resamples the network and the
+    calibration data. Reports mean and standard deviation of the total proxy
+    loss per mode; no hard ordering is asserted, the result just flags the
+    observed direction.
     """
     from . import pipeline  # deferred: the oracle is otherwise pipeline-free
 
@@ -550,8 +515,8 @@ def sampling_variance_sweep(
     for name, strategy in modes.items():
         vals = []
         for rep in range(n_repeats):
-            seed = pipeline_config.seed + rep if vary_seeds else pipeline_config.seed
-            cfg = pipeline_config.with_updates(alpha=strategy, seed=seed, out_dir=None)
+            cfg = replace(pipeline_config, alpha=strategy, seed=pipeline_config.seed + rep,
+                          out_dir=None)
             net = pipeline.synth_network(cfg.network, cfg.seed)
             report = pipeline.quantize_network(net, cfg)
             vals.append(sum(rec["proxy_loss"] for rec in report["layers"]))

@@ -52,7 +52,7 @@ from .solvers import (
     proxy_row_scores,
     rtn_round,
     snrq_greedy,
-    snrq_lazy,
+    snrq_lazy,  # perfbench tracer only
 )
 
 __all__ = [
@@ -110,6 +110,10 @@ class NetworkConfig:
     def __post_init__(self):
         if self.nonlinearity not in NONLINEARITIES:
             raise InvalidSpec(f"nonlinearity must be one of {NONLINEARITIES}")
+        for key in ("dims", "weight_paths"):
+            value = getattr(self, key)
+            if value is not None and not isinstance(value, (list, tuple)):
+                raise InvalidSpec(f"{key} must be an array, got {value!r}")
         if self.dims is not None:
             if len(self.dims) < 2:
                 raise InvalidSpec("dims needs at least two positive entries")
@@ -149,9 +153,6 @@ class RunConfig:
         require_finite("gptaq_alpha", self.gptaq_alpha)
         require_int("seed", self.seed)
 
-    def with_updates(self, **kw) -> "RunConfig":
-        return replace(self, **kw)
-
     def to_dict(self) -> dict:
         d = asdict(self)
         d["network"]["dims"] = list(self.network.layer_dims())
@@ -166,13 +167,19 @@ class RunConfig:
             "calibration": CalibrationConfig,
             "network": NetworkConfig,
         }
+        if not isinstance(d, dict):
+            raise InvalidSpec(f"config must be a JSON object, got {type(d).__name__}")
         known_top = set(sections) | {"damping", "gptaq_alpha", "seed", "out_dir"}
         unknown = set(d) - known_top
         if unknown:
             raise InvalidSpec(f"unknown config keys: {sorted(unknown)}")
         kwargs = {}
         for name, cls in sections.items():
-            sub = dict(d.get(name, {}))
+            sub = d.get(name, {})
+            if not isinstance(sub, dict):
+                raise InvalidSpec(f"config section {name!r} must be a JSON object, "
+                                  f"got {type(sub).__name__}")
+            sub = dict(sub)
             if name == "alpha" and "alpha_mode" in sub:
                 sub["mode"] = sub.pop("alpha_mode")
             allowed = set(cls.__dataclass_fields__)
@@ -248,9 +255,7 @@ def _forward_input_to_layer(
 def _forward_output(layers, x: np.ndarray, nonlinearity: str) -> np.ndarray:
     h = x
     for l, w in enumerate(layers):
-        h = w @ h
-        if l + 1 < len(layers):
-            h = _act(h, nonlinearity)
+        h = _carry(w, h, l + 1 == len(layers), nonlinearity)
     return h
 
 
@@ -286,12 +291,14 @@ def _draw_inputs(dim: int, n: int, rng: SeededRng, distribution: str) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _alpha_for_layer(config: RunConfig, layer: int, prev) -> tuple[AlphaStrategy, dict]:
-    """Effective strategy for one layer plus its report summary."""
+def _alpha_for_layer(config: RunConfig, prev) -> tuple[AlphaStrategy, dict]:
+    """Effective strategy for one layer plus its report summary.
+
+    ``prev`` is the previous layer's (w, q_dequant, batch), or None for the first layer.
+    """
     strategy = config.alpha
     if strategy.mode == "closed_form":
-        prev_result = (prev["w"], prev["q"], prev["batch"]) if layer > 0 and prev else None
-        a = module_wise_alpha_schedule(prev_result, default_alpha=strategy.alpha_value)
+        a = module_wise_alpha_schedule(prev, default_alpha=strategy.alpha_value)
         return replace(strategy, alpha_value=a), {"mode": "closed_form", "alpha_used": a}
     if strategy.mode == "sampled":
         return strategy, {"mode": "sampled", "beta_lambda": strategy.beta_lambda}
@@ -312,8 +319,6 @@ def _solve_layer(
         result = rtn_round(w, params, m_ref=m_alpha, fact=fact)
     elif name == "snrq":
         result = snrq_greedy(m_alpha, fact, params, cfg)
-    elif name == "snrq_lazy":
-        result = snrq_lazy(m_alpha, fact, params, cfg)
     elif name == "ksnrq":
         result = ksnrq_beam(m_alpha, fact, params, cfg)
     elif name == "gptq":
@@ -389,7 +394,7 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
         t_layer = time.perf_counter()
         try:
             batch = CalibBatch(xf=xf, xq=xq)
-            strategy, alpha_summary = _alpha_for_layer(config, l, prev)
+            strategy, alpha_summary = _alpha_for_layer(config, prev)
             rng = SeededRng(seed, STREAM_ALPHA + l)
             stats = accumulate_stats(batch, strategy, config.damping, rng)
             params = fit_grid(w, config.grid)
@@ -400,7 +405,7 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
             e.args = (f"layer {l}: {e}",)
             raise
         # drop the previous batch before the step, so at most two pairs are alive
-        prev = {"w": w, "q": result.q_dequant, "batch": batch}
+        prev = (w, result.q_dequant, batch)
         last = l + 1 == net.depth
         xf = _carry(w, xf, last, net.nonlinearity)
         xq = _carry(result.q_dequant, xq, last, net.nonlinearity)
@@ -497,21 +502,17 @@ SWEEP_AXES = ("alpha", "beta_lambda", "K", "cd_passes")
 def sweep_config(config: RunConfig, axis: str, value) -> RunConfig:
     """The run config for one value of a sweep axis; raises if the value is invalid."""
     if axis == "alpha":
-        return config.with_updates(
-            alpha=AlphaStrategy(mode="fixed", alpha_value=float(value),
-                                beta_lambda=config.alpha.beta_lambda)
-        )
+        alpha = AlphaStrategy(mode="fixed", alpha_value=float(value),
+                              beta_lambda=config.alpha.beta_lambda)
+        return replace(config, alpha=alpha)
     if axis == "beta_lambda":
-        return config.with_updates(
-            alpha=AlphaStrategy(mode="sampled", alpha_value=config.alpha.alpha_value,
-                                beta_lambda=float(value))
-        )
+        alpha = AlphaStrategy(mode="sampled", alpha_value=config.alpha.alpha_value,
+                              beta_lambda=float(value))
+        return replace(config, alpha=alpha)
     if axis == "K":
-        return config.with_updates(
-            solver=replace(config.solver, solver="ksnrq", beam_width=value)
-        )
+        return replace(config, solver=replace(config.solver, solver="ksnrq", beam_width=value))
     if axis == "cd_passes":
-        return config.with_updates(solver=replace(config.solver, cd_passes=value))
+        return replace(config, solver=replace(config.solver, cd_passes=value))
     raise InvalidSpec(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
 
 
@@ -527,7 +528,7 @@ def sweep(config: RunConfig, axis: str, values) -> dict:
     net = synth_network(config.network, config.seed)
     rows = []
     for v in values:
-        cfg = sweep_config(config, axis, v).with_updates(out_dir=None)
+        cfg = replace(sweep_config(config, axis, v), out_dir=None)
         t0 = time.perf_counter()
         report = quantize_network(net, cfg)
         wall_ms = (time.perf_counter() - t0) * 1e3

@@ -16,10 +16,10 @@ center for column j is
 
 Successive rounding is one kernel over K beams and blocks of B columns
 (greedy is K = 1; lazy batching only regroups the updates into blocks, so B
-never changes a decision). Its entry points differ in (K, B) and the target:
+never changes a decision, and the config name "snrq_lazy" is read as "snrq").
+Its entry points differ in (K, B) and the target:
   * snrq_greedy    (1, block_size) on the shifted target M: nearest-level
                    rounding of the center
-  * snrq_lazy      the same function as snrq_greedy, kept as a config name
   * ksnrq_beam     (beam_width, block_size): K-best beam search under the exact
                    accumulated branch metrics; each beam is expanded by a
                    window of min(K + 1, A) codes found in closed form from
@@ -66,7 +66,6 @@ __all__ = [
     "order_and_factor",
     "rtn_round",
     "snrq_greedy",
-    "snrq_lazy",
     "ksnrq_beam",
     "cd_refine",
     "gptq_round",
@@ -74,12 +73,12 @@ __all__ = [
     "proxy_row_scores",
 ]
 
-SOLVER_NAMES = ("rtn", "snrq", "snrq_lazy", "ksnrq", "gptq", "gptaq")
+SOLVER_NAMES = ("rtn", "snrq", "ksnrq", "gptq", "gptaq")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver selection and search knobs."""
+    """Solver selection and search knobs; ``solver="snrq_lazy"`` is read as ``"snrq"``."""
 
     solver: str = "snrq"
     beam_width: int = 1
@@ -89,6 +88,8 @@ class SolverConfig:
     memory_budget_mb: int = 2048
 
     def __post_init__(self):
+        if self.solver == "snrq_lazy":  # the blocked greedy kernel is the lazy batch
+            object.__setattr__(self, "solver", "snrq")
         if self.solver not in SOLVER_NAMES:
             raise InvalidSpec(f"solver must be one of {SOLVER_NAMES}, got {self.solver!r}")
         require_int("beam_width", self.beam_width, 1)
@@ -341,7 +342,7 @@ def snrq_greedy(
     return _successive_round(_ordered(m_alpha, fact), fact, params, cfg, 1, cfg.block_size)
 
 
-# ``solver="snrq_lazy"`` names the same blocked greedy kernel as ``"snrq"``
+# perfbench tracer only: it wraps the pipeline's import of this name
 snrq_lazy = snrq_greedy
 
 

@@ -21,6 +21,13 @@ def natural(low: np.ndarray) -> OrderedFactor:
     return OrderedFactor(np.arange(low.shape[0]), low)
 
 
+def act_order_factor(h: np.ndarray) -> OrderedFactor:
+    """The act-order factor built apart from the solvers: a stable ascending
+    sort of diag(h), then numpy's Cholesky factor of the permuted h."""
+    perm = np.argsort(np.diag(h), kind="stable")
+    return OrderedFactor(perm, np.linalg.cholesky(h[np.ix_(perm, perm)]))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

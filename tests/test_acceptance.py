@@ -7,6 +7,7 @@ informational.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,17 +30,16 @@ from snrq import (
     rtn_round,
     shifted_target,
     snrq_greedy,
-    snrq_lazy,
 )
 from snrq.grid import GridParams, levels
 from snrq.oracle import (
     DitherSetup,
     alpha_grid_scan,
+    beam_reference,
     decomposition_check,
     dither_experiment,
     exhaustive_row,
     gptaq_reference,
-    greedy_reference,
     objective_direct,
     proxy_column_costs,
     sample_folded_alphas,
@@ -54,7 +54,7 @@ from snrq.pipeline import (
     synth_network,
 )
 
-from conftest import natural, random_batch, random_spd
+from conftest import act_order_factor, natural, random_batch, random_spd
 
 
 def report_line(cid: str, ok: bool, detail: str, t0: float) -> None:
@@ -127,10 +127,10 @@ def test_c03_closed_form_alpha_optimality():
         batch = random_batch(rng, n, int(rng.integers(4, 20)), mismatch=0.6)
         w = rng.normal(size=(3, n))
         w_hat = w + rng.normal(size=(3, n))
-        choice = closed_form_alpha(w, w_hat, batch)
+        a_star = closed_form_alpha(w, w_hat, batch)
         scan = alpha_grid_scan(w, w_hat, batch, 101)
         scale = max(1.0, float(np.max(scan.values)))
-        gap = objective_direct(w, w_hat, batch, choice.alpha) - float(np.min(scan.values))
+        gap = objective_direct(w, w_hat, batch, a_star) - float(np.min(scan.values))
         worst_gap = max(worst_gap, gap / scale)
         second = np.diff(scan.values, 2)
         worst_convex = min(worst_convex, float(np.min(second)) / scale)
@@ -167,7 +167,7 @@ def test_c05_greedy_beam_oracle_sandwich():
         params = fit_grid(w, GridSpec(bits=2, symmetric=True))
         cfg = lambda k: SolverConfig(act_order=False, beam_width=k)
         greedy = snrq_greedy(w, fact, params, SolverConfig(act_order=False))
-        ref = greedy_reference(w, low, params)
+        ref = beam_reference(w, fact, params, 1)
         orc = exhaustive_row(low.T, low.T @ w[0], [levels(0, j, params) for j in range(n)])
         tol = 1e-9 * max(1.0, orc.best_cost)
         beam1 = ksnrq_beam(w, fact, params, cfg(1))
@@ -210,10 +210,10 @@ def test_c07_lazy_batch_exactness():
         h = random_spd(rng, n)
         fact = order_and_factor(h, SolverConfig(act_order=True))
         params = fit_grid(w, GridSpec(bits=3, symmetric=True))
-        ref = greedy_reference(w, cholesky(h), params, act_order=True)
+        ref = beam_reference(w, act_order_factor(h), params, 1)
         ok = ok and np.array_equal(snrq_greedy(w, fact, params, SolverConfig(act_order=True)).codes, ref)
         for b in (1, 2, n // 2, n, n + 1):
-            lazy = snrq_lazy(w, fact, params, SolverConfig(act_order=True, block_size=b))
+            lazy = snrq_greedy(w, fact, params, SolverConfig(act_order=True, block_size=b))
             ok = ok and np.array_equal(lazy.codes, ref)
     report_line("C07", ok, "greedy and lazy-batch codes equal the greedy reference for B in "
                 "{1,2,n/2,n,n+1}, 20 layers", t0)
@@ -233,7 +233,7 @@ def test_c08_gptq_equivalence():
         gptq_cfg = SolverConfig(solver="gptq", act_order=True)
         gptq = gptq_round(w, order_and_factor(h, gptq_cfg), params, gptq_cfg).codes
         # alpha = 0: the target is W; the reference factors the permuted H with numpy
-        ok = ok and np.array_equal(gptq, greedy_reference(w, np.linalg.cholesky(h), params, act_order=True))
+        ok = ok and np.array_equal(gptq, beam_reference(w, act_order_factor(h), params, 1))
         ok = ok and np.array_equal(gptq, snrq_greedy(w, order_and_factor(h, cfg), params, cfg).codes)
     report_line("C08", ok, "gptq codes equal the greedy reference and snrq at alpha=0, damping 0, "
                 "20 instances", t0)
@@ -371,13 +371,13 @@ def test_c13_end_to_end_desk_analog():
     greedy_losses = []
     beam_losses = []
     for seed in range(n_runs):
-        cfg = base.with_updates(seed=seed)
+        cfg = replace(base, seed=seed)
         net = synth_network(cfg.network, cfg.seed)
         p_snrq = _total_proxy(quantize_network(net, cfg))
-        p_rtn = _total_proxy(quantize_network(net, cfg.with_updates(
-            solver=SolverConfig(solver="rtn", act_order=True))))
-        p_beam = _total_proxy(quantize_network(net, cfg.with_updates(
-            solver=SolverConfig(solver="ksnrq", beam_width=4, act_order=True))))
+        p_rtn = _total_proxy(quantize_network(net, replace(
+            cfg, solver=SolverConfig(solver="rtn", act_order=True))))
+        p_beam = _total_proxy(quantize_network(net, replace(
+            cfg, solver=SolverConfig(solver="ksnrq", beam_width=4, act_order=True))))
         wins += int(p_snrq <= p_rtn)
         greedy_losses.append(p_snrq)
         beam_losses.append(p_beam)
@@ -404,8 +404,8 @@ def test_c14_determinism(tmp_path):
         seed=5,
     )
     net = synth_network(cfg.network, cfg.seed)
-    r1 = quantize_network(net, cfg.with_updates(out_dir=str(tmp_path / "a")))
-    r2 = quantize_network(net, cfg.with_updates(out_dir=str(tmp_path / "b")))
+    r1 = quantize_network(net, replace(cfg, out_dir=str(tmp_path / "a")))
+    r2 = quantize_network(net, replace(cfg, out_dir=str(tmp_path / "b")))
     s1 = json.dumps(strip_timing({k: v for k, v in r1.items()
                                   if k not in ("determinism_hash", "config")}), sort_keys=True)
     s2 = json.dumps(strip_timing({k: v for k, v in r2.items()

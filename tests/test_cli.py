@@ -49,6 +49,23 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"solver": [["solver", "gptq"]]}, "must be a JSON object"),
+    ({"solver": []}, "must be a JSON object"),
+    ([], "must be a JSON object"),
+    ({"network": {"weight_paths": "abc"}}, "weight_paths must be an array"),
+    ({"network": {"dims": "12"}}, "dims must be an array"),
+], ids=["pairs-section", "empty-list-section", "list-top-level", "str-weight-paths", "str-dims"])
+def test_config_of_wrong_json_type_exits_1(tmp_path, capsys, cfg, message):
+    # dict() would read a list of pairs as a section, and tuple() a string as a list of characters
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "quantize", "--config", str(p))
+    assert code == 1
+    assert err.startswith("usage error:") and message in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert run(capsys, "frobnicate")[0] == 1
 
@@ -399,6 +416,13 @@ def test_oracle_bad_matrix_files_exit_2(tmp_path, capsys, r, y, message):
     assert code == 2
     assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
     assert out == ""
+
+
+def test_oracle_empty_matrix_files_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, *_oracle_files(tmp_path, np.zeros((0, 0)), np.zeros((1, 0))))
+    assert code == 2
+    assert err.startswith("error:") and "need an n x n R (n >= 1)" in err
+    assert len(err.splitlines()) == 1 and out == ""
 
 
 def test_oracle_matrix_files_solve_for_the_row(tmp_path, capsys):

@@ -92,8 +92,7 @@ def test_alpha_scan_convex_and_matches_closed_form(rng):
         second = np.diff(scan.values, 2)
         scale = max(1.0, float(np.max(scan.values)))
         assert np.all(second >= -1e-9 * scale)
-        choice = closed_form_alpha(w, w_hat, batch)
-        assert abs(scan.alpha_best - choice.alpha) <= 1.0 / 100 + 1e-12
+        assert abs(scan.alpha_best - closed_form_alpha(w, w_hat, batch)) <= 1.0 / 100 + 1e-12
 
 
 def test_alpha_scan_needs_three_points(rng):

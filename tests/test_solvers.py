@@ -22,17 +22,15 @@ from snrq import (
     order_and_factor,
     rtn_round,
     snrq_greedy,
-    snrq_lazy,
 )
 from snrq import solvers
 from snrq.grid import GridParams, dequantize, levels, round_to_grid
 from snrq.oracle import (
-    beam_reference, cd_reference, exhaustive_row, gptaq_reference, greedy_reference,
-    proxy_column_costs,
+    beam_reference, cd_reference, exhaustive_row, gptaq_reference, proxy_column_costs,
 )
 from snrq.solvers import RoundResult, _kernel_bytes, proxy_row_scores
 
-from conftest import natural, random_spd
+from conftest import act_order_factor, natural, random_spd
 
 NO_PERM = SolverConfig(act_order=False)
 PERM = SolverConfig(act_order=True)
@@ -166,10 +164,10 @@ def test_rows_solved_independently_match_joint(rng):
     def solve_all(w_rows, p):
         return [
             snrq_greedy(w_rows, fact, p, PERM),
-            snrq_lazy(w_rows, fact, p, lazy_cfg),
+            snrq_greedy(w_rows, fact, p, lazy_cfg),
             ksnrq_beam(w_rows, fact, p, beam_cfg),
             gptq_round(w_rows, gptq_fact, p, PERM),
-            cd_refine(snrq_lazy(w_rows, fact, p, lazy_cfg), w_rows, fact, p, passes=2, block_size=4),
+            cd_refine(snrq_greedy(w_rows, fact, p, lazy_cfg), w_rows, fact, p, passes=2, block_size=4),
         ]
 
     joint = solve_all(w, params)
@@ -210,17 +208,17 @@ def test_lazy_matches_greedy_all_block_sizes(rng):
         h = random_spd(rng, n)
         fact = order_and_factor(h, PERM)
         params = fit_grid(w, GridSpec(bits=3, symmetric=True))
-        ref = greedy_reference(w, cholesky(h), params, act_order=True)
+        ref = beam_reference(w, act_order_factor(h), params, 1)
         assert np.array_equal(snrq_greedy(w, fact, params, PERM).codes, ref), f"trial {trial}"
         for b in (1, 2, n // 2, n, n + 1):
-            lazy = snrq_lazy(w, fact, params, SolverConfig(act_order=True, block_size=b))
+            lazy = snrq_greedy(w, fact, params, SolverConfig(act_order=True, block_size=b))
             assert np.array_equal(lazy.codes, ref), f"trial {trial}, B={b}"
 
 
 def test_lazy_block_larger_than_n(rng):
     w, h, l, params = layer_instance(rng, m=3, n=7)
-    ref = greedy_reference(w, l, params)
-    lazy = snrq_lazy(w, natural(l), params, SolverConfig(act_order=False, block_size=100))
+    ref = beam_reference(w, natural(l), params, 1)
+    lazy = snrq_greedy(w, natural(l), params, SolverConfig(act_order=False, block_size=100))
     assert np.array_equal(lazy.codes, ref)
 
 
@@ -230,7 +228,7 @@ def test_lazy_block_larger_than_n(rng):
 def test_beam_k1_equals_greedy(rng):
     for _ in range(20):
         w, h, l, params = layer_instance(rng, m=4, n=10)
-        ref = greedy_reference(w, l, params)
+        ref = beam_reference(w, natural(l), params, 1)
         for b in (1, 2, 5, 10, 11):
             cfg = SolverConfig(act_order=False, beam_width=1, block_size=b)
             assert np.array_equal(ksnrq_beam(w, natural(l), params, cfg).codes, ref), f"B={b}"
@@ -241,10 +239,10 @@ def test_k1_exact_tie_rounds_up_like_greedy():
     # K = 1 solver takes the larger code, as nearest-level rounding does
     m_row = np.array([[0.5, 0.5]])
     l = np.eye(2)
-    assert np.array_equal(greedy_reference(m_row, l, grid_01()), [[1, 1]])
+    assert np.array_equal(beam_reference(m_row, natural(l), grid_01(), 1), [[1, 1]])
     for res in (
         snrq_greedy(m_row, natural(l), grid_01(), NO_PERM),
-        snrq_lazy(m_row, natural(l), grid_01(), SolverConfig(act_order=False, block_size=1)),
+        snrq_greedy(m_row, natural(l), grid_01(), SolverConfig(act_order=False, block_size=1)),
         ksnrq_beam(m_row, natural(l), grid_01(), SolverConfig(act_order=False, beam_width=1)),
     ):
         assert np.array_equal(res.codes, [[1, 1]])
@@ -548,7 +546,7 @@ def test_gptq_equals_greedy_at_alpha_zero(rng):
         r_snrq = snrq_greedy(w, order_and_factor(h, PERM), params, PERM)
         r_gptq = gptq_round(w, gptq_factor(h, PERM), params, PERM)
         assert np.array_equal(r_snrq.codes, r_gptq.codes)
-        assert np.array_equal(r_gptq.codes, greedy_reference(w, l, params, act_order=True))
+        assert np.array_equal(r_gptq.codes, beam_reference(w, act_order_factor(h), params, 1))
 
 
 # --- gptaq ---------------------------------------------------------------

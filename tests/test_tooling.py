@@ -19,7 +19,7 @@ from snrq import (
     gptaq_round,
     ksnrq_beam,
     order_and_factor,
-    snrq_lazy,
+    snrq_greedy,
 )
 from snrq import solvers
 from snrq.pipeline import RunConfig
@@ -53,7 +53,7 @@ def test_benchmark_workload_configs_load():
         RunConfig.from_dict(workload["config"])
 
 
-def test_row_chunk_workers_call_no_traced_name(rng, monkeypatch):
+def test_traced_solver_names_run_on_the_op_thread(rng, monkeypatch):
     # the tracer keeps one span stack per thread and parents spans by it, so
     # every wrapped name must be called from the thread that runs the op
     threads = set()
@@ -74,13 +74,24 @@ def test_row_chunk_workers_call_no_traced_name(rng, monkeypatch):
     h[np.diag_indices(n)] += np.linspace(0, 5, n)[::-1]  # act_order permutes
     fact = order_and_factor(h, SolverConfig())
     params = fit_grid(w, GridSpec(bits=3, symmetric=True))
-    lazy = snrq_lazy(w, fact, params, SolverConfig(block_size=4))
+    lazy = snrq_greedy(w, fact, params, SolverConfig(block_size=4))
     ksnrq_beam(w, fact, params, SolverConfig(beam_width=3, block_size=4))
     cd_refine(lazy, w, fact, params, passes=1, block_size=4)
     batch = random_batch(rng, n, 3 * n)
     gptaq_cfg = SolverConfig(solver="gptaq")
     gptaq_round(w, order_and_factor(batch.xq @ batch.xq.T, gptaq_cfg), params, gptaq_cfg, batch)
     assert threads == {threading.get_ident()}
+
+
+def test_every_export_resolves():
+    # a name left in an __all__ after its object is removed breaks `import *`
+    modules = [importlib.import_module("snrq")] + [
+        importlib.import_module(f"snrq.{path.stem}")
+        for path in sorted((ROOT / "src" / "snrq").glob("*.py")) if path.stem != "__init__"
+    ]
+    missing = [f"{mod.__name__}.{name}" for mod in modules
+               for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
 
 
 def test_package_imports_no_scipy():
