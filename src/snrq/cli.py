@@ -304,6 +304,12 @@ def cli_main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"usage error: file not found: {e.filename}", file=sys.stderr)
         return 1
+    except (FileExistsError, NotADirectoryError) as e:  # a path that must be a directory is not
+        print(f"usage error: not a directory: {e.filename}", file=sys.stderr)
+        return 1
+    except IsADirectoryError as e:  # a path that must be a file is a directory
+        print(f"usage error: is a directory: {e.filename}", file=sys.stderr)
+        return 1
     except SnrqError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

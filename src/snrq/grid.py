@@ -8,8 +8,10 @@ grids use codes [0, 2^b-1] with an integer zero point.
 Scales and zero points are always fitted from the original full-precision
 weights and are always looked up by original column index; solvers that
 permute columns fetch parameters through their permutation. MSE clipping fits
-all (row, group) cells at once, one array pass per clip ratio, and each cell
-keeps the first ratio that minimizes its round-trip error.
+all (row, group) cells at once, a chunk of clip ratios per array pass, and
+each cell keeps the first ratio that minimizes its round-trip error. One
+private helper holds the rounding rule for both the clip search and
+:func:`round_to_grid`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ __all__ = [
 ]
 
 _DEGENERATE_SCALE = 1e-12
+_CLIP_RATIOS = np.linspace(0.5, 1.0, 100)  # MSE-clip candidates, in the order ties are broken
+_CLIP_CHUNK_ENTRIES = 1 << 16  # (ratio, weight) pairs one MSE-clip chunk rounds at once
 
 
 @dataclass(frozen=True)
@@ -105,8 +109,10 @@ def fit_grid(w: np.ndarray, spec: GridSpec) -> GridParams:
     With ``spec.mse_clip`` the min/max range of every (row, group) cell is
     shrunk by the ratio (100-point grid over [0.5, 1.0]) minimizing that
     cell's squared round-trip error; the first minimizing ratio wins. All
-    cells are fitted together, one array pass per ratio, so temporaries stay
-    O(m * n). Default is plain min/max fitting.
+    cells are fitted together, a chunk of ratios at a time: each chunk rounds
+    at most ``_CLIP_CHUNK_ENTRIES`` (ratio, weight) pairs in one reused
+    buffer, so temporaries stay O(m * n) plus a fixed budget. Default is
+    plain min/max fitting.
 
     Raises:
         InvalidSpec: group_size does not divide the column count.
@@ -122,21 +128,53 @@ def fit_grid(w: np.ndarray, spec: GridSpec) -> GridParams:
     cmax = cells.max(axis=2)
     if not spec.mse_clip:
         return _fit_cells(cmin, cmax, spec)
-    ratios = np.linspace(0.5, 1.0, 100)
     # a cell whose every error overflows keeps the first ratio, as a running minimum would
-    best = _fit_cells(ratios[0] * cmin, ratios[0] * cmax, spec)
+    best = _fit_cells(_CLIP_RATIOS[0] * cmin, _CLIP_RATIOS[0] * cmax, spec)
     best_err = np.full((m, n_groups), np.inf)
-    for ratio in ratios:
-        # a positive ratio preserves order, so min(cell * r) == r * min(cell) exactly
-        cand = _fit_cells(ratio * cmin, ratio * cmax, spec)
-        scale, zero = cand.scales[:, :, None], cand.zero_points[:, :, None]
-        _, approx = round_to_grid(cells, scale, zero, spec)
-        err = np.sum((cells - approx) ** 2, axis=2)
-        better = err < best_err  # strict: the first minimizing ratio wins
-        best_err[better] = err[better]
-        best.scales[better] = cand.scales[better]
-        best.zero_points[better] = cand.zero_points[better]
+    chunk = min(len(_CLIP_RATIOS), max(1, _CLIP_CHUNK_ENTRIES // (m * n)))
+    buf = np.empty((chunk,) + cells.shape)
+    for start in range(0, len(_CLIP_RATIOS), chunk):
+        _merge_clip_chunk(best, best_err, cells, cmin, cmax, _CLIP_RATIOS[start:start + chunk], buf)
     return best
+
+
+def _merge_clip_chunk(best, best_err, cells, cmin, cmax, ratios, buf) -> None:
+    """Fold one chunk of clip ratios into every cell's running best fit, in place.
+
+    ``buf`` has room for ``len(ratios)`` rounded copies of ``cells``. The
+    chunk's per-cell arrays are freed on return, before the next chunk's.
+    """
+    spec = best.spec
+    r = ratios[:, None, None]
+    # a positive ratio preserves order, so min(cell * r) == r * min(cell) exactly
+    cand = _fit_cells(r * cmin, r * cmax, spec)
+    scale = cand.scales[..., None]
+    zero = cand.zero_points[..., None].astype(np.float64)
+    diff = _round_codes(cells, scale, zero, spec, buf[:len(ratios)])
+    diff -= zero
+    diff *= scale
+    diff -= cells
+    np.square(diff, out=diff)
+    err = diff.sum(axis=3)
+    # flat index of each cell's first minimizing ratio in the chunk
+    pick = err.argmin(axis=0) * best_err.size + np.arange(best_err.size).reshape(best_err.shape)
+    err = np.take(err, pick)
+    better = err < best_err  # strict: an earlier chunk's equal error wins
+    np.copyto(best_err, err, where=better)
+    np.copyto(best.scales, np.take(cand.scales, pick), where=better)
+    np.copyto(best.zero_points, np.take(cand.zero_points, pick), where=better)
+
+
+def _round_codes(x, scale, zero, spec: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """The rounding rule: floor(x / scale + zero + 1/2) clamped to [code_min, code_max].
+
+    Float64 codes, written into ``out`` when it is given.
+    """
+    codes = np.asarray(np.add(np.divide(x, scale, out=out), zero, out=out))
+    codes += 0.5
+    np.floor(codes, out=codes)
+    np.maximum(codes, spec.code_min, out=codes)
+    return np.minimum(codes, spec.code_max, out=codes)
 
 
 def round_to_grid(x, scale, zero, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +183,7 @@ def round_to_grid(x, scale, zero, spec: GridSpec) -> tuple[np.ndarray, np.ndarra
     ``scale`` and ``zero`` broadcast against ``x``; codes are clamped to
     [code_min, code_max].
     """
-    codes = np.clip(np.floor(x / scale + zero + 0.5), spec.code_min, spec.code_max)
+    codes = _round_codes(x, scale, zero, spec)
     return codes.astype(np.int32), scale * (codes - zero)
 
 

@@ -25,7 +25,8 @@ import numpy as np
 from .calibration import AlphaStrategy, CalibBatch, sample_folded_alphas
 from .errors import BudgetExceeded, InvalidSpec, NonFinite, ShapeMismatch
 from .grid import (
-    _DEGENERATE_SCALE, GridParams, GridSpec, column_grid, dequantize, levels, round_to_grid,
+    _CLIP_RATIOS, _DEGENERATE_SCALE, GridParams, GridSpec, column_grid, dequantize, levels,
+    round_to_grid,
 )
 from .rng import SeededRng
 from .solvers import RoundResult
@@ -216,8 +217,8 @@ def _fit_cell(values: np.ndarray, spec: GridSpec) -> tuple[float, int]:
 def _zero_for(vmin: float, scale: float, spec: GridSpec) -> int:
     if spec.symmetric:
         return 0
-    z = int(np.floor(-vmin / scale + 0.5))
-    return int(np.clip(z, 0, spec.code_max))
+    # clip the float: -vmin / scale overflows to +-inf for a huge constant cell
+    return int(np.clip(np.floor(-vmin / scale + 0.5), 0, spec.code_max))
 
 
 def _cell_mse(values: np.ndarray, scale: float, zero: int, spec: GridSpec) -> float:
@@ -240,7 +241,7 @@ def fit_grid_reference(w: np.ndarray, spec: GridSpec) -> GridParams:
 
     scales = np.empty((m, n_groups), dtype=np.float64)
     zeros = np.zeros((m, n_groups), dtype=np.int32)
-    ratios = np.linspace(0.5, 1.0, 100) if spec.mse_clip else (1.0,)
+    ratios = _CLIP_RATIOS if spec.mse_clip else (1.0,)
     for g in range(n_groups):
         block = w[:, g * gsize:(g + 1) * gsize]
         for r in range(m):

@@ -152,6 +152,8 @@ class RunConfig:
             raise InvalidSpec(f"damping must be >= 0, got {self.damping!r}")
         require_finite("gptaq_alpha", self.gptaq_alpha)
         require_int("seed", self.seed)
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise InvalidSpec(f"out_dir must be a string or null, got {self.out_dir!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

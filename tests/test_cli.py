@@ -242,6 +242,37 @@ def test_bad_top_level_scalar_is_usage_error(tmp_path, capsys, entry):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("out_dir", [5, ["a"], True], ids=["int", "list", "bool"])
+def test_out_dir_of_wrong_type_is_usage_error(tmp_path, capsys, out_dir):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"network": {"depth": 1, "width": 4}, "out_dir": out_dir}))
+    code, out, err = run(capsys, "quantize", "--config", str(p))
+    assert code == 1
+    assert err.startswith("usage error:") and "out_dir" in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["quantize", "--config", "{cfg}", "--out-dir", "{file}"], "not a directory"),
+    (["synth", "--out-dir", "{file}"], "not a directory"),
+    (["quantize", "--config", "{cfg}", "--out-dir", "{file}/sub"], "not a directory"),
+    (["sweep", "--config", "{cfg}", "--axis", "K", "--values", "1", "--out", "{dir}"],
+     "is a directory"),
+], ids=["quantize-out-dir-is-file", "synth-out-dir-is-file", "quantize-out-dir-under-file",
+        "sweep-out-is-dir"])
+def test_output_path_of_wrong_kind_is_usage_error(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"network": {"depth": 1, "width": 4},
+                               "calibration": {"n_sequences": 8}}))
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    paths = {"cfg": cfg, "file": tmp_path / "file", "dir": tmp_path / "dir"}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert err.startswith("usage error:") and message in err and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("section,entry", [
     ("solver", {"solver": "ksnrq", "beam_width": 1.5}),
     ("solver", {"solver": "ksnrq", "beam_width": True}),

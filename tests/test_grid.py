@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snrq import GridSpec, InvalidSpec, fit_grid, levels
+from snrq import GridSpec, InvalidSpec, fit_grid, grid, levels
 from snrq.grid import column_grid, dequantize, round_to_grid
 from snrq.oracle import fit_grid_reference
 
@@ -193,9 +193,8 @@ def test_mse_clip_never_worse(rng):
     assert clip <= base + 1e-12
 
 
-def test_fit_grid_matches_per_cell_reference(rng):
-    # bit-equal to the per-cell loop: same ranges, same pairwise sums, same first-minimum rule
-    cases = 0
+def _reference_cases(rng):
+    """(w, spec) pairs: random cells, cells whose errors overflow, cells whose best grids tie."""
     for bits in range(2, 9):
         for symmetric in (True, False):
             for mse_clip in (True, False):
@@ -207,21 +206,59 @@ def test_fit_grid_matches_per_cell_reference(rng):
                     w = mag * (rng.normal(size=(m, n_groups * gsize)) + rng.choice([0.0, 2.0]))
                     w[0, :gsize] = w[0, 0]      # constant cell
                     w[-1, -gsize:] = 0.0        # all-zero cell
-                    spec = GridSpec(bits=bits, symmetric=symmetric, group_size=group_size,
-                                    mse_clip=mse_clip)
-                    got, ref = fit_grid(w, spec), fit_grid_reference(w, spec)
-                    assert np.array_equal(got.scales, ref.scales), spec
-                    assert np.array_equal(got.zero_points, ref.zero_points), spec
-                    assert got.zero_points.dtype == np.int32
-                    cases += 1
-    assert cases >= 200
+                    yield w, GridSpec(bits=bits, symmetric=symmetric, group_size=group_size,
+                                      mse_clip=mse_clip)
+    for bits in (3, 8):
+        for symmetric in (True, False):
+            for group_size in (0, 1, 4):
+                for mag in (1e300, 1e307):
+                    # every ratio's error overflows to inf; the first row is constant,
+                    # so its cells' zero points overflow before the clip
+                    w = mag * rng.normal(size=(3, 8))
+                    w[0] = mag
+                    yield w, GridSpec(bits=bits, symmetric=symmetric, group_size=group_size,
+                                      mse_clip=True)
+                w = rng.normal(size=(2, 8))
+                w[0, :4] = (-1.5e308, 1.5e308, 1.0, -1.0)  # a range that overflows: NaN errors
+                yield w, GridSpec(bits=bits, symmetric=symmetric, group_size=group_size,
+                                  mse_clip=True)
+    for mag in (1e-3, 1.0, 3.0):
+        # on the 2-bit symmetric grid a cell {-M, 0, ...} is exact at ratio 0.5 (scale M/2,
+        # code -2) and at ratio 1 (scale M, code -1): two grids tie at error 0
+        w = np.zeros((2, 8))
+        w[0, 0] = w[1, 5] = -mag
+        for group_size in (0, 4):
+            yield w, GridSpec(bits=2, symmetric=True, group_size=group_size, mse_clip=True)
 
 
-def test_fit_grid_mse_clip_memory_is_linear(rng):
-    # one array pass per ratio; all 100 ratios at once would need >= 100 * m * n * 8 bytes
+def test_fit_grid_matches_per_cell_reference(rng, monkeypatch):
+    # bit-equal to the per-cell loop: same ranges, same pairwise sums, same first-minimum
+    # rule, also when the clip search splits the ratios into chunks of 1 and of 7, so that
+    # ties fall both inside a chunk and across chunk boundaries
+    default_entries = grid._CLIP_CHUNK_ENTRIES
+    cases = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, spec in _reference_cases(rng):
+            ref = fit_grid_reference(w, spec)
+            for entries in (default_entries, w.size, 7 * w.size):
+                monkeypatch.setattr(grid, "_CLIP_CHUNK_ENTRIES", entries)
+                got = fit_grid(w, spec)
+                assert np.array_equal(got.scales, ref.scales), (spec, entries)
+                assert np.array_equal(got.zero_points, ref.zero_points), (spec, entries)
+                assert got.zero_points.dtype == np.int32
+            cases += 1
+    assert cases >= 250
+
+
+@pytest.mark.parametrize("group_size, bound", [(0, 8), (1, 20), (4, 20), (64, 8)],
+                         ids=["group0", "group1", "group4", "group64"])
+def test_fit_grid_mse_clip_memory_is_linear(rng, group_size, bound):
+    # a chunk of clip ratios rounds at most _CLIP_CHUNK_ENTRIES weights at once; all 100
+    # ratios at once would need >= 100 * m * n * 8 bytes (502x at group size 1). Small
+    # groups pay more, since per-cell scales, zero points and errors grow with the cells
     m, n = 128, 256
     w = rng.normal(size=(m, n))
-    spec = GridSpec(bits=4, symmetric=False, group_size=64, mse_clip=True)
+    spec = GridSpec(bits=4, symmetric=False, group_size=group_size, mse_clip=True)
     fit_grid(w, spec)
     tracemalloc.start()
     try:
@@ -229,4 +266,4 @@ def test_fit_grid_mse_clip_memory_is_linear(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * m * n * 8
+    assert peak <= bound * m * n * 8

@@ -21,7 +21,7 @@ from snrq import (
     order_and_factor,
     snrq_greedy,
 )
-from snrq import solvers
+from snrq import grid, solvers
 from snrq.pipeline import RunConfig
 
 from conftest import random_batch, random_spd
@@ -43,6 +43,11 @@ def test_tracer_targets_resolve():
     missing = [(mod, attr) for mod, attr, *_ in targets
                if not callable(getattr(importlib.import_module(mod), attr, None))]
     assert missing == []
+
+
+def test_tracer_clip_ratio_count_matches_the_grid():
+    # the tracer computes grid.cells_evaluated as m * G * CLIP_RATIOS per MSE-clipped fit
+    assert load_tracer().CLIP_RATIOS == len(grid._CLIP_RATIOS)
 
 
 def test_benchmark_workload_configs_load():
