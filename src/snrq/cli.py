@@ -2,8 +2,9 @@
 
 Subcommands: quantize, synth, oracle, alpha-scan, dither-demo,
 variance-sweep, sweep. Exit codes: 0 on success, 1 on usage errors (bad
-arguments, missing or malformed config), 2 on numerical or validation
-failures during a run. All randomness flows from the single --seed.
+arguments, missing or malformed config, an --out path that cannot be
+written), 2 on numerical or validation failures during a run and when memory
+runs out. All randomness flows from the single --seed.
 """
 
 from __future__ import annotations
@@ -74,6 +75,16 @@ def _load_config(path: str, overrides: dict) -> RunConfig:
         raise UsageError(f"config file {path}: {e}") from None
     updates = {k: v for k, v in overrides.items() if v is not None}
     return replace(cfg, **updates) if updates else cfg
+
+
+def _check_out(out: str | None) -> None:
+    """Raise, before a command's work, the error that writing ``out`` would raise.
+
+    Covers an existing directory and a parent that is missing or is not a
+    directory: opening such a path without creating it fails as the write would.
+    """
+    if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        open(out, "rb+").close()
 
 
 def _emit(payload: dict, out: str | Path | None) -> None:
@@ -297,6 +308,7 @@ def cli_main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     try:
+        _check_out(getattr(args, "out", None))
         return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
@@ -312,6 +324,9 @@ def cli_main(argv=None) -> int:
         return 1
     except SnrqError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # numpy's message names the allocation that failed
+        print(f"error: out of memory: {e}" if str(e) else "error: out of memory", file=sys.stderr)
         return 2
 
 

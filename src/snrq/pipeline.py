@@ -368,10 +368,17 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
     When ``config.out_dir`` is set, per-layer code/dequant matrices and the
     report JSON are also written there (codes as the i32 binary variant); a
     ``report.json`` already there is removed first, so a failed run leaves
-    none. Raises NonFinite, before the report is written, when a layer's proxy
-    loss, weight MSE or activation error, or an end-to-end MSE, is not finite.
+    none. Raises InvalidSpec, before any layer runs, when ``group_size`` does
+    not divide a layer's input width, and NonFinite, before the report is
+    written, when a layer's proxy loss, weight MSE or activation error, or an
+    end-to-end MSE, is not finite.
     """
     t_start = time.perf_counter()
+    for l, w in enumerate(net.layers):  # every layer's width, before a layer runs or writes
+        try:
+            config.grid.groups_for(w.shape[1])
+        except InvalidSpec as e:
+            raise InvalidSpec(f"layer {l}: {e}") from None
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -35,7 +35,8 @@ Other solvers:
                    the gradient G = (Q - M) H, blocked like the kernel: moves
                    inside a block of block_size coordinates update only the
                    block's columns of G, and one matrix product the rest;
-                   a pass that moves nothing ends the refinement
+                   a pass that moves nothing ends the refinement, and the
+                   result records the total objective after each pass
 
 The one scorer of the proxy is :func:`proxy_row_scores`, which takes the
 layer's factor and returns ||(Q - T)[:, perm] L||^2 per row.
@@ -106,7 +107,8 @@ class RoundResult:
     ``codes`` are in original column order; ``q_dequant`` is exactly
     dequantize(codes). ``per_row_scores`` are the solver's accumulated row
     objectives; ``proxy_loss`` is their sum. :func:`cd_refine` sets
-    ``objective_trajectory``, the total objective along its updates.
+    ``objective_trajectory``, the total objective at its start and after
+    each pass it ran.
     """
 
     codes: np.ndarray
@@ -392,9 +394,9 @@ def cd_refine(
     computed for the whole block at once, and after a row's first move only
     that row is visited again, from the next coordinate on. A pass that
     moves nothing ends the refinement. The result's ``objective_trajectory``
-    holds the total objective after every update (index 0 is the starting
-    value; skipped passes repeat the last value); ``passes == 0`` returns
-    ``result``.
+    holds the total objective at the start and after each pass that ran
+    (1 + passes run entries; a pass that moved nothing repeats the entry
+    before it); ``passes == 0`` returns ``result``.
     """
     if passes < 0:
         raise InvalidSpec(f"passes must be >= 0, got {passes}")
@@ -415,16 +417,14 @@ def cd_refine(
     res = (values - m_alpha) @ root  # rowwise R q - y, R = root^T
     scores = np.sum(res * res, axis=1)
     grad = res @ root.T  # G = (Q - M) H
-    traj = np.empty(1 + passes * n)
-    traj[0] = scores.sum()
-    for p in range(passes):
+    traj = [scores.sum()]
+    for _ in range(passes):
         moved = False
         for b0 in range(0, n, block_size):
             blk = slice(b0, min(b0 + block_size, n))
             g = grad[:, blk].copy()
             step = np.zeros(g.shape)
-            running = scores.copy()
-            ev_cols, ev_rows, ev_scores = [], [], []  # each move: column, row, score after it
+            block_moved = False
             rows = np.arange(m)  # rows to scan, each from its block column ``after`` on
             after = np.zeros(m, dtype=np.intp)
             while True:
@@ -445,27 +445,18 @@ def cd_refine(
                 scores[rows] += h_diag[j] * gain[hit, after]
                 codes[rows, j] = near_c[hit, after]
                 values[rows, j] = near_v[hit, after]
-                ev_cols.append(j)
-                ev_rows.append(rows)
-                ev_scores.append(scores[rows])
                 after = after + 1
-            # the objective after each update of the block: the scores change only at moves
-            out = traj[1 + p * n + b0:1 + p * n + blk.stop]
-            out[:] = traj[p * n + b0]
-            if ev_cols:
-                ev_cols, ev_rows, ev_scores = map(np.concatenate, (ev_cols, ev_rows, ev_scores))
-                for c in np.unique(ev_cols):
-                    at = ev_cols == c
-                    running[ev_rows[at]] = ev_scores[at]
-                    out[c - b0:] = running.sum()
+                block_moved = True
+            if block_moved:
                 grad += step @ h[blk]
                 moved = True
+        traj.append(scores.sum())
         if not moved:
-            traj[1 + (p + 1) * n:] = traj[(p + 1) * n]
             break
+    # round_to_grid's levels are dequantize's scale * (code - zero), bit for bit
     return replace(
-        result, codes=codes, q_dequant=dequantize(codes, params), per_row_scores=scores,
-        objective_trajectory=traj,
+        result, codes=codes, q_dequant=values, per_row_scores=scores,
+        objective_trajectory=np.array(traj),
     )
 
 

@@ -303,7 +303,7 @@ def test_c10_cd_monotonicity():
         sat = ksnrq_beam(w, fact, params, SolverConfig(act_order=False, beam_width=4 ** n))
         refined = cd_refine(sat, w, fact, params, passes=3, block_size=4)
         ok = ok and np.array_equal(refined.codes, sat.codes)
-    report_line("C10", ok, "CD objective non-increasing per update, optimum is a fixed point", t0)
+    report_line("C10", ok, "CD objective non-increasing per pass, optimum is a fixed point", t0)
     assert ok
 
 

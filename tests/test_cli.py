@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snrq
-from snrq import CalibBatch, GridSpec, SeededRng, cholesky, fit_grid, levels
+from snrq import CalibBatch, GridSpec, SeededRng, cholesky, cli, fit_grid, levels, pipeline
 from snrq.cli import cli_main
 from snrq.matio import read_matrix, write_matrix
 from snrq.oracle import DitherSetup, alpha_grid_scan, dither_experiment, exhaustive_row
@@ -81,6 +81,25 @@ def test_invalid_group_size_is_validation_failure(tmp_path, capsys):
     code, _, err = run(capsys, "quantize", "--config", str(p))
     assert code == 2
     assert "group_size" in err
+
+
+def test_group_size_is_checked_for_every_layer_before_any_runs(tmp_path, capsys, monkeypatch):
+    # layer 0 (16 columns) fits group_size 16 but layer 1 (8 columns) does not
+    solved, solve = [], pipeline._solve_layer
+    monkeypatch.setattr(pipeline, "_solve_layer", lambda *args: solved.append(args) or solve(*args))
+    cfg = {
+        "grid": {"bits": 3, "group_size": 16},
+        "network": {"dims": [16, 8, 12]},
+        "calibration": {"n_sequences": 16},
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "quantize", "--config", str(p), "--out-dir", str(out_dir))
+    assert code == 2
+    assert err == "error: layer 1: group_size 16 does not divide 8 columns\n"
+    assert out == "" and solved == []
+    assert not list(out_dir.glob("layer_*"))
 
 
 def test_synth_then_quantize_roundtrip(tmp_path, capsys):
@@ -271,6 +290,38 @@ def test_output_path_of_wrong_kind_is_usage_error(tmp_path, capsys, argv, messag
     assert code == 1
     assert err.startswith("usage error:") and message in err and "Traceback" not in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("out, message", [
+    ("{dir}", "is a directory"),
+    ("{dir}/missing/x.json", "file not found"),
+    ("{file}/x.json", "not a directory"),
+], ids=["dir", "missing-parent", "parent-is-file"])
+def test_bad_out_path_fails_before_the_work(tmp_path, capsys, monkeypatch, out, message):
+    calls = []
+    monkeypatch.setattr(cli, "sweep", lambda *args: calls.append(args))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"network": {"depth": 1, "width": 4},
+                               "calibration": {"n_sequences": 8}}))
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    out = out.format(dir=tmp_path / "dir", file=tmp_path / "file")
+    code, stdout, err = run(capsys, "sweep", "--config", str(cfg), "--axis", "K",
+                            "--values", "1", "--out", out)
+    assert code == 1
+    assert err == f"usage error: {message}: {out}\n"
+    assert stdout == "" and calls == []
+
+
+def test_memory_error_is_one_error_line(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 7.11 PiB for an array with shape (10**15,)")
+
+    monkeypatch.setattr(cli, "dither_experiment", exhausted)
+    code, out, err = run(capsys, "dither-demo", "--w", "0.3", "--x", "1", "--trials", "100")
+    assert code == 2
+    assert err == "error: out of memory: Unable to allocate 7.11 PiB for an array with shape (10**15,)\n"
+    assert out == ""
 
 
 @pytest.mark.parametrize("section,entry", [

@@ -21,8 +21,9 @@ from snrq import (
     order_and_factor,
     snrq_greedy,
 )
-from snrq import grid, solvers
-from snrq.pipeline import RunConfig
+from snrq import grid, pipeline, solvers
+from snrq.pipeline import RunConfig, quantize_network, synth_network
+from snrq.solvers import RoundResult
 
 from conftest import random_batch, random_spd
 
@@ -48,6 +49,28 @@ def test_tracer_targets_resolve():
 def test_tracer_clip_ratio_count_matches_the_grid():
     # the tracer computes grid.cells_evaluated as m * G * CLIP_RATIOS per MSE-clipped fit
     assert load_tracer().CLIP_RATIOS == len(grid._CLIP_RATIOS)
+
+
+def test_tracer_reads_cd_refine_arguments_by_position(monkeypatch):
+    # the tracer's CD counts read args[4] as the pass count and args[0].codes
+    # as the starting codes, so the pipeline passes both positionally
+    calls = []
+    refine = pipeline.cd_refine
+
+    def recorder(*args, **kwargs):
+        result = refine(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(pipeline, "cd_refine", recorder)
+    cfg = RunConfig.from_dict({"solver": {"cd_passes": 2}, "network": {"depth": 2, "width": 8},
+                               "calibration": {"n_sequences": 16}})
+    quantize_network(synth_network(cfg.network, cfg.seed), cfg)
+    assert len(calls) == 2
+    for args, kwargs, result in calls:
+        assert args[4] == 2
+        assert isinstance(args[0], RoundResult)
+        assert load_tracer()._cd_counts(args, kwargs, result)["visited_computed"] == 8 * 8 * 2
 
 
 def test_benchmark_workload_configs_load():
