@@ -161,19 +161,19 @@ def accumulate_stats(
     )
 
 
-def shifted_target(w: np.ndarray, stats: CalibStats, fact: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def shifted_target(w: np.ndarray, stats: CalibStats, fact) -> np.ndarray:
     """Shifted rounding target M = w C H^{-1}, in original column order.
 
-    ``fact`` is the layer's (perm, low) pair with H[perm][:, perm] = low low^T
-    (:func:`snrq.solvers.order_and_factor`); the right division runs in that
-    order: M[:, perm] = (w C)[:, perm] H[perm][:, perm]^{-1}.
+    ``fact`` is the layer's (perm, low, inv) with H[perm][:, perm] = low low^T
+    and inv the block inverses of low (:func:`snrq.solvers.order_and_factor`);
+    the right division runs in that order: M[:, perm] = (w C)[:, perm] H[perm][:, perm]^{-1}.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.shape[1] != stats.h.shape[0]:
         raise ShapeMismatch(f"weights {w.shape} incompatible with H {stats.h.shape}")
-    perm, low = fact
+    perm, low, inv = fact
     m = np.empty((w.shape[0], len(perm)))
-    m[:, perm] = solve_with_factor(low, (w @ stats.c_alpha)[:, perm])
+    m[:, perm] = solve_with_factor(low, (w @ stats.c_alpha)[:, perm], inv)
     return m
 
 

@@ -227,6 +227,9 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+# overflow surfaces as a non-finite value, which json_text refuses (exit 2);
+# numpy's warnings would only repeat that on stderr
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_alpha_scan(args) -> int:
     if args.synth:
         rng = SeededRng(args.seed, 11)

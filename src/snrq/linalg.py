@@ -6,8 +6,9 @@ pivot index, so on that path only an unblocked left-looking pass finds the
 first pivot <= 0 and raises :class:`NotPositiveDefinite` with its index and
 value. The right-solves by L^T and L run over blocks of ``_BLOCK`` columns:
 the off-diagonal updates are matrix products, and each diagonal block is
-applied through its inverse; all the block inverses come from one batched
-``np.linalg.inv`` call, made once for both passes of a two-sided solve.
+applied through its inverse. The inverses are :func:`block_inverses` of L,
+one batched ``np.linalg.inv`` call, which the caller makes once per factor
+and passes to every solve with it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import NonFinite, NotPositiveDefinite, ShapeMismatch
 
-__all__ = ["cholesky", "solve_lt", "solve_l", "solve_with_factor"]
+__all__ = ["cholesky", "block_inverses", "solve_lt", "solve_l", "solve_with_factor"]
 
 _BLOCK = 32
 _SYMMETRY_TOL = 1e-9  # largest |h - h^T| accepted, relative to max |h|
@@ -72,7 +73,7 @@ def _failed_pivot(a: np.ndarray) -> NotPositiveDefinite:
     return NotPositiveDefinite(*smallest)
 
 
-def _diagonal_inverses(low: np.ndarray) -> np.ndarray:
+def block_inverses(low: np.ndarray) -> np.ndarray:
     """Inverses of the ``_BLOCK``-wide diagonal blocks of L, from one batched call.
 
     The last block is padded with the identity, so every block is square.
@@ -85,14 +86,11 @@ def _diagonal_inverses(low: np.ndarray) -> np.ndarray:
     return np.linalg.inv(blocks)
 
 
-def solve_lt(low: np.ndarray, b: np.ndarray, inv: np.ndarray | None = None) -> np.ndarray:
+def solve_lt(low: np.ndarray, b: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Right-divide by L^T: returns b L^{-T} for lower-triangular L, left to right.
 
-    ``inv`` is ``_diagonal_inverses(low)``, for a caller that solves with the
-    same L more than once; it is computed here when not given.
+    ``inv`` is ``block_inverses(low)``.
     """
-    if inv is None:
-        inv = _diagonal_inverses(low)
     x = np.array(b, dtype=np.float64)
     n = low.shape[0]
     for s in range(0, n, _BLOCK):
@@ -101,13 +99,11 @@ def solve_lt(low: np.ndarray, b: np.ndarray, inv: np.ndarray | None = None) -> n
     return x
 
 
-def solve_l(low: np.ndarray, b: np.ndarray, inv: np.ndarray | None = None) -> np.ndarray:
+def solve_l(low: np.ndarray, b: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Right-divide by L: returns b L^{-1} for lower-triangular L, right to left.
 
-    ``inv`` is as for :func:`solve_lt`.
+    ``inv`` is ``block_inverses(low)``.
     """
-    if inv is None:
-        inv = _diagonal_inverses(low)
     x = np.array(b, dtype=np.float64)
     n = low.shape[0]
     for s in reversed(range(0, n, _BLOCK)):
@@ -116,7 +112,6 @@ def solve_l(low: np.ndarray, b: np.ndarray, inv: np.ndarray | None = None) -> np
     return x
 
 
-def solve_with_factor(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Right-divide by the factored matrix: returns b (LL^T)^{-1}."""
-    inv = _diagonal_inverses(low)
+def solve_with_factor(low: np.ndarray, b: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Right-divide by the factored matrix: returns b (LL^T)^{-1}; ``inv`` is as for :func:`solve_lt`."""
     return solve_l(low, solve_lt(low, b, inv), inv)

@@ -132,7 +132,7 @@ def beam_reference(m_target: np.ndarray, fact, params: GridParams, k: int) -> np
     best beam (the first on ties) in original column order. With K = 1 this
     is plain greedy: each column takes the level nearest its center.
     """
-    perm, low = fact
+    perm, low = fact.perm, fact.low
     m_target = np.asarray(m_target, dtype=np.float64)
     m, n = m_target.shape
     spec = params.spec
@@ -174,7 +174,7 @@ def cd_reference(codes, m_target, fact, params: GridParams, passes: int) -> np.n
     level of the cell by the full row objective ||(q - m_i)[perm] L||^2 and
     keeps the last minimum, which is the larger code on ties.
     """
-    perm, low = fact
+    perm, low = fact.perm, fact.low
     out = np.array(codes, dtype=np.int64)
     for i, q in enumerate(dequantize(out, params)):
         for _ in range(passes):

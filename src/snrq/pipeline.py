@@ -124,6 +124,8 @@ class NetworkConfig:
             require_int("depth", self.depth, 1)
             require_int("width", self.width, 1)
         if self.weight_paths is not None:
+            if self.dims is None:
+                raise InvalidSpec("weight_paths needs dims, the layer widths of its files")
             object.__setattr__(self, "weight_paths", tuple(self.weight_paths))
 
     def layer_dims(self) -> tuple[int, ...]:
@@ -232,12 +234,27 @@ def _act(h: np.ndarray, nonlinearity: str) -> np.ndarray:
 
 
 def synth_network(spec: NetworkConfig, seed: int) -> ToyNetwork:
-    """Gaussian layers scaled by 1/sqrt(fan_in), deterministic per seed."""
-    if spec.weight_paths is not None:
-        layers = tuple(np.asarray(read_matrix(p), dtype=np.float64) for p in spec.weight_paths)
-        return ToyNetwork(layers=layers, nonlinearity=spec.nonlinearity)
+    """Gaussian layers scaled by 1/sqrt(fan_in), deterministic per seed.
+
+    With ``spec.weight_paths`` the layers are read from those files instead.
+
+    Raises:
+        ShapeMismatch: the files are not one per layer of ``spec.dims``, or a
+            file's shape is not its layer's dims[l + 1] x dims[l].
+    """
     dims = spec.layer_dims()
     layers = []
+    if spec.weight_paths is not None:
+        if len(spec.weight_paths) != len(dims) - 1:
+            raise ShapeMismatch(f"{len(spec.weight_paths)} weight files for the "
+                                f"{len(dims) - 1} layers of dims {list(dims)}")
+        for l, path in enumerate(spec.weight_paths):
+            w = np.asarray(read_matrix(path), dtype=np.float64)
+            if w.shape != (dims[l + 1], dims[l]):
+                raise ShapeMismatch(f"{path}: layer {l} of dims {list(dims)} is "
+                                    f"{dims[l + 1]} x {dims[l]}, the file is {w.shape[0]} x {w.shape[1]}")
+            layers.append(w)
+        return ToyNetwork(layers=tuple(layers), nonlinearity=spec.nonlinearity)
     for l in range(len(dims) - 1):
         rng = SeededRng(seed, STREAM_NETWORK + l)
         layers.append(rng.normal(size=(dims[l + 1], dims[l])) / np.sqrt(dims[l]))
@@ -325,10 +342,8 @@ def _solve_layer(
         result = ksnrq_beam(m_alpha, fact, params, cfg)
     elif name == "gptq":
         result = gptq_round(w, fact, params, cfg)
-    elif name == "gptaq":
+    else:  # "gptaq", the last name SolverConfig admits
         result = gptaq_round(w, fact, params, cfg, batch, mismatch_scale=config.gptaq_alpha)
-    else:  # pragma: no cover - guarded by SolverConfig validation
-        raise InvalidSpec(f"unknown solver {name!r}")
     if cfg.cd_passes > 0:
         result = cd_refine(result, m_alpha, fact, params, cfg.cd_passes, cfg.block_size)
     return result
@@ -495,8 +510,12 @@ def strip_timing(obj):
 def determinism_hash(report: dict) -> str:
     core = strip_timing({k: v for k, v in report.items() if k != "determinism_hash"})
     if isinstance(core.get("config"), dict):
-        # the output location is an IO detail, not a scientific input
-        core["config"] = {k: v for k, v in core["config"].items() if k != "out_dir"}
+        # file locations are IO details, not scientific inputs: the output
+        # directory, and the weight files, whose contents the layer records hold
+        config = {k: v for k, v in core["config"].items() if k != "out_dir"}
+        if isinstance(config.get("network"), dict):
+            config["network"] = {k: v for k, v in config["network"].items() if k != "weight_paths"}
+        core["config"] = config
     blob = json.dumps(core, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -529,7 +548,8 @@ def sweep(config: RunConfig, axis: str, values) -> dict:
     """Re-run the pipeline per value of one axis and tabulate the results.
 
     For the search axes (K, cd_passes) rows after the first also carry the
-    marginal improvement per second between consecutive values.
+    marginal improvement per second between consecutive values; it is None
+    when the row's wall time did not rise over the row before.
     """
     values = list(values)
     if not values:
@@ -549,8 +569,7 @@ def sweep(config: RunConfig, axis: str, values) -> dict:
         })
     if axis in ("K", "cd_passes") and len(rows) > 1:
         for i in range(1, len(rows)):
-            dt_s = max((rows[i]["wall_ms"] - rows[i - 1]["wall_ms"]) / 1e3, 1e-9)
-            rows[i]["marginal_improvement_per_s"] = (
-                rows[i - 1]["proxy_loss"] - rows[i]["proxy_loss"]
-            ) / dt_s
+            dt_s = (rows[i]["wall_ms"] - rows[i - 1]["wall_ms"]) / 1e3
+            gain = rows[i - 1]["proxy_loss"] - rows[i]["proxy_loss"]
+            rows[i]["marginal_improvement_per_s"] = gain / dt_s if dt_s > 0 else None
     return {"axis": axis, "rows": rows}

@@ -58,7 +58,7 @@ from .calibration import CalibBatch
 from .errors import InvalidSpec, MemoryBudget, require_bool, require_int
 from .grid import GridParams, column_grid, dequantize, round_to_grid
 # solve_with_factor: perfbench tracer only
-from .linalg import _diagonal_inverses, cholesky, solve_l, solve_lt, solve_with_factor
+from .linalg import block_inverses, cholesky, solve_l, solve_lt, solve_with_factor
 
 __all__ = [
     "SolverConfig",
@@ -122,10 +122,12 @@ class RoundResult:
 
 
 class OrderedFactor(NamedTuple):
-    """Decision order (original column indices) and the lower factor of H[perm][:, perm]."""
+    """Decision order (original column indices), the lower factor of H[perm][:, perm]
+    and its diagonal-block inverses, which every triangular solve with it applies."""
 
     perm: np.ndarray
     low: np.ndarray
+    inv: np.ndarray
 
 
 def order_and_factor(h: np.ndarray, cfg: SolverConfig) -> OrderedFactor:
@@ -134,7 +136,8 @@ def order_and_factor(h: np.ndarray, cfg: SolverConfig) -> OrderedFactor:
     Under ``cfg.act_order`` the order is a stable ascending sort of diag(h),
     so the columns of largest curvature are decided first; otherwise it is
     the natural order, reversed for the left-to-right ``gptq``/``gptaq`` so
-    that column 0 is decided first. This is the only factorization a layer makes.
+    that column 0 is decided first. This is the only factorization a layer
+    makes, and its block inverses, made here, the only batched inverse.
 
     Raises:
         NotPositiveDefinite: h is not positive definite.
@@ -145,7 +148,8 @@ def order_and_factor(h: np.ndarray, cfg: SolverConfig) -> OrderedFactor:
         perm = np.argsort(np.diag(h), kind="stable")
     elif cfg.solver in ("gptq", "gptaq"):
         perm = perm[::-1]
-    return OrderedFactor(perm, cholesky(h[np.ix_(perm, perm)]))
+    low = cholesky(h[np.ix_(perm, perm)])
+    return OrderedFactor(perm, low, block_inverses(low))
 
 
 def proxy_row_scores(q_dequant: np.ndarray, m_ref: np.ndarray, fact: OrderedFactor) -> np.ndarray:
@@ -159,25 +163,9 @@ def proxy_row_scores(q_dequant: np.ndarray, m_ref: np.ndarray, fact: OrderedFact
 # ---------------------------------------------------------------------------
 
 
-def _unit_lower(l_chol: np.ndarray) -> np.ndarray:
-    n = l_chol.shape[0]
-    return l_chol / np.diag(l_chol)[None, :] - np.eye(n)
-
-
 def _ordered(a: np.ndarray, fact: OrderedFactor) -> np.ndarray:
     """Columns of ``a`` in the factor's decision order."""
     return np.asarray(a, dtype=np.float64)[:, fact.perm]
-
-
-def _finish(codes_p, perm, params, scores) -> RoundResult:
-    """Scatter permuted results back to original column order."""
-    codes = np.empty_like(codes_p)
-    codes[:, perm] = codes_p
-    return RoundResult(
-        codes=codes,
-        q_dequant=dequantize(codes, params),
-        per_row_scores=np.asarray(scores, dtype=np.float64),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +180,9 @@ def rtn_round(w: np.ndarray, params: GridParams, m_ref: np.ndarray, fact: Ordere
     weight-rounding error ||Q - w||^2 per row.
     """
     w = np.asarray(w, dtype=np.float64)
-    n = w.shape[1]
-    scale, zero = column_grid(params, np.arange(n))
-    codes, values = round_to_grid(w, scale, zero, params.spec)
-    return _finish(codes, np.arange(n), params, proxy_row_scores(values, m_ref, fact))
+    scale, zero = column_grid(params, np.arange(w.shape[1]))
+    codes, values = round_to_grid(w, scale, zero, params.spec)  # values are dequantize(codes)
+    return RoundResult(codes, values, proxy_row_scores(values, m_ref, fact))
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +239,8 @@ def _keep_best(s, center, scale, zero, cost, spec):
     return cand_s.ravel()[flat], parent, cand_v.ravel()[flat], lo[rows, parent] + offset
 
 
-def _successive_round(mp, fact, params, cfg, k, bsz) -> RoundResult:
-    """Reverse-order successive rounding with K beams and blocks of B columns.
+def _successive_round(mp, fact, params, cfg, k) -> RoundResult:
+    """Reverse-order successive rounding with K beams and blocks of B = ``cfg.block_size`` columns.
 
     ``mp`` is the target with its columns in the decision order of ``fact``.
     Per row, K partial assignments survive. A candidate scores its parent's
@@ -269,7 +256,8 @@ def _successive_round(mp, fact, params, cfg, k, bsz) -> RoundResult:
     correction (T - Q)[:, i:] Lu[i:, block] are plain 2-D matrix products.
     Decided columns are kept as differences T - Q. Inside a block only the
     block-local buffers follow each survivor's parent; the decided tail
-    follows the block's ancestor index once, at the end of the block.
+    follows the block's ancestor index once, at the end of the block. The
+    result's codes are scattered back to original column order.
 
     Raises:
         MemoryBudget: the allocation charged by :func:`_kernel_bytes` exceeds
@@ -277,6 +265,7 @@ def _successive_round(mp, fact, params, cfg, k, bsz) -> RoundResult:
     """
     m, n = mp.shape
     spec = params.spec
+    bsz = cfg.block_size
     need = _kernel_bytes(m, n, k, bsz, spec.num_levels)
     if need > cfg.memory_budget_mb * (1 << 20):
         raise MemoryBudget(
@@ -284,8 +273,8 @@ def _successive_round(mp, fact, params, cfg, k, bsz) -> RoundResult:
             f"the {cfg.memory_budget_mb} MiB budget"
         )
 
-    perm, low = fact
-    lu = _unit_lower(low)
+    perm, low = fact.perm, fact.low
+    lu = low / np.diag(low)[None, :] - np.eye(n)  # unit lower factor minus the identity
     ldiag_sq = np.diag(low) ** 2
     scale_p, zero_p = column_grid(params, perm)
 
@@ -324,8 +313,10 @@ def _successive_round(mp, fact, params, cfg, k, bsz) -> RoundResult:
         tail_c[:, start:i] = bc
         i = start
     codes_p = tail_c[base[:, 0] + np.argmin(s, axis=1)]
-    del tail_d, tail_c  # free the beam state before _finish allocates, as _kernel_bytes assumes
-    return _finish(codes_p, perm, params, np.min(s, axis=1))
+    del tail_d, tail_c  # free the beam state before the results allocate, as _kernel_bytes assumes
+    codes = np.empty_like(codes_p)
+    codes[:, perm] = codes_p
+    return RoundResult(codes, dequantize(codes, params), np.min(s, axis=1))
 
 
 def snrq_greedy(
@@ -341,7 +332,7 @@ def snrq_greedy(
     sum_j L_jj^2 (c_j - q_j)^2, equal to the exact proxy. The block size
     only regroups the updates, so it never changes a decision.
     """
-    return _successive_round(_ordered(m_alpha, fact), fact, params, cfg, 1, cfg.block_size)
+    return _successive_round(_ordered(m_alpha, fact), fact, params, cfg, 1)
 
 
 # perfbench tracer only: it wraps the pipeline's import of this name
@@ -363,9 +354,7 @@ def ksnrq_beam(
     Raises:
         MemoryBudget: the kernel's allocation would exceed the configured cap.
     """
-    return _successive_round(
-        _ordered(m_alpha, fact), fact, params, cfg, cfg.beam_width, cfg.block_size
-    )
+    return _successive_round(_ordered(m_alpha, fact), fact, params, cfg, cfg.beam_width)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +471,7 @@ def gptq_round(
     ``cfg.block_size`` columns. Scores are the levelwise proxy
     ||(Q - W)[:, perm] L||^2 per row.
     """
-    return _successive_round(_ordered(w, fact), fact, params, cfg, 1, cfg.block_size)
+    return _successive_round(_ordered(w, fact), fact, params, cfg, 1)
 
 
 def gptaq_round(
@@ -503,18 +492,17 @@ def gptaq_round(
     :func:`gptq_round` on W + mismatch_scale * W U, U strictly upper with row
     q equal to D[q, q+1:] H[q+1:, q+1:]^{-1}. Those trailing blocks of H are
     leading blocks of the one factor (which is in the reverse order), so U
-    costs two triangular solves, which share one set of block inverses.
-    Scores are the exact asymmetric objective.
+    costs two triangular solves with the factor's block inverses. Scores are
+    the exact asymmetric objective.
     """
     w = np.asarray(w, dtype=np.float64)
-    perm, low = fact
+    perm, low, inv = fact
     wp = _ordered(w, fact)
     dx = batch.delta
     # kernel order: U is strictly lower, row i = D[i, :i] (L_i L_i^T)^{-1} with L_i = low[:i, :i]
     d = np.tril((dx @ batch.xq.T)[np.ix_(perm, perm)], -1)
-    inv = _diagonal_inverses(low)
     u = solve_l(low, np.tril(solve_lt(low, d, inv), -1), inv)
-    result = _successive_round(wp + mismatch_scale * (wp @ u), fact, params, cfg, 1, cfg.block_size)
+    result = _successive_round(wp + mismatch_scale * (wp @ u), fact, params, cfg, 1)
     resid = (result.q_dequant - w) @ batch.xq - mismatch_scale * (w @ dx)
     scores = np.sum(resid * resid, axis=1)
     return replace(result, per_row_scores=scores)

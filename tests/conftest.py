@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from snrq import CalibBatch
+from snrq.linalg import block_inverses
 from snrq.solvers import OrderedFactor
 
 
@@ -18,14 +19,15 @@ def random_batch(rng: np.random.Generator, n: int, n_seq: int, mismatch: float =
 
 def natural(low: np.ndarray) -> OrderedFactor:
     """A lower factor taken in natural column order (no act-order permutation)."""
-    return OrderedFactor(np.arange(low.shape[0]), low)
+    return OrderedFactor(np.arange(low.shape[0]), low, block_inverses(low))
 
 
 def act_order_factor(h: np.ndarray) -> OrderedFactor:
     """The act-order factor built apart from the solvers: a stable ascending
     sort of diag(h), then numpy's Cholesky factor of the permuted h."""
     perm = np.argsort(np.diag(h), kind="stable")
-    return OrderedFactor(perm, np.linalg.cholesky(h[np.ix_(perm, perm)]))
+    low = np.linalg.cholesky(h[np.ix_(perm, perm)])
+    return OrderedFactor(perm, low, block_inverses(low))
 
 
 @pytest.fixture

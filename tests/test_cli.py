@@ -422,6 +422,119 @@ def test_synth_weight_paths_resolve_against_config_dir(tmp_path, capsys, monkeyp
     assert (elsewhere / "run" / "report.json").is_file()
 
 
+def synth_6_5_3(capsys, net_dir):
+    """Weight files of a 6-5-3 network, and their manifest."""
+    code, _, _ = run(capsys, "synth", "--dims", "6,5,3", "--seed", "2", "--out-dir", str(net_dir))
+    assert code == 0
+    return json.loads((net_dir / "network.json").read_text())
+
+
+def test_hash_does_not_depend_on_how_weight_paths_are_spelled(tmp_path, capsys, monkeypatch):
+    net_dir = tmp_path / "net"
+    manifest = synth_6_5_3(capsys, net_dir)
+    cfg = {"calibration": {"n_sequences": 24}, "seed": 4,
+           "network": {"dims": manifest["dims"], "weight_paths": manifest["weight_paths"]}}
+    (net_dir / "c8.json").write_text(json.dumps(cfg))
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    cfg["network"]["weight_paths"] = ["../net/" + p for p in manifest["weight_paths"]]
+    (sub / "c8.json").write_text(json.dumps(cfg))
+
+    reports = []
+    for cwd, config in [(net_dir, "c8.json"), (tmp_path, str(net_dir / "c8.json")),
+                        (sub, "c8.json")]:
+        monkeypatch.chdir(cwd)
+        code, out, err = run(capsys, "quantize", "--config", config)
+        assert code == 0, err
+        reports.append(json.loads(out))
+    paths = [tuple(r["config"]["network"]["weight_paths"]) for r in reports]
+    assert len(set(paths)) == 3  # three spellings of the same files
+    assert len({r["determinism_hash"] for r in reports}) == 1
+
+
+@pytest.mark.parametrize("dims, message", [
+    ([16, 16, 16], "weights_00.snrqmat: layer 0 of dims [16, 16, 16] is 16 x 16, the file is 5 x 6"),
+    ([6, 5, 4], "weights_01.snrqmat: layer 1 of dims [6, 5, 4] is 4 x 5, the file is 3 x 5"),
+    ([6, 5], "2 weight files for the 1 layers of dims [6, 5]"),
+    ([6, 5, 3, 2], "2 weight files for the 3 layers of dims [6, 5, 3, 2]"),
+], ids=["wider", "last-layer", "fewer-layers", "more-layers"])
+def test_weight_files_must_match_dims(tmp_path, capsys, dims, message):
+    manifest = synth_6_5_3(capsys, tmp_path)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"calibration": {"n_sequences": 24},
+                             "network": {"dims": dims, "weight_paths": manifest["weight_paths"]}}))
+    out_dir = tmp_path / "run"
+    code, out, err = run(capsys, "quantize", "--config", str(p), "--out-dir", str(out_dir))
+    assert code == 2
+    assert err.startswith("error: ") and err.rstrip().endswith(message) and len(err.splitlines()) == 1
+    assert out == ""
+    assert not out_dir.exists()  # fails before any layer file is written
+
+
+def test_weight_paths_without_dims_is_usage_error(tmp_path, capsys):
+    manifest = synth_6_5_3(capsys, tmp_path)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"network": {"weight_paths": manifest["weight_paths"]}}))
+    code, out, err = run(capsys, "quantize", "--config", str(p))
+    assert code == 1
+    assert err.startswith("usage error:") and "weight_paths needs dims" in err
+    assert out == ""
+
+
+def alpha_scan_files(tmp_path, w_scale=1.0, xq_cols=16):
+    rng = np.random.default_rng(3)
+    files = {
+        "--w-path": w_scale * rng.normal(size=(4, 8)),
+        "--w-hat-path": rng.normal(size=(4, 8)),
+        "--xf-path": rng.normal(size=(8, 16)),
+        "--xq-path": rng.normal(size=(8, xq_cols)),
+    }
+    argv = []
+    for flag, m in files.items():
+        path = tmp_path / (flag.strip("-") + ".snrqmat")
+        write_matrix(path, m, dtype="f64")
+        argv += [flag, str(path)]
+    return argv, files
+
+
+def test_alpha_scan_matrix_files(tmp_path, capsys):
+    argv, m = alpha_scan_files(tmp_path)
+    code, out, err = run(capsys, "alpha-scan", *argv, "--grid-points", "11")
+    assert code == 0, err
+    batch = CalibBatch(xf=m["--xf-path"], xq=m["--xq-path"])
+    expected = alpha_grid_scan(m["--w-path"], m["--w-hat-path"], batch, 11)
+    payload = json.loads(out)
+    assert payload["alpha_best"] == expected.alpha_best
+    assert payload["values"] == expected.values.tolist()
+
+
+def test_alpha_scan_mismatched_activations_exit_2(tmp_path, capsys):
+    argv, _ = alpha_scan_files(tmp_path, xq_cols=15)
+    code, out, err = run(capsys, "alpha-scan", *argv)
+    assert code == 2
+    assert err == "error: xf (8, 16) and xq (8, 15) must be equal 2-D shapes\n"
+    assert out == ""
+
+
+def test_alpha_scan_needs_all_four_paths(tmp_path, capsys):
+    argv, _ = alpha_scan_files(tmp_path)
+    code, out, err = run(capsys, "alpha-scan", *argv[:4])
+    assert code == 1
+    assert err == "usage error: alpha-scan needs --synth or all four matrix paths\n"
+    assert out == ""
+
+
+def test_alpha_scan_overflow_is_one_error_line(tmp_path, capsys):
+    argv, _ = alpha_scan_files(tmp_path, w_scale=1e200)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "alpha-scan", *argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert out == ""
+
+
 def test_alpha_scan_too_few_grid_points_is_usage_error(capsys):
     code, _, err = run(capsys, "alpha-scan", "--synth", "--grid-points", "2")
     assert code == 1

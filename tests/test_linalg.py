@@ -6,8 +6,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from snrq import NotPositiveDefinite, ShapeMismatch, cholesky
-from snrq import linalg
-from snrq.linalg import _diagonal_inverses, solve_l, solve_lt, solve_with_factor
+from snrq.linalg import block_inverses, solve_l, solve_lt, solve_with_factor
 
 from conftest import random_spd
 
@@ -54,16 +53,22 @@ def test_cholesky_structure_and_reconstruction(rng):
         assert err <= 1e-10
 
 
+def solve_spd(h, b):
+    """b h^{-1} through the factor of h and its block inverses."""
+    low = cholesky(h)
+    return solve_with_factor(low, b, block_inverses(low))
+
+
 def test_solve_spd_identity_and_scalar():
     b = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    assert np.allclose(solve_with_factor(cholesky(np.eye(3)), b), b, rtol=0, atol=1e-14)
-    assert np.allclose(solve_with_factor(cholesky(np.array([[4.0]])), np.array([[6.0]])), [[1.5]])
+    assert np.allclose(solve_spd(np.eye(3), b), b, rtol=0, atol=1e-14)
+    assert np.allclose(solve_spd(np.array([[4.0]]), np.array([[6.0]])), [[1.5]])
 
 
 def test_solve_spd_residual(rng):
     h = random_spd(rng, 8)
     b = rng.normal(size=(4, 8))
-    y = solve_with_factor(cholesky(h), b)
+    y = solve_spd(h, b)
     resid = np.linalg.norm(y @ h - b) / max(1.0, np.linalg.norm(b))
     assert resid <= 1e-8
 
@@ -75,7 +80,7 @@ def test_solve_spd_roundtrip_moderate_condition(rng):
     eig = np.logspace(0, 6, n)
     h = q @ np.diag(eig) @ q.T
     b = rng.normal(size=(3, n))
-    y = solve_with_factor(cholesky(h), b)
+    y = solve_spd(h, b)
     assert np.linalg.norm(y @ h - b) / max(1.0, np.linalg.norm(b)) <= 1e-8
 
 
@@ -83,25 +88,7 @@ def test_solve_with_factor_matches_solve(rng):
     h = random_spd(rng, 6)
     b = rng.normal(size=(2, 6))
     expected = np.linalg.solve(h, b.T).T  # h is symmetric: Y h = b
-    assert np.allclose(solve_with_factor(cholesky(h), b), expected, rtol=1e-10, atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [1, 31, 32, 97])
-def test_solve_with_factor_shares_block_inverses(rng, n, monkeypatch):
-    # both passes apply the same block inverses, computed once: the result is
-    # bit-identical to the two one-sided solves, which each compute their own
-    low = cholesky(random_spd(rng, n))
-    b = rng.normal(size=(5, n))
-    expected = solve_l(low, solve_lt(low, b))
-    calls = []
-
-    def counted(a):
-        calls.append(a.shape[0])
-        return _diagonal_inverses(a)
-
-    monkeypatch.setattr(linalg, "_diagonal_inverses", counted)
-    assert np.array_equal(solve_with_factor(low, b), expected)
-    assert calls == [n]
+    assert np.allclose(solve_spd(h, b), expected, rtol=1e-10, atol=1e-12)
 
 
 def rank_deficient_gram(rng, n, damping):
@@ -114,10 +101,11 @@ def rank_deficient_gram(rng, n, damping):
 @pytest.mark.parametrize("damping", [1e-2, 1e-10])
 def test_blocked_solves_match_solve_triangular(rng, n, damping):
     low = cholesky(rank_deficient_gram(rng, n, damping))
+    inv = block_inverses(low)
     b = rng.normal(size=(7, n))
     cases = [
-        (solve_lt(low, b), solve_triangular(low, b.T, lower=True).T, low.T),
-        (solve_l(low, b), solve_triangular(low, b.T, lower=True, trans="T").T, low),
+        (solve_lt(low, b, inv), solve_triangular(low, b.T, lower=True).T, low.T),
+        (solve_l(low, b, inv), solve_triangular(low, b.T, lower=True, trans="T").T, low),
     ]
     for x, ref, divisor in cases:
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -84,3 +84,32 @@ def test_ragged_csv(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(OSError):
         read_matrix(tmp_path / "nope.snrqmat")
+
+
+def test_truncated_header(tmp_path):
+    p = tmp_path / "m.snrqmat"
+    p.write_bytes(MAGIC + bytes(8))  # one byte short of rows, cols and the dtype code
+    with pytest.raises(FormatError, match="truncated header"):
+        read_matrix(p)
+
+
+def test_unknown_dtype_code(tmp_path):
+    import struct
+
+    p = tmp_path / "m.snrqmat"
+    p.write_bytes(MAGIC + struct.pack("<IIB", 1, 1, 3) + bytes(8))
+    with pytest.raises(FormatError, match="unknown dtype code 3"):
+        read_matrix(p)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n3,x\n", r"m\.csv:2: could not convert string to float: 'x'"),
+    ("\n \n", "empty CSV"),
+    ("1,2\n3,inf\n", "non-finite entry"),
+    ("nan\n", "non-finite entry"),
+], ids=["bad-token", "empty", "inf", "nan"])
+def test_bad_csv(tmp_path, text, message):
+    p = tmp_path / "m.csv"
+    p.write_text(text)
+    with pytest.raises(FormatError, match=message):
+        read_matrix(p)

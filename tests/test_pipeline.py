@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from snrq.pipeline import (
     quantize_network,
     strip_timing,
     sweep,
+    sweep_config,
     synth_network,
 )
 from snrq.rng import SeededRng
@@ -184,24 +186,28 @@ def test_all_solvers_run_through_pipeline(solver):
     assert all(rec["proxy_loss"] >= 0 for rec in report["layers"])
 
 
-@pytest.mark.parametrize("act_order", [False, True])
-@pytest.mark.parametrize("solver,cd_passes", [
+def counted(fn, calls, key):
+    """``fn``, counting its calls in ``calls[key]``."""
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+SOLVER_RUNS = pytest.mark.parametrize("solver,cd_passes", [
     ("rtn", 1), ("snrq", 0), ("snrq_lazy", 0), ("ksnrq", 0), ("gptq", 0), ("gptaq", 0),
 ])
+
+
+@pytest.mark.parametrize("act_order", [False, True])
+@SOLVER_RUNS
 def test_one_factorization_per_layer(monkeypatch, solver, cd_passes, act_order):
     from snrq import calibration, solvers
 
     calls = {"names": 0, "lapack": 0}
-
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     for mod in (calibration, solvers):  # the names the benchmark tracer wraps
-        monkeypatch.setattr(mod, "cholesky", counted(mod.cholesky, "names"))
-    monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky, "lapack"))
+        monkeypatch.setattr(mod, "cholesky", counted(mod.cholesky, calls, "names"))
+    monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky, calls, "lapack"))
     cfg = small_config(
         solver=SolverConfig(solver=solver, beam_width=2, block_size=4,
                             act_order=act_order, cd_passes=cd_passes),
@@ -209,6 +215,26 @@ def test_one_factorization_per_layer(monkeypatch, solver, cd_passes, act_order):
     )
     quantize_network(synth_network(cfg.network, cfg.seed), cfg)
     assert calls == {"names": 3, "lapack": 3}
+
+
+@pytest.mark.parametrize("act_order", [False, True])
+@SOLVER_RUNS
+def test_one_block_inverse_per_layer(monkeypatch, solver, cd_passes, act_order):
+    # the layer's factor carries its diagonal-block inverses, and every solve
+    # with it (the shifted target, GPTAQ's surrogate) applies those
+    from snrq import linalg, solvers
+
+    calls = {"block_inverses": 0, "inv": 0}
+    for mod in (linalg, solvers):
+        monkeypatch.setattr(mod, "block_inverses", counted(mod.block_inverses, calls, "block_inverses"))
+    monkeypatch.setattr(np.linalg, "inv", counted(np.linalg.inv, calls, "inv"))
+    cfg = small_config(
+        solver=SolverConfig(solver=solver, beam_width=2, block_size=4,
+                            act_order=act_order, cd_passes=cd_passes),
+        network=NetworkConfig(depth=3, width=40),  # two diagonal blocks per layer
+    )
+    quantize_network(synth_network(cfg.network, cfg.seed), cfg)
+    assert calls == {"block_inverses": 3, "inv": 3}
 
 
 def test_cd_passes_reduce_proxy():
@@ -275,6 +301,69 @@ def test_sweep_k_axis_emits_marginals():
     assert [r["value"] for r in table["rows"]] == [1, 2, 4]
     assert "marginal_improvement_per_s" not in table["rows"][0]
     assert all("marginal_improvement_per_s" in r for r in table["rows"][1:])
+
+
+def test_sweep_rate_is_null_when_wall_time_does_not_rise(monkeypatch):
+    # a clock that moves only between runs: K = 3 runs faster than K = 2, and
+    # K = 4 as fast as K = 3, so neither has a rate
+    clock = {"now": 0.0}
+    seconds = {1: 1.0, 2: 3.0, 3: 2.5, 4: 2.5}
+    real = pipeline.quantize_network
+
+    def timed(net, cfg):
+        report = real(net, cfg)
+        clock["now"] += seconds[cfg.solver.beam_width]
+        return report
+
+    monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock["now"]))
+    monkeypatch.setattr(pipeline, "quantize_network", timed)
+    cfg = small_config(network=NetworkConfig(depth=2, width=8),
+                       calibration=CalibrationConfig(n_sequences=24))
+    rows = sweep(cfg, "K", [1, 2, 3, 4])["rows"]
+    assert [r["wall_ms"] for r in rows] == [1000.0, 3000.0, 2500.0, 2500.0]
+    gain = rows[0]["proxy_loss"] - rows[1]["proxy_loss"]
+    assert rows[1]["marginal_improvement_per_s"] == gain / 2.0
+    assert rows[2]["marginal_improvement_per_s"] is None
+    assert rows[3]["marginal_improvement_per_s"] is None
+    assert "null" in json_text(rows)
+
+
+@pytest.mark.parametrize("axis,values", [("beta_lambda", [0.5, 5.0]), ("cd_passes", [0, 1, 2])])
+def test_sweep_rows_are_runs_of_the_swept_config(axis, values):
+    cfg = small_config(network=NetworkConfig(depth=2, width=8),
+                       calibration=CalibrationConfig(n_sequences=24))
+    net = synth_network(cfg.network, cfg.seed)
+    rows = sweep(cfg, axis, values)["rows"]
+    assert [r["value"] for r in rows] == values
+    for v, row in zip(values, rows):
+        run_cfg = sweep_config(cfg, axis, v)
+        report = quantize_network(net, run_cfg)
+        assert row["proxy_loss"] == sum(rec["proxy_loss"] for rec in report["layers"])
+        assert row["heldout_output_mse"] == report["end_to_end"]["heldout_output_mse"]
+        if axis == "beta_lambda":
+            assert run_cfg.alpha.mode == "sampled" and run_cfg.alpha.beta_lambda == v
+        else:
+            assert run_cfg.solver.cd_passes == v
+    if axis == "cd_passes":
+        assert all("marginal_improvement_per_s" in r for r in rows[1:])
+    else:
+        assert all("marginal_improvement_per_s" not in r for r in rows)
+        assert rows[0]["proxy_loss"] != rows[1]["proxy_loss"]
+
+
+def test_uniform_calibration_inputs():
+    cfg = small_config(calibration=CalibrationConfig(n_sequences=48, distribution="uniform"))
+    x = _draw_inputs(12, 48, SeededRng(cfg.seed, STREAM_CALIBRATION), "uniform")
+    assert np.array_equal(x, SeededRng(cfg.seed, STREAM_CALIBRATION).uniform(-1.0, 1.0, size=(12, 48)))
+    assert np.all(np.abs(x) <= 1.0)
+    net = synth_network(cfg.network, cfg.seed)
+    report = quantize_network(net, cfg)
+    assert report["config"]["calibration"]["distribution"] == "uniform"
+    normal = quantize_network(net, small_config())
+    assert report["determinism_hash"] != normal["determinism_hash"]
+    assert report["layers"][0]["mean_activation_error"] == 0.0  # the raw inputs feed both paths
+    with pytest.raises(InvalidSpec, match="distribution"):
+        CalibrationConfig(distribution="laplace")
 
 
 def test_sweep_alpha_axis_mirrors_grid():

@@ -1,10 +1,14 @@
 """The benchmark (perfbench/) still resolves every traced function and loads every workload;
-the package keeps to its declared dependencies."""
+the package keeps to its declared dependencies; the README's library example runs."""
 
 import ast
 import importlib
 import importlib.util
 import json
+import os
+import re
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -142,3 +146,15 @@ def test_runtime_dependencies_are_numpy_only():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert [dep.split(">")[0].split("=")[0] for dep in project["dependencies"]] == ["numpy"]
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+def test_readme_library_example_runs():
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.S | re.M)
+    assert len(blocks) == 1
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loss, shape = proc.stdout.split(" ", 1)
+    assert float(loss) >= 0.0 and shape.strip() == "(16, 32)"
