@@ -125,7 +125,10 @@ def accumulate_stats(
     H gets relative damping: H <- X_q X_q^T + damping * mean(diag) * I. The
     cross moment uses a single global weight in fixed/closed_form mode and a
     per-column folded Beta draw in sampled mode (columns are processed in a
-    fixed order, so the draw sequence is reproducible given the rng).
+    fixed order, so the draw sequence is reproducible given the rng). The
+    interpolated activations X_alpha are built in place in one array, so
+    sampled mode allocates one activation-sized array and the other modes
+    two.
 
     Raises:
         ShapeMismatch, NonFinite: malformed batch.
@@ -141,15 +144,20 @@ def accumulate_stats(
     damping_abs = damping * float(np.mean(np.diag(h0))) if damping > 0 else 0.0
     h = h0 + damping_abs * np.eye(batch.n_features)
 
+    # x_alpha is built in one array, with the float operations of
+    # xq + (xf - xq) * alphas and a * xf + (1 - a) * xq
     if strategy.mode == "sampled":
         if rng is None:
             raise InvalidSpec("sampled alpha mode requires an rng")
         alphas = sample_folded_alphas(batch.n_sequences, strategy.beta_lambda, rng)
-        x_alpha = xq + batch.delta * alphas[None, :]
+        x_alpha = np.subtract(xf, xq)
+        x_alpha *= alphas
+        x_alpha += xq
         trace = alphas
     else:
         a = strategy.alpha_value
-        x_alpha = a * xf + (1.0 - a) * xq
+        x_alpha = np.multiply(xf, a)
+        x_alpha += (1.0 - a) * xq
         trace = np.array([a])
     c_alpha = x_alpha @ xq.T
 
@@ -192,11 +200,13 @@ def closed_form_alpha(
     w = np.asarray(w, dtype=np.float64)
     w_hat = np.asarray(w_hat, dtype=np.float64)
     u = w @ batch.delta
-    u_sq = float(np.sum(u * u))
+    v = (w - w_hat) @ batch.xq
+    v *= u  # the products and squares overwrite v and u: two arrays of u's size
+    u *= u
+    u_sq = float(np.sum(u))
     if u_sq < DEGENERATE_U_THRESHOLD:
         return float(default_alpha)
-    v = (w - w_hat) @ batch.xq
-    raw = -float(np.sum(v * u)) / u_sq
+    raw = -float(np.sum(v)) / u_sq
     return float(np.clip(raw, 0.0, 1.0))
 
 

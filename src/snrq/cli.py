@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import CalibBatch
-from .errors import InvalidSpec, ShapeMismatch, SnrqError
+from .errors import InvalidSpec, NonFinite, ShapeMismatch, SnrqError
 from .grid import GridSpec, fit_grid, levels
 from .linalg import cholesky
 from .matio import read_matrix, write_matrix
@@ -210,6 +210,9 @@ def _cmd_oracle(args) -> int:
             w_row = np.linalg.solve(r_upper, y)[None, :]
         except np.linalg.LinAlgError as e:
             raise SnrqError(f"--r-path {args.r_path}: cannot solve R w = y ({e})") from None
+        if not np.all(np.isfinite(w_row)):  # the solve overflows without raising
+            raise NonFinite(f"--r-path {args.r_path}, --y-path {args.y_path}: "
+                            f"the solution of R w = y overflows")
     elif args.synth_n is not None:
         if args.synth_n < 1:
             raise UsageError(f"--synth-n must be >= 1, got {args.synth_n}")

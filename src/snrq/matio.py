@@ -44,11 +44,11 @@ def write_matrix(path, m: np.ndarray, dtype: str | None = None) -> None:
     if dtype not in _CODES:
         raise FormatError(f"unknown dtype {dtype!r}")
     code = _CODES[dtype]
-    payload = np.ascontiguousarray(m, dtype=_DTYPES[code]).tobytes()
+    payload = np.ascontiguousarray(m, dtype=_DTYPES[code])  # no copy when m already is one
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<IIB", m.shape[0], m.shape[1], code))
-        f.write(payload)
+        f.write(payload)  # a contiguous array is written from its own buffer
 
 
 def read_matrix(path) -> np.ndarray:

@@ -155,7 +155,8 @@ def order_and_factor(h: np.ndarray, cfg: SolverConfig) -> OrderedFactor:
 def proxy_row_scores(q_dequant: np.ndarray, m_ref: np.ndarray, fact: OrderedFactor) -> np.ndarray:
     """Exact row objectives ||(Q - M)[:, perm] L||^2, recomputed from Q in original column order."""
     el = (q_dequant - m_ref)[:, fact.perm] @ fact.low
-    return np.sum(el * el, axis=1)
+    el *= el
+    return np.sum(el, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +197,7 @@ def _kernel_bytes(m: int, n: int, k: int, bsz: int, n_levels: int) -> int:
     Layer-wide, per m x n entry: the ordered target (8 B), the gathered
     grid (12 B) and the permuted codes (4 B), alive throughout, plus the
     scattered codes and dequantization at the end (28 B); per n x n entry:
-    the unit-lower factor and its two temporaries (24 B). All m*K beams are
+    the unit-lower factor, built in place (8 B). All m*K beams are
     live at once; per beam: the difference/code tails (12 B x n) plus the
     tail-sized temporary of the end-of-block ancestor gather (8 B x n); the
     block buffers, correction and their row gathers (32 B x B); the
@@ -205,7 +206,7 @@ def _kernel_bytes(m: int, n: int, k: int, bsz: int, n_levels: int) -> int:
     """
     b = min(bsz, n)
     width = min(k, n_levels) + 1
-    return m * n * 52 + n * n * 24 + m * k * (20 * n + 32 * b + 24 * width + 64)
+    return m * n * 52 + n * n * 8 + m * k * (20 * n + 32 * b + 24 * width + 64)
 
 
 def _keep_best(s, center, scale, zero, cost, spec):
@@ -274,7 +275,10 @@ def _successive_round(mp, fact, params, cfg, k) -> RoundResult:
         )
 
     perm, low = fact.perm, fact.low
-    lu = low / np.diag(low)[None, :] - np.eye(n)  # unit lower factor minus the identity
+    # unit lower factor minus the identity: the diagonal of low / diag(low) is
+    # exactly 1 (x / x), so zeroing it in place subtracts the identity
+    lu = low / np.diag(low)[None, :]
+    np.fill_diagonal(lu, 0.0)
     ldiag_sq = np.diag(low) ** 2
     scale_p, zero_p = column_grid(params, perm)
 
@@ -503,6 +507,10 @@ def gptaq_round(
     d = np.tril((dx @ batch.xq.T)[np.ix_(perm, perm)], -1)
     u = solve_l(low, np.tril(solve_lt(low, d, inv), -1), inv)
     result = _successive_round(wp + mismatch_scale * (wp @ u), fact, params, cfg, 1)
-    resid = (result.q_dequant - w) @ batch.xq - mismatch_scale * (w @ dx)
-    scores = np.sum(resid * resid, axis=1)
+    resid = (result.q_dequant - w) @ batch.xq
+    shift = w @ dx
+    shift *= mismatch_scale
+    resid -= shift
+    resid *= resid
+    scores = np.sum(resid, axis=1)
     return replace(result, per_row_scores=scores)

@@ -30,6 +30,12 @@ def act_order_factor(h: np.ndarray) -> OrderedFactor:
     return OrderedFactor(perm, low, block_inverses(low))
 
 
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: unlike ==, tells -0.0 from 0.0 and NaN payloads apart."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -1,5 +1,7 @@
 """Calibration statistics, the interpolation identity, and weight selection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from snrq import (
 from snrq.calibration import sample_folded_alphas
 from snrq.oracle import decomposition_check, gamma_weight, objective_direct
 
-from conftest import random_batch
+from conftest import random_batch, same_bits
 
 
 def full_rank_batch(rng, n=6, n_seq=24, mismatch=0.3):
@@ -261,3 +263,65 @@ def test_module_wise_schedule_three_layer_chain(rng):
         if prev is not None:
             assert a == cfa(*prev, default_alpha=0.5)
         prev = (w, w_hat, batch)
+
+
+# --- in-place intermediates -------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["fixed", "closed_form", "sampled"])
+def test_cross_moment_matches_the_plain_expression_bit_for_bit(rng, mode):
+    # x_alpha is built in place; the float operations are those of the plain expressions
+    for trial in range(20):
+        batch = random_batch(rng, int(rng.integers(1, 12)), int(rng.integers(1, 40)),
+                             mismatch=float(rng.uniform(0.0, 2.0)))
+        strategy = AlphaStrategy(mode=mode, alpha_value=float(rng.uniform()))
+        stats = accumulate_stats(batch, strategy, 0.01, SeededRng(trial, 0))
+        xf, xq = batch.xf, batch.xq
+        if mode == "sampled":
+            x_alpha = xq + (xf - xq) * stats.alpha_trace[None, :]
+        else:
+            a = strategy.alpha_value
+            x_alpha = a * xf + (1.0 - a) * xq
+        assert same_bits(stats.c_alpha, x_alpha @ xq.T)
+
+
+def test_closed_form_matches_the_plain_expression_bit_for_bit(rng):
+    for _ in range(50):
+        n = int(rng.integers(1, 10))
+        batch = random_batch(rng, n, int(rng.integers(1, 30)), mismatch=float(rng.uniform(0.01, 2.0)))
+        w = rng.normal(size=(int(rng.integers(1, 6)), n))
+        w_hat = w + rng.normal(size=w.shape)
+        u = w @ (batch.xf - batch.xq)
+        v = (w - w_hat) @ batch.xq
+        expected = float(np.clip(-float(np.sum(v * u)) / float(np.sum(u * u)), 0.0, 1.0))
+        assert same_bits(closed_form_alpha(w, w_hat, batch), expected)
+
+
+def traced_peak(fn, *args) -> int:
+    fn(*args)  # first call pays one-time imports and caches
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_accumulate_stats_allocates_one_activation(rng):
+    # n = 64 features x N = 2048 sequences: one activation array is 1 MiB;
+    # x_alpha is the only activation-sized array, the rest is n x n or N long
+    n, n_seq = 64, 2048
+    batch = random_batch(rng, n, n_seq)
+    strategy = AlphaStrategy(mode="sampled", beta_lambda=5.0)
+    peak = traced_peak(lambda: accumulate_stats(batch, strategy, 0.01, SeededRng(0, 0)))
+    assert peak <= 1.25 * n * n_seq * 8
+
+
+def test_closed_form_alpha_allocates_two_activations(rng):
+    # u and v are activation-sized (m = n rows); the squares and products overwrite them
+    n, n_seq = 64, 2048
+    batch = random_batch(rng, n, n_seq)
+    w = rng.normal(size=(n, n))
+    w_hat = w + 0.1 * rng.normal(size=(n, n))
+    peak = traced_peak(closed_form_alpha, w, w_hat, batch)
+    assert peak <= 2.1 * n * n_seq * 8

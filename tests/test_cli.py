@@ -613,6 +613,16 @@ def test_oracle_bad_matrix_files_exit_2(tmp_path, capsys, r, y, message):
     assert out == ""
 
 
+def test_oracle_overflowing_solve_names_its_inputs(tmp_path, capsys):
+    # the solve of R w = y overflows to inf without raising; the error names
+    # the two files and the overflow, not the grid fit that would meet the inf
+    argv = _oracle_files(tmp_path, [[1e-300, 1], [0, 1e-300]], [[1e300, 1e300]])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: --r-path {argv[2]}, --y-path {argv[4]}: "
+                                f"the solution of R w = y overflows"]
+
+
 def test_oracle_empty_matrix_files_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, *_oracle_files(tmp_path, np.zeros((0, 0)), np.zeros((1, 0))))
     assert code == 2
@@ -723,6 +733,32 @@ def test_failed_run_leaves_no_stale_report(tmp_path, capsys):
     assert run(capsys, "quantize", "--config", str(big), "--out-dir", str(out_dir))[0] == 2
     assert read_matrix(out_dir / "layer_00_codes.snrqmat").shape == (8, 8)
     assert not (out_dir / "report.json").exists()
+
+
+def test_rerun_leaves_only_its_own_layer_files(tmp_path, capsys):
+    # a depth-2 run into the directory of a depth-3 run removes the third
+    # layer's files, and writes its layer files as new files: a hard link to
+    # an earlier one keeps the earlier contents. Files of other names stay.
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    others = ["notes.txt", "layer_xx_codes.snrqmat", "layer_00_codes.snrqmat.bak", "layer_00_codes.csv"]
+    for name in others:
+        (out_dir / name).write_text("keep")
+    for depth, seed in ((3, 1), (2, 2)):
+        cfg = tmp_path / f"depth{depth}.json"
+        cfg.write_text(json.dumps({"calibration": {"n_sequences": 16},
+                                   "network": {"depth": depth, "width": 6}}))
+        argv = ["quantize", "--config", str(cfg), "--out-dir", str(out_dir), "--seed", str(seed)]
+        assert run(capsys, *argv)[0] == 0
+        if depth == 3:
+            first = (out_dir / "layer_00_codes.snrqmat").read_bytes()
+            os.link(out_dir / "layer_00_codes.snrqmat", tmp_path / "kept_codes")
+    layer_files = [f"layer_{l:02d}_{kind}.snrqmat" for l in range(2) for kind in ("codes", "dequant")]
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(["report.json"] + layer_files + others)
+    assert len(json.loads((out_dir / "report.json").read_text())["layers"]) == 2
+    assert (tmp_path / "kept_codes").read_bytes() == first
+    assert (out_dir / "layer_00_codes.snrqmat").read_bytes() != first
+    assert all((out_dir / name).read_text() == "keep" for name in others)
 
 
 NO_SCIPY_SCRIPT = """

@@ -1,5 +1,7 @@
 """Binary and CSV matrix file formats."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,20 @@ def test_f32_reads_back(tmp_path):
     p = tmp_path / "m.snrqmat"
     write_matrix(p, m, dtype="f32")
     assert np.array_equal(read_matrix(p), m)  # exactly representable in f32
+
+
+@pytest.mark.parametrize("m, dtype, code, fmt", [
+    (np.array([[1.5, -2.25, 3.0]]), "f32", 0, "<3f"),
+    (np.array([[1.0, -0.0], [1e300, 2.0 ** -1074]]), "f64", 1, "<4d"),
+    (np.array([[1, -2], [3, 2**31 - 1], [-2**31, 0]]), "i32", 2, "<6i"),
+    (np.arange(6.0).reshape(2, 3).T, "f64", 1, "<6d"),  # not contiguous: rows of the transpose
+], ids=["f32", "f64", "i32", "f64-transposed"])
+def test_binary_bytes_match_a_hand_built_file(tmp_path, m, dtype, code, fmt):
+    p = tmp_path / "m.snrqmat"
+    write_matrix(p, m, dtype=dtype)
+    rows, cols = m.shape
+    values = [v for row in m.tolist() for v in row]
+    assert p.read_bytes() == b"SNRQMAT1" + struct.pack("<IIB", rows, cols, code) + struct.pack(fmt, *values)
 
 
 def test_csv_parse(tmp_path):

@@ -12,6 +12,7 @@ from snrq import pipeline
 from snrq.oracle import sampling_variance_sweep
 from snrq.pipeline import (
     STREAM_CALIBRATION,
+    STREAM_HELDOUT,
     CalibrationConfig,
     NetworkConfig,
     RunConfig,
@@ -28,6 +29,8 @@ from snrq.pipeline import (
     synth_network,
 )
 from snrq.rng import SeededRng
+
+from conftest import same_bits
 
 
 def small_config(**kw) -> RunConfig:
@@ -496,3 +499,35 @@ def test_json_text_refuses_non_finite_values():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(NonFinite):
             json_text({"layers": [{"proxy_loss": bad}]})
+
+
+@pytest.mark.parametrize("nonlinearity", ["relu", "none"])
+def test_report_errors_match_the_plain_expressions_bit_for_bit(tmp_path, nonlinearity):
+    # the report's error means use one difference array each and reused forward
+    # buffers; they equal the plain expressions over fresh arrays bit for bit
+    cfg = small_config(network=NetworkConfig(dims=(6, 9, 5, 8), nonlinearity=nonlinearity),
+                       out_dir=str(tmp_path))
+    net = synth_network(cfg.network, cfg.seed)
+    report = quantize_network(net, cfg)
+    dequants = [read_matrix(tmp_path / rec["dequant_file"]) for rec in report["layers"]]
+
+    def forward(layers, x):
+        inputs = []
+        for l, w in enumerate(layers):
+            inputs.append(x)
+            x = w @ x
+            if l + 1 < len(layers) and nonlinearity == "relu":
+                x = np.maximum(x, 0.0)
+        return inputs, x
+
+    x_cal, x_held = (_draw_inputs(net.input_dim, cfg.calibration.n_sequences,
+                                  SeededRng(cfg.seed, stream), cfg.calibration.distribution)
+                     for stream in (STREAM_CALIBRATION, STREAM_HELDOUT))
+    (xf, y_f), (xq, y_q) = forward(net.layers, x_cal), forward(dequants, x_cal)
+    for rec, w, q, f, s in zip(report["layers"], net.layers, dequants, xf, xq):
+        assert same_bits(rec["weight_mse"], float(np.mean((w - q) ** 2)))
+        assert same_bits(rec["mean_activation_error"], float(np.mean(np.abs(f - s))))
+    e2e = report["end_to_end"]
+    assert same_bits(e2e["calibration_output_mse"], float(np.mean((y_q - y_f) ** 2)))
+    y_f_held, y_q_held = forward(net.layers, x_held)[1], forward(dequants, x_held)[1]
+    assert same_bits(e2e["heldout_output_mse"], float(np.mean((y_q_held - y_f_held) ** 2)))

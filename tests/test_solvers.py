@@ -30,7 +30,7 @@ from snrq.oracle import (
 )
 from snrq.solvers import RoundResult, _kernel_bytes, proxy_row_scores
 
-from conftest import act_order_factor, natural, random_spd
+from conftest import act_order_factor, natural, random_spd, same_bits
 
 NO_PERM = SolverConfig(act_order=False)
 PERM = SolverConfig(act_order=True)
@@ -677,3 +677,51 @@ def test_oracle_lower_bounds_every_solver(rng):
         ):
             rec = proxy_row_scores(res.q_dequant, w, natural(l)).sum()
             assert orc.best_cost <= rec + tol
+
+
+# --- in-place intermediates ---------------------------------------------
+
+
+def test_proxy_scores_match_the_plain_expression_bit_for_bit(rng):
+    for _ in range(30):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+        w, h, _, params = layer_instance(rng, m=m, n=n)
+        fact = order_and_factor(h, PERM)
+        q = rtn_round(w, params, m_ref=w, fact=fact).q_dequant
+        el = (q - w)[:, fact.perm] @ fact.low
+        assert same_bits(proxy_row_scores(q, w, fact), np.sum(el * el, axis=1))
+
+
+@pytest.mark.parametrize("act_order", [False, True])
+def test_gptaq_scores_match_the_plain_expression_bit_for_bit(rng, act_order):
+    cfg = SolverConfig(solver="gptaq", act_order=act_order)
+    for _ in range(20):
+        m, n = int(rng.integers(1, 10)), int(rng.integers(1, 40))
+        batch = make_batch(rng, n, int(rng.integers(n, 3 * n + 2)), float(rng.uniform(0.0, 1.0)))
+        w = rng.normal(size=(m, n))
+        params = fit_grid(w, GridSpec(bits=3, symmetric=True))
+        scale = float(rng.uniform(0.0, 2.0))
+        res = gptaq_round(w, gptaq_factor(batch, cfg, damping=0.01), params, cfg, batch, scale)
+        resid = (res.q_dequant - w) @ batch.xq - scale * (w @ (batch.xf - batch.xq))
+        assert same_bits(res.per_row_scores, np.sum(resid * resid, axis=1))
+
+
+def test_kernel_unit_lower_factor_matches_the_plain_expression_bit_for_bit(rng, monkeypatch):
+    # the kernel zeroes the diagonal of low / diag(low) in place; since x / x is
+    # exactly 1, that equals low / diag(low) - I bit for bit
+    seen = []
+    fill_diagonal = np.fill_diagonal
+
+    def spy(a, val, wrap=False):
+        fill_diagonal(a, val, wrap)
+        seen.append(a.copy())
+
+    monkeypatch.setattr(np, "fill_diagonal", spy)
+    for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+        n = int(rng.integers(1, 70))
+        w, h, _, params = layer_instance(rng, m=3, n=n)
+        fact = order_and_factor(scale * h, PERM)
+        snrq_greedy(w, fact, params, PERM)
+        low = fact.low
+        assert len(seen) == 1
+        assert same_bits(seen.pop(), low / np.diag(low)[None, :] - np.eye(n))
