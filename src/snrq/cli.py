@@ -23,13 +23,6 @@ from .errors import InvalidSpec, NonFinite, ShapeMismatch, SnrqError
 from .grid import GridSpec, fit_grid, levels
 from .linalg import cholesky
 from .matio import read_matrix, write_matrix
-from .oracle import (
-    DitherSetup,
-    alpha_grid_scan,
-    dither_experiment,
-    exhaustive_row,
-    sampling_variance_sweep,
-)
 from .pipeline import (
     NONLINEARITIES,
     SWEEP_AXES,
@@ -195,6 +188,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import exhaustive_row  # imported per command, so quantize never loads the oracles
+
     try:
         spec = GridSpec(bits=args.bits, symmetric=not args.asymmetric, group_size=0)
     except InvalidSpec as e:
@@ -234,6 +229,8 @@ def _cmd_oracle(args) -> int:
 # numpy's warnings would only repeat that on stderr
 @np.errstate(over="ignore", invalid="ignore")
 def _cmd_alpha_scan(args) -> int:
+    from .oracle import alpha_grid_scan
+
     if args.synth:
         rng = SeededRng(args.seed, 11)
         m, n, nseq = 4, 8, 32
@@ -257,6 +254,8 @@ def _cmd_alpha_scan(args) -> int:
 
 
 def _cmd_dither(args) -> int:
+    from .oracle import DitherSetup, dither_experiment
+
     try:
         setup = DitherSetup(
             w=args.w, x=args.x, tau_s=args.tau_s, tau_z=args.tau_z,
@@ -269,6 +268,8 @@ def _cmd_dither(args) -> int:
 
 
 def _cmd_variance_sweep(args) -> int:
+    from .oracle import sampling_variance_sweep
+
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     cfg = _load_config(args.config, {"seed": args.seed})

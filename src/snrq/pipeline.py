@@ -275,22 +275,6 @@ def _forward_input_to_layer(
     return h
 
 
-def _forward_output(layers, x: np.ndarray, nonlinearity: str) -> np.ndarray:
-    """Network output for inputs ``x``.
-
-    The layer products alternate between two buffers allocated once, so a
-    pass allocates two activation arrays whatever its depth; the result is
-    a view of one of them.
-    """
-    n_rows = max(w.shape[0] for w in layers)
-    bufs = (np.empty(n_rows * x.shape[1]), np.empty(n_rows * x.shape[1]))
-    h = x
-    for l, w in enumerate(layers):
-        out = bufs[l % 2][: w.shape[0] * x.shape[1]].reshape(w.shape[0], x.shape[1])
-        h = _carry(w, h, l + 1 == len(layers), nonlinearity, out)
-    return h
-
-
 def forward_collect(
     net: ToyNetwork, inputs: np.ndarray, quantized_prefix
 ) -> CalibBatch:
@@ -373,13 +357,12 @@ def _trace_summary(trace: np.ndarray) -> dict:
     }
 
 
-def _carry(layer: np.ndarray, h: np.ndarray, last: bool, nonlinearity: str,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """One layer step of a carried path, into ``out`` or a fresh array.
+def _carry(layer: np.ndarray, h: np.ndarray, last: bool, nonlinearity: str) -> np.ndarray:
+    """One layer step of a carried path, into a fresh array.
 
     The activation runs in place on the product.
     """
-    h = np.matmul(layer, h, out=out)
+    h = np.matmul(layer, h)
     if not last and nonlinearity == "relu":
         np.maximum(h, 0.0, out=h)
     return h
@@ -413,6 +396,16 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
     file is written as a new file (ext4 flushes a file on close after it was
     truncated on open, which costs about 1 ms per rewritten file).
 
+    Each activation-sized array lives only while something reads it. A layer
+    holds its carried pair plus the stage temporaries: the statistics' X_alpha
+    (one array in sampled mode, two in fixed and closed_form mode), the
+    activation error's difference, or one new path of the carry. Only
+    closed_form mode keeps the previous pair, until the next layer's alpha
+    has read it, with that alpha's two products. So at most 3 arrays are
+    alive in sampled mode, 4 in fixed mode and 6 in closed_form mode. After
+    the loop, the held-out inputs are drawn and run through teacher and
+    student side by side: at most 3 arrays.
+
     Raises InvalidSpec, before any layer runs, when ``group_size`` does not
     divide a layer's input width, and NonFinite, before the report is
     written, when a layer's proxy loss, weight MSE or activation error, or an
@@ -431,51 +424,51 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
             if path.name == "report.json" or LAYER_FILE.fullmatch(path.name):
                 path.unlink(missing_ok=True)
 
-    seed = config.seed
-    x_cal = _draw_inputs(
-        net.input_dim, config.calibration.n_sequences,
-        SeededRng(seed, STREAM_CALIBRATION), config.calibration.distribution,
-    )
-    x_held = _draw_inputs(
-        net.input_dim, config.calibration.n_sequences,
-        SeededRng(seed, STREAM_HELDOUT), config.calibration.distribution,
-    )
+    seed, depth, nonlinearity = config.seed, net.depth, net.nonlinearity
+    n_seq, distribution = config.calibration.n_sequences, config.calibration.distribution
+    # the calibration inputs start both carried paths
+    xf = xq = _draw_inputs(net.input_dim, n_seq, SeededRng(seed, STREAM_CALIBRATION), distribution)
 
     prefix: list[np.ndarray] = []
     records = []
     prev = None
-    xf = xq = x_cal
     for l, w in enumerate(net.layers):
         t_layer = time.perf_counter()
+        last = l + 1 == depth
         try:
             batch = CalibBatch(xf=xf, xq=xq)
             strategy, alpha_summary = _alpha_for_layer(config, prev)
+            prev = None
             rng = SeededRng(seed, STREAM_ALPHA + l)
             stats = accumulate_stats(batch, strategy, config.damping, rng)
             params = fit_grid(w, config.grid)
             fact = order_and_factor(stats.h, config.solver)
             m_alpha = shifted_target(w, stats, fact)
+            if strategy.mode == "sampled":
+                alpha_summary = dict(alpha_summary, alpha_trace=_trace_summary(stats.alpha_trace))
+            del stats  # H and C are not read again
             result = _solve_layer(w, batch, m_alpha, fact, params, config)
         except SnrqError as e:
             e.args = (f"layer {l}: {e}",)
             raise
-        # drop the previous batch before the step, so at most two pairs are alive
-        prev = (w, result.q_dequant, batch)
-        last = l + 1 == net.depth
-        xf = _carry(w, xf, last, net.nonlinearity)
-        xq = _carry(result.q_dequant, xq, last, net.nonlinearity)
+        activation_error = _mean_of(batch.xf, batch.xq, np.abs)
+        if strategy.mode == "closed_form" and not last:  # the next layer's alpha reads it
+            prev = (w, result.q_dequant, batch)
+        del batch
+        # each old path is dropped as its carry is bound; the carries are fresh
+        # arrays, so a batch kept by a caller never changes
+        xf = _carry(w, xf, last, nonlinearity)
+        xq = _carry(result.q_dequant, xq, last, nonlinearity)
         solve_ms = (time.perf_counter() - t_layer) * 1e3
 
         proxy = float(np.sum(proxy_row_scores(result.q_dequant, m_alpha, fact)))
-        if strategy.mode == "sampled":
-            alpha_summary = dict(alpha_summary, alpha_trace=_trace_summary(stats.alpha_trace))
         record = {
             "layer": l,
             "shape": [int(w.shape[0]), int(w.shape[1])],
             "alpha": alpha_summary,
             "proxy_loss": proxy,
             "weight_mse": _mean_of(w, result.q_dequant, np.square),
-            "mean_activation_error": _mean_of(batch.xf, batch.xq, np.abs),
+            "mean_activation_error": activation_error,
             "solve_ms": solve_ms,
         }
         _require_finite(f"layer {l}", {k: record[k] for k in (
@@ -490,13 +483,18 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
         records.append(record)
         prefix.append(result.q_dequant)
 
-    # the carried pair is now the calibration output; the held-out pair is
-    # not carried, which would keep two more activation arrays alive per layer
-    y_f_held = _forward_output(net.layers, x_held, net.nonlinearity)
-    y_q_held = _forward_output(prefix, x_held, net.nonlinearity)
+    # the carried pair is now the calibration output; the held-out inputs are
+    # drawn only now and run through teacher and student side by side, so at
+    # most three activation arrays are alive after the loop
+    calibration_mse = _mean_of(xq, xf, np.square)
+    del xf, xq
+    yf = yq = _draw_inputs(net.input_dim, n_seq, SeededRng(seed, STREAM_HELDOUT), distribution)
+    for l, (w, q) in enumerate(zip(net.layers, prefix)):
+        yf = _carry(w, yf, l + 1 == depth, nonlinearity)
+        yq = _carry(q, yq, l + 1 == depth, nonlinearity)
     end_to_end = {
-        "calibration_output_mse": _mean_of(xq, xf, np.square),
-        "heldout_output_mse": _mean_of(y_q_held, y_f_held, np.square),
+        "calibration_output_mse": calibration_mse,
+        "heldout_output_mse": _mean_of(yq, yf, np.square),
     }
     _require_finite("end to end", end_to_end)
 

@@ -36,6 +36,15 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _forward_output(layers, x: np.ndarray, nonlinearity: str) -> np.ndarray:
+    """Network output for inputs ``x``: one product per layer, the activation between layers."""
+    for l, w in enumerate(layers):
+        x = w @ x
+        if l + 1 < len(layers) and nonlinearity == "relu":
+            x = np.maximum(x, 0.0)
+    return x
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

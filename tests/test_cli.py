@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snrq
-from snrq import CalibBatch, GridSpec, SeededRng, cholesky, cli, fit_grid, levels, pipeline
+from snrq import CalibBatch, GridSpec, SeededRng, cholesky, cli, fit_grid, levels, oracle, pipeline
 from snrq.cli import cli_main
 from snrq.matio import read_matrix, write_matrix
 from snrq.oracle import DitherSetup, alpha_grid_scan, dither_experiment, exhaustive_row
@@ -317,7 +317,7 @@ def test_memory_error_is_one_error_line(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 7.11 PiB for an array with shape (10**15,)")
 
-    monkeypatch.setattr(cli, "dither_experiment", exhausted)
+    monkeypatch.setattr(oracle, "dither_experiment", exhausted)  # cli imports it per call
     code, out, err = run(capsys, "dither-demo", "--w", "0.3", "--x", "1", "--trials", "100")
     assert code == 2
     assert err == "error: out of memory: Unable to allocate 7.11 PiB for an array with shape (10**15,)\n"

@@ -1,6 +1,8 @@
 """Toy-chain pipeline: synthesis, activation collection, reports, sweeps."""
 
 import json
+import tracemalloc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -18,7 +20,6 @@ from snrq.pipeline import (
     RunConfig,
     ToyNetwork,
     _draw_inputs,
-    _forward_output,
     determinism_hash,
     forward_collect,
     json_text,
@@ -30,7 +31,7 @@ from snrq.pipeline import (
 )
 from snrq.rng import SeededRng
 
-from conftest import same_bits
+from conftest import _forward_output, same_bits
 
 
 def small_config(**kw) -> RunConfig:
@@ -492,6 +493,74 @@ def test_quantize_network_replays_no_prefix(monkeypatch):
     monkeypatch.setattr(pipeline, "forward_collect", replay)
     monkeypatch.setattr(pipeline, "_forward_input_to_layer", replay)
     assert quantize_network(net, cfg)["determinism_hash"] == expected
+
+
+def _loop_charge(width: int, n_seq: int, mode: str) -> int:
+    """Upper bound on the bytes ``quantize_network`` allocates on a width-``width`` chain.
+
+    Activation-sized arrays (width x n_seq), at the stage that holds the most:
+    the carried pair (2) plus, in sampled mode, the stats' X_alpha (1); in
+    fixed mode X_alpha and the (1 - a) X_q product (2); in closed_form mode
+    the previous layer's pair and closed_form_alpha's u and v while the next
+    alpha is chosen (4). The activation error, the carries and the held-out
+    passes hold at most 3. Plus 8 vectors of length n_seq (alpha draws and
+    traces); the weights and the width x width statistics are negligible.
+    """
+    live = {"sampled": 3, "fixed": 4, "closed_form": 6}[mode]
+    return (live * width + 8) * n_seq * 8
+
+
+@pytest.mark.parametrize("mode", ["fixed", "closed_form", "sampled"])
+def test_layer_loop_holds_few_activation_arrays(mode):
+    # width 32 and 4,096 sequences: one activation array is 1 MiB, and the
+    # weights, statistics and codes of a layer are 8 KiB each
+    width, n_seq = 32, 4096
+    cfg = small_config(alpha=AlphaStrategy(mode=mode, alpha_value=0.5),
+                       calibration=CalibrationConfig(n_sequences=n_seq),
+                       network=NetworkConfig(depth=6, width=width))
+    net = synth_network(cfg.network, cfg.seed)
+    quantize_network(net, cfg)  # first call pays one-time imports and caches
+    tracemalloc.start()
+    try:
+        quantize_network(net, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    charge = _loop_charge(width, n_seq, mode)
+    assert peak <= charge < peak + width * n_seq * 8
+
+
+@pytest.mark.parametrize("mode", ["fixed", "closed_form", "sampled"])
+def test_layer_batch_lives_only_while_read(monkeypatch, mode):
+    # each event records, per earlier layer, whether its batch or either of its
+    # arrays is still alive; only closed-form alpha reads the previous batch
+    events, refs = [], []
+    accumulate_stats, alpha_schedule = pipeline.accumulate_stats, pipeline.module_wise_alpha_schedule
+
+    def alive():
+        return [any(r() is not None for r in layer_refs) for layer_refs in refs]
+
+    def recording_stats(batch, *args):
+        events.append(("stats", len(refs), alive()))
+        refs.append([weakref.ref(batch), weakref.ref(batch.xf), weakref.ref(batch.xq)])
+        return accumulate_stats(batch, *args)
+
+    def recording_alpha(prev, **kwargs):
+        events.append(("alpha", len(refs), alive()))
+        return alpha_schedule(prev, **kwargs)
+
+    monkeypatch.setattr(pipeline, "accumulate_stats", recording_stats)
+    monkeypatch.setattr(pipeline, "module_wise_alpha_schedule", recording_alpha)
+    cfg = small_config(alpha=AlphaStrategy(mode=mode, alpha_value=0.5),
+                       network=NetworkConfig(depth=4, width=10))
+    quantize_network(synth_network(cfg.network, cfg.seed), cfg)
+    stats = [a for kind, l, a in events if kind == "stats"]
+    assert stats == [[False] * l for l in range(4)]
+    alphas = [(l, a) for kind, l, a in events if kind == "alpha"]
+    if mode == "closed_form":
+        assert alphas == [(0, [])] + [(l, [False] * (l - 1) + [True]) for l in range(1, 4)]
+    else:
+        assert alphas == []
 
 
 def test_json_text_refuses_non_finite_values():

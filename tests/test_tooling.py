@@ -141,6 +141,19 @@ def test_package_imports_no_scipy():
     assert offenders == []
 
 
+def test_quantize_does_not_import_the_oracle(tmp_path):
+    # only the oracle, alpha-scan, dither-demo and variance-sweep commands load it
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"network": {"depth": 1, "width": 4}, "calibration": {"n_sequences": 8}}))
+    script = ("import sys; from snrq.cli import cli_main; "
+              f"code = cli_main(['quantize', '--config', {str(config)!r}]); "
+              "print(code, 'snrq.oracle' in sys.modules, file=sys.stderr)")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.stderr.split() == ["0", "False"]
+
+
 def test_runtime_dependencies_are_numpy_only():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
