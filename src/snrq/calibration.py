@@ -173,7 +173,7 @@ def shifted_target(w: np.ndarray, stats: CalibStats, fact) -> np.ndarray:
     """Shifted rounding target M = w C H^{-1}, in original column order.
 
     ``fact`` is the layer's (perm, low, inv) with H[perm][:, perm] = low low^T
-    and inv the block inverses of low (:func:`snrq.solvers.order_and_factor`);
+    and inv the diagonal-block inverses that came with low (:func:`snrq.solvers.order_and_factor`);
     the right division runs in that order: M[:, perm] = (w C)[:, perm] H[perm][:, perm]^{-1}.
     """
     w = np.asarray(w, dtype=np.float64)

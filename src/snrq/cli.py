@@ -214,7 +214,7 @@ def _cmd_oracle(args) -> int:
         n = args.synth_n
         rng = SeededRng(args.seed, 7)
         a = rng.normal(size=(n, 2 * n))
-        r_upper = cholesky(a @ a.T + n * np.eye(n)).T
+        r_upper = cholesky(a @ a.T + n * np.eye(n))[0].T
         w_row = rng.normal(size=(1, n))
         y = r_upper @ w_row[0]
     else:

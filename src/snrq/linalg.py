@@ -1,14 +1,12 @@
 """Dense f64 linear algebra: Cholesky factorization and triangular right-solves.
 
-All computation is in 64-bit floats and uses numpy alone. The factorization
-is numpy's LAPACK ``potrf``. numpy reports a failed factorization without a
-pivot index, so on that path only an unblocked left-looking pass finds the
-first pivot <= 0 and raises :class:`NotPositiveDefinite` with its index and
-value. The right-solves by L^T and L run over blocks of ``_BLOCK`` columns:
-the off-diagonal updates are matrix products, and each diagonal block is
-applied through its inverse. The inverses are :func:`block_inverses` of L,
-one batched ``np.linalg.inv`` call, which the caller makes once per factor
-and passes to every solve with it.
+All computation is in 64-bit floats and uses numpy alone, over ``_BLOCK``-wide
+diagonal blocks. The factorization is left-looking: numpy's ``cholesky`` and
+``inv`` factor and invert each block's Schur complement, and matrix products
+make the panels below, so :func:`cholesky` returns the block inverses with L.
+A failed block is rescanned unblocked for its first pivot <= 0. The right-solves
+make the off-diagonal updates as matrix products and apply each diagonal block
+through its inverse.
 """
 
 from __future__ import annotations
@@ -19,18 +17,19 @@ import numpy as np
 
 from .errors import NonFinite, NotPositiveDefinite, ShapeMismatch
 
-__all__ = ["cholesky", "block_inverses", "solve_lt", "solve_l", "solve_with_factor"]
+__all__ = ["cholesky", "solve_lt", "solve_l", "solve_with_factor"]
 
 _BLOCK = 32
 _SYMMETRY_TOL = 1e-9  # largest |h - h^T| accepted, relative to max |h|
 
 
-def cholesky(h: np.ndarray) -> np.ndarray:
+def cholesky(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor a symmetric positive-definite matrix as h = L L^T.
 
     The input is symmetrized (averaging away accumulation-order asymmetry,
-    typically 1 ulp) before factorization. Returns the lower factor L
-    with strictly positive diagonal and exact zeros above the diagonal.
+    typically 1 ulp) before factorization. Returns ``(low, inv)``: L, with
+    strictly positive diagonal and exact zeros above it, and the inverses of
+    its diagonal blocks (the last one padded with the identity).
 
     Raises:
         NonFinite: h contains NaN or Inf.
@@ -47,14 +46,25 @@ def cholesky(h: np.ndarray) -> np.ndarray:
         raise ShapeMismatch("cholesky input is not symmetric within tolerance")
 
     sym = 0.5 * (h + h.T)
-    try:
-        return np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        raise _failed_pivot(sym) from None
+    n = sym.shape[0]
+    low = np.zeros_like(sym)
+    inv = np.empty((-(-n // _BLOCK), _BLOCK, _BLOCK))
+    for b, s in enumerate(range(0, n, _BLOCK)):
+        e = min(s + _BLOCK, n)
+        schur = sym[s:e, s:e] - low[s:e, :s] @ low[s:e, :s].T
+        try:
+            low[s:e, s:e] = np.linalg.cholesky(schur)
+        except np.linalg.LinAlgError:
+            raise _failed_pivot(schur, s) from None
+        block = np.eye(_BLOCK)  # the last block is padded with the identity
+        block[:e - s, :e - s] = low[s:e, s:e]
+        inv[b] = np.linalg.inv(block)
+        low[e:, s:e] = (sym[e:, s:e] - low[e:, :s] @ low[s:e, :s].T) @ inv[b, :e - s, :e - s].T
+    return low, inv
 
 
-def _failed_pivot(a: np.ndarray) -> NotPositiveDefinite:
-    """The first pivot <= 0 of an unblocked left-looking Cholesky of ``a``.
+def _failed_pivot(a: np.ndarray, start: int) -> NotPositiveDefinite:
+    """The first pivot <= 0 of an unblocked Cholesky of the block ``a`` starting at column ``start``.
 
     When blocked and unblocked rounding disagree at the margin and every
     pivot here is positive, the smallest one is reported instead.
@@ -65,31 +75,18 @@ def _failed_pivot(a: np.ndarray) -> NotPositiveDefinite:
     for j in range(n):
         pivot = float(a[j, j] - low[j, :j] @ low[j, :j])
         if not pivot > 0.0:
-            return NotPositiveDefinite(j, pivot)
+            return NotPositiveDefinite(start + j, pivot)
         if pivot < smallest[1]:
-            smallest = (j, pivot)
+            smallest = (start + j, pivot)
         low[j, j] = math.sqrt(pivot)
         low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
     return NotPositiveDefinite(*smallest)
 
 
-def block_inverses(low: np.ndarray) -> np.ndarray:
-    """Inverses of the ``_BLOCK``-wide diagonal blocks of L, from one batched call.
-
-    The last block is padded with the identity, so every block is square.
-    """
-    n = low.shape[0]
-    blocks = np.tile(np.eye(_BLOCK), (-(-n // _BLOCK), 1, 1))
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
-        blocks[s // _BLOCK, :e - s, :e - s] = low[s:e, s:e]
-    return np.linalg.inv(blocks)
-
-
 def solve_lt(low: np.ndarray, b: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Right-divide by L^T: returns b L^{-T} for lower-triangular L, left to right.
 
-    ``inv`` is ``block_inverses(low)``.
+    ``inv`` is the block inverses that :func:`cholesky` returns with ``low``.
     """
     x = np.array(b, dtype=np.float64)
     n = low.shape[0]
@@ -102,7 +99,7 @@ def solve_lt(low: np.ndarray, b: np.ndarray, inv: np.ndarray) -> np.ndarray:
 def solve_l(low: np.ndarray, b: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Right-divide by L: returns b L^{-1} for lower-triangular L, right to left.
 
-    ``inv`` is ``block_inverses(low)``.
+    ``inv`` is the block inverses that :func:`cholesky` returns with ``low``.
     """
     x = np.array(b, dtype=np.float64)
     n = low.shape[0]

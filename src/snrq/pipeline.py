@@ -15,7 +15,8 @@ same float operations run in the same order as the prefix replay of
 ``forward_collect``, so every batch is bit-identical to it.
 
 All randomness flows from the single config seed through fixed stream ids,
-so identical configs produce byte-identical reports modulo timing fields.
+so identical configs produce byte-identical reports modulo timing fields at a
+fixed BLAS thread count (on the benchmark workloads, also across thread counts).
 """
 
 from __future__ import annotations
@@ -307,15 +308,14 @@ def _draw_inputs(dim: int, n: int, rng: SeededRng, distribution: str) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _alpha_for_layer(config: RunConfig, prev) -> tuple[AlphaStrategy, dict]:
+def _alpha_for_layer(config: RunConfig, alpha: float) -> tuple[AlphaStrategy, dict]:
     """Effective strategy for one layer plus its report summary.
 
-    ``prev`` is the previous layer's (w, q_dequant, batch), or None for the first layer.
+    ``alpha`` is the closed-form weight chosen for this layer, read only in closed_form mode.
     """
     strategy = config.alpha
     if strategy.mode == "closed_form":
-        a = module_wise_alpha_schedule(prev, default_alpha=strategy.alpha_value)
-        return replace(strategy, alpha_value=a), {"mode": "closed_form", "alpha_used": a}
+        return replace(strategy, alpha_value=alpha), {"mode": "closed_form", "alpha_used": alpha}
     if strategy.mode == "sampled":
         return strategy, {"mode": "sampled", "beta_lambda": strategy.beta_lambda}
     return strategy, {"mode": strategy.mode, "alpha_used": strategy.alpha_value}
@@ -399,12 +399,12 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
     Each activation-sized array lives only while something reads it. A layer
     holds its carried pair plus the stage temporaries: the statistics' X_alpha
     (one array in sampled mode, two in fixed and closed_form mode), the
-    activation error's difference, or one new path of the carry. Only
-    closed_form mode keeps the previous pair, until the next layer's alpha
-    has read it, with that alpha's two products. So at most 3 arrays are
-    alive in sampled mode, 4 in fixed mode and 6 in closed_form mode. After
-    the loop, the held-out inputs are drawn and run through teacher and
-    student side by side: at most 3 arrays.
+    activation error's difference, or one new path of the carry. In
+    closed_form mode the next layer's alpha is chosen at the end of this
+    layer, from this layer's batch, with that alpha's two products. So at
+    most 3 arrays are alive in sampled mode and 4 in fixed and closed_form
+    mode. After the loop, the held-out inputs are drawn and run through
+    teacher and student side by side: at most 3 arrays.
 
     Raises InvalidSpec, before any layer runs, when ``group_size`` does not
     divide a layer's input width, and NonFinite, before the report is
@@ -431,14 +431,13 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
 
     prefix: list[np.ndarray] = []
     records = []
-    prev = None
+    alpha = float(config.alpha.alpha_value)  # layer 0's closed-form weight
     for l, w in enumerate(net.layers):
         t_layer = time.perf_counter()
         last = l + 1 == depth
         try:
             batch = CalibBatch(xf=xf, xq=xq)
-            strategy, alpha_summary = _alpha_for_layer(config, prev)
-            prev = None
+            strategy, alpha_summary = _alpha_for_layer(config, alpha)
             rng = SeededRng(seed, STREAM_ALPHA + l)
             stats = accumulate_stats(batch, strategy, config.damping, rng)
             params = fit_grid(w, config.grid)
@@ -448,12 +447,13 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
                 alpha_summary = dict(alpha_summary, alpha_trace=_trace_summary(stats.alpha_trace))
             del stats  # H and C are not read again
             result = _solve_layer(w, batch, m_alpha, fact, params, config)
+            if strategy.mode == "closed_form" and not last:  # the next layer's weight
+                alpha = module_wise_alpha_schedule((w, result.q_dequant, batch),
+                                                   default_alpha=config.alpha.alpha_value)
         except SnrqError as e:
             e.args = (f"layer {l}: {e}",)
             raise
         activation_error = _mean_of(batch.xf, batch.xq, np.abs)
-        if strategy.mode == "closed_form" and not last:  # the next layer's alpha reads it
-            prev = (w, result.q_dequant, batch)
         del batch
         # each old path is dropped as its carry is bound; the carries are fresh
         # arrays, so a batch kept by a caller never changes

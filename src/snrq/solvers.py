@@ -58,7 +58,7 @@ from .calibration import CalibBatch
 from .errors import InvalidSpec, MemoryBudget, require_bool, require_int
 from .grid import GridParams, column_grid, dequantize, round_to_grid
 # solve_with_factor: perfbench tracer only
-from .linalg import block_inverses, cholesky, solve_l, solve_lt, solve_with_factor
+from .linalg import cholesky, solve_l, solve_lt, solve_with_factor
 
 __all__ = [
     "SolverConfig",
@@ -137,7 +137,7 @@ def order_and_factor(h: np.ndarray, cfg: SolverConfig) -> OrderedFactor:
     so the columns of largest curvature are decided first; otherwise it is
     the natural order, reversed for the left-to-right ``gptq``/``gptaq`` so
     that column 0 is decided first. This is the only factorization a layer
-    makes, and its block inverses, made here, the only batched inverse.
+    makes; it returns the block inverses that every solve with it applies.
 
     Raises:
         NotPositiveDefinite: h is not positive definite.
@@ -148,8 +148,7 @@ def order_and_factor(h: np.ndarray, cfg: SolverConfig) -> OrderedFactor:
         perm = np.argsort(np.diag(h), kind="stable")
     elif cfg.solver in ("gptq", "gptaq"):
         perm = perm[::-1]
-    low = cholesky(h[np.ix_(perm, perm)])
-    return OrderedFactor(perm, low, block_inverses(low))
+    return OrderedFactor(perm, *cholesky(h[np.ix_(perm, perm)]))
 
 
 def proxy_row_scores(q_dequant: np.ndarray, m_ref: np.ndarray, fact: OrderedFactor) -> np.ndarray:

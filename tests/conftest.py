@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from snrq import CalibBatch
-from snrq.linalg import block_inverses
+from snrq import CalibBatch, cholesky
+from snrq.linalg import _BLOCK
 from snrq.solvers import OrderedFactor
 
 
@@ -17,17 +17,34 @@ def random_batch(rng: np.random.Generator, n: int, n_seq: int, mismatch: float =
     return CalibBatch(xf=xf, xq=xq)
 
 
-def natural(low: np.ndarray) -> OrderedFactor:
-    """A lower factor taken in natural column order (no act-order permutation)."""
-    return OrderedFactor(np.arange(low.shape[0]), low, block_inverses(low))
+def diagonal_block_inverses(low: np.ndarray) -> np.ndarray:
+    """Inverses of the ``_BLOCK``-wide diagonal blocks of ``low``, the last one
+    padded with the identity (the layout the triangular solves take), from one
+    batched ``np.linalg.inv``: the reference for what ``cholesky`` returns."""
+    n = low.shape[0]
+    blocks = np.tile(np.eye(_BLOCK), (-(-n // _BLOCK), 1, 1))
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        blocks[s // _BLOCK, :e - s, :e - s] = low[s:e, s:e]
+    return np.linalg.inv(blocks)
+
+
+def natural(low: np.ndarray, inv: np.ndarray | None = None) -> OrderedFactor:
+    """A lower factor taken in natural column order (no act-order permutation).
+
+    ``inv`` is what ``cholesky`` returned with ``low``; a factor built by hand
+    has none, and gets :func:`diagonal_block_inverses`.
+    """
+    if inv is None:
+        inv = diagonal_block_inverses(low)
+    return OrderedFactor(np.arange(low.shape[0]), low, inv)
 
 
 def act_order_factor(h: np.ndarray) -> OrderedFactor:
     """The act-order factor built apart from the solvers: a stable ascending
-    sort of diag(h), then numpy's Cholesky factor of the permuted h."""
+    sort of diag(h), then the Cholesky factor of the permuted h."""
     perm = np.argsort(np.diag(h), kind="stable")
-    low = np.linalg.cholesky(h[np.ix_(perm, perm)])
-    return OrderedFactor(perm, low, block_inverses(low))
+    return OrderedFactor(perm, *cholesky(h[np.ix_(perm, perm)]))
 
 
 def same_bits(a, b) -> bool:

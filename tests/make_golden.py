@@ -4,9 +4,10 @@ For each config in perfbench/workloads.json at each seed in SEEDS, one
 in-process ``quantize_network`` run records the sha256 of every layer file,
 a short digest of every row of codes (so a failing test can say how many
 rows moved), each layer's ``proxy_loss`` and the run's
-``heldout_output_mse``. The layer files' bytes do not depend on the BLAS
-thread count; the floats can move in their last bits, so the test compares
-them at a relative tolerance.
+``heldout_output_mse``. On these workloads neither the layer files nor
+the floats depend on the BLAS thread count, but on other BLAS builds or
+hosts the floats can move in their last bits, so the test compares them at
+a relative tolerance.
 
 A change that alters codes on purpose rewrites the file and lists each
 changed entry, and why, in CHANGES.md:

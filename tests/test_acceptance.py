@@ -162,8 +162,8 @@ def test_c05_greedy_beam_oracle_sandwich():
         n = int(rng.integers(2, max_n + 1))
         w = rng.normal(size=(1, n))
         h = random_spd(rng, n, ridge=0.2)
-        low = cholesky(h)
-        fact = natural(low)
+        low, inv = cholesky(h)
+        fact = natural(low, inv)
         params = fit_grid(w, GridSpec(bits=2, symmetric=True))
         cfg = lambda k: SolverConfig(act_order=False, beam_width=k)
         greedy = snrq_greedy(w, fact, params, SolverConfig(act_order=False))
@@ -288,7 +288,7 @@ def test_c10_cd_monotonicity():
         m, n = int(rng.integers(1, 6)), int(rng.integers(2, 12))
         w = rng.normal(size=(m, n))
         h = random_spd(rng, n, ridge=0.3)
-        fact = natural(cholesky(h))
+        fact = natural(*cholesky(h))
         params = fit_grid(w, GridSpec(bits=3, symmetric=True))
         start = rtn_round(w, params, m_ref=w, fact=fact)
         out = cd_refine(start, w, fact, params, passes=3, block_size=4)
@@ -298,7 +298,7 @@ def test_c10_cd_monotonicity():
         n = 4
         w = rng.normal(size=(1, n))
         h = random_spd(rng, n, ridge=0.2)
-        fact = natural(cholesky(h))
+        fact = natural(*cholesky(h))
         params = fit_grid(w, GridSpec(bits=2, symmetric=True))
         sat = ksnrq_beam(w, fact, params, SolverConfig(act_order=False, beam_width=4 ** n))
         refined = cd_refine(sat, w, fact, params, passes=3, block_size=4)
@@ -345,7 +345,7 @@ def test_c12_columnwise_decomposition():
     for _ in range(100):
         m, n = int(rng.integers(1, 10)), int(rng.integers(1, 14))
         e = rng.normal(size=(m, n))
-        low = cholesky(random_spd(rng, n))
+        low = cholesky(random_spd(rng, n))[0]
         total = float(np.sum((e @ low) ** 2))
         worst = max(worst, abs(proxy_column_costs(e, low).sum() - total) / max(1.0, total))
     ok = worst <= 1e-9

@@ -643,7 +643,7 @@ def test_result_commands_print_every_dataclass_field(capsys):
 
     rng = SeededRng(3, 7)
     a = rng.normal(size=(4, 8))
-    r_upper = cholesky(a @ a.T + 4 * np.eye(4)).T
+    r_upper = cholesky(a @ a.T + 4 * np.eye(4))[0].T
     w_row = rng.normal(size=(1, 4))
     params = fit_grid(w_row, GridSpec(bits=2, symmetric=True))
     res = exhaustive_row(r_upper, r_upper @ w_row[0], [levels(0, j, params) for j in range(4)])

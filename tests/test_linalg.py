@@ -6,18 +6,19 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from snrq import NotPositiveDefinite, ShapeMismatch, cholesky
-from snrq.linalg import block_inverses, solve_l, solve_lt, solve_with_factor
+from snrq.linalg import _BLOCK, solve_l, solve_lt, solve_with_factor
 
-from conftest import random_spd
+from conftest import diagonal_block_inverses, random_spd, same_bits
 
 
 def test_cholesky_identity():
-    low = cholesky(np.eye(3))
+    low, inv = cholesky(np.eye(3))
     assert np.array_equal(low, np.eye(3))
+    assert np.array_equal(inv, np.eye(_BLOCK)[None])
 
 
 def test_cholesky_known_2x2():
-    low = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
+    low, _ = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
     expected = np.array([[2.0, 0.0], [1.0, np.sqrt(2.0)]])
     assert np.allclose(low, expected, rtol=0, atol=1e-14)
     # reconstruction by direct multiplication
@@ -46,7 +47,7 @@ def test_cholesky_structure_and_reconstruction(rng):
     for _ in range(20):
         n = int(rng.integers(2, 40))
         h = random_spd(rng, n)
-        low = cholesky(h)
+        low, _ = cholesky(h)
         assert np.all(np.triu(low, 1) == 0.0)
         assert np.all(np.diag(low) > 0.0)
         err = np.linalg.norm(low @ low.T - h) / np.linalg.norm(h)
@@ -55,8 +56,8 @@ def test_cholesky_structure_and_reconstruction(rng):
 
 def solve_spd(h, b):
     """b h^{-1} through the factor of h and its block inverses."""
-    low = cholesky(h)
-    return solve_with_factor(low, b, block_inverses(low))
+    low, inv = cholesky(h)
+    return solve_with_factor(low, b, inv)
 
 
 def test_solve_spd_identity_and_scalar():
@@ -100,8 +101,7 @@ def rank_deficient_gram(rng, n, damping):
 @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 197])
 @pytest.mark.parametrize("damping", [1e-2, 1e-10])
 def test_blocked_solves_match_solve_triangular(rng, n, damping):
-    low = cholesky(rank_deficient_gram(rng, n, damping))
-    inv = block_inverses(low)
+    low, inv = cholesky(rank_deficient_gram(rng, n, damping))
     b = rng.normal(size=(7, n))
     cases = [
         (solve_lt(low, b, inv), solve_triangular(low, b.T, lower=True).T, low.T),
@@ -127,3 +127,30 @@ def test_cholesky_failed_pivot_matches_lapack(rng):
         expected = partial[info - 1, info - 1]
         assert exc.value.pivot_index == info - 1
         assert abs(exc.value.pivot_value - expected) <= 1e-10 * abs(expected)
+
+
+@pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 197])
+def test_cholesky_returns_diagonal_block_inverses(rng, n):
+    # inv[b] is np.linalg.inv of diagonal block b, the last one identity-padded
+    low, inv = cholesky(random_spd(rng, n))
+    assert inv.shape == (-(-n // _BLOCK), _BLOCK, _BLOCK)
+    assert same_bits(inv, diagonal_block_inverses(low))
+
+
+def test_cholesky_failed_pivot_beyond_the_first_blocks():
+    # h = U D U^T with U unit lower and D positive except D[70] = -1, so the
+    # first non-positive pivot is in the third diagonal block
+    n, bad = 100, 70
+    rng = np.random.default_rng(7)
+    unit = np.tril(rng.normal(scale=0.3, size=(n, n)), -1) + np.eye(n)
+    d = rng.uniform(1.0, 2.0, size=n)
+    d[bad] = -1.0
+    h = (unit * d) @ unit.T
+    h = 0.5 * (h + h.T)
+    partial, info = dpotrf(h, lower=1, clean=1)
+    assert info == bad + 1
+    with pytest.raises(NotPositiveDefinite) as exc:
+        cholesky(h)
+    expected = partial[info - 1, info - 1]
+    assert exc.value.pivot_index == info - 1
+    assert abs(exc.value.pivot_value - expected) <= 1e-10 * abs(expected)

@@ -67,9 +67,9 @@ def test_exhaustive_beats_greedy(rng):
         n = 4
         w = rng.normal(size=(1, n))
         h = random_spd(rng, n, ridge=0.2)
-        l = cholesky(h)
+        l, inv = cholesky(h)
         params = fit_grid(w, GridSpec(bits=2, symmetric=True))
-        g = snrq_greedy(w, natural(l), params, SolverConfig(act_order=False))
+        g = snrq_greedy(w, natural(l, inv), params, SolverConfig(act_order=False))
         orc = exhaustive_row(l.T, l.T @ w[0], [levels(0, j, params) for j in range(n)])
         assert orc.best_cost <= g.proxy_loss + 1e-9
 

@@ -208,8 +208,11 @@ SOLVER_RUNS = pytest.mark.parametrize("solver,cd_passes", [
 def test_one_factorization_per_layer(monkeypatch, solver, cd_passes, act_order):
     from snrq import calibration, solvers
 
+    # linalg.cholesky calls numpy's cholesky once per 32-wide diagonal block,
+    # and these 10-wide layers are one block each; so the count of the names
+    # the benchmark tracer wraps is what pins one factorization per layer
     calls = {"names": 0, "lapack": 0}
-    for mod in (calibration, solvers):  # the names the benchmark tracer wraps
+    for mod in (calibration, solvers):
         monkeypatch.setattr(mod, "cholesky", counted(mod.cholesky, calls, "names"))
     monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky, calls, "lapack"))
     cfg = small_config(
@@ -224,21 +227,38 @@ def test_one_factorization_per_layer(monkeypatch, solver, cd_passes, act_order):
 @pytest.mark.parametrize("act_order", [False, True])
 @SOLVER_RUNS
 def test_one_block_inverse_per_layer(monkeypatch, solver, cd_passes, act_order):
-    # the layer's factor carries its diagonal-block inverses, and every solve
-    # with it (the shifted target, GPTAQ's surrogate) applies those
-    from snrq import linalg, solvers
+    # the layer's one factorization inverts each of its diagonal blocks, and
+    # every solve with the factor (the shifted target, GPTAQ's surrogate)
+    # applies those inverses: numpy's inv runs only inside cholesky
+    from snrq import calibration, solvers
 
-    calls = {"block_inverses": 0, "inv": 0}
-    for mod in (linalg, solvers):
-        monkeypatch.setattr(mod, "block_inverses", counted(mod.block_inverses, calls, "block_inverses"))
-    monkeypatch.setattr(np.linalg, "inv", counted(np.linalg.inv, calls, "inv"))
+    calls = {"cholesky": 0, "inv": 0, "inv_outside": 0}
+    inside, inv = [], np.linalg.inv
+
+    def tracked(fn):
+        def wrapper(*args, **kwargs):
+            calls["cholesky"] += 1
+            inside.append(True)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    def counted_inv(a):
+        calls["inv" if inside else "inv_outside"] += 1
+        return inv(a)
+
+    for mod in (calibration, solvers):
+        monkeypatch.setattr(mod, "cholesky", tracked(mod.cholesky))
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
     cfg = small_config(
         solver=SolverConfig(solver=solver, beam_width=2, block_size=4,
                             act_order=act_order, cd_passes=cd_passes),
         network=NetworkConfig(depth=3, width=40),  # two diagonal blocks per layer
     )
     quantize_network(synth_network(cfg.network, cfg.seed), cfg)
-    assert calls == {"block_inverses": 3, "inv": 3}
+    assert calls == {"cholesky": 3, "inv": 6, "inv_outside": 0}
 
 
 def test_cd_passes_reduce_proxy():
@@ -500,13 +520,13 @@ def _loop_charge(width: int, n_seq: int, mode: str) -> int:
 
     Activation-sized arrays (width x n_seq), at the stage that holds the most:
     the carried pair (2) plus, in sampled mode, the stats' X_alpha (1); in
-    fixed mode X_alpha and the (1 - a) X_q product (2); in closed_form mode
-    the previous layer's pair and closed_form_alpha's u and v while the next
-    alpha is chosen (4). The activation error, the carries and the held-out
-    passes hold at most 3. Plus 8 vectors of length n_seq (alpha draws and
+    fixed and closed_form mode X_alpha and the (1 - a) X_q product (2), or
+    in closed_form mode closed_form_alpha's u and v while the next alpha is
+    chosen from this layer's batch (2). The activation error, the carries
+    and the held-out passes hold at most 3. Plus 8 vectors of length n_seq (alpha draws and
     traces); the weights and the width x width statistics are negligible.
     """
-    live = {"sampled": 3, "fixed": 4, "closed_form": 6}[mode]
+    live = {"sampled": 3, "fixed": 4, "closed_form": 4}[mode]
     return (live * width + 8) * n_seq * 8
 
 
@@ -532,8 +552,9 @@ def test_layer_loop_holds_few_activation_arrays(mode):
 
 @pytest.mark.parametrize("mode", ["fixed", "closed_form", "sampled"])
 def test_layer_batch_lives_only_while_read(monkeypatch, mode):
-    # each event records, per earlier layer, whether its batch or either of its
-    # arrays is still alive; only closed-form alpha reads the previous batch
+    # each event records, per layer seen so far, whether its batch or either
+    # of its arrays is still alive; only closed-form alpha reads a batch, at
+    # the end of its layer, to choose the next layer's weight
     events, refs = [], []
     accumulate_stats, alpha_schedule = pipeline.accumulate_stats, pipeline.module_wise_alpha_schedule
 
@@ -558,7 +579,7 @@ def test_layer_batch_lives_only_while_read(monkeypatch, mode):
     assert stats == [[False] * l for l in range(4)]
     alphas = [(l, a) for kind, l, a in events if kind == "alpha"]
     if mode == "closed_form":
-        assert alphas == [(0, [])] + [(l, [False] * (l - 1) + [True]) for l in range(1, 4)]
+        assert alphas == [(l + 1, [False] * l + [True]) for l in range(3)]
     else:
         assert alphas == []
 

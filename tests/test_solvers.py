@@ -54,7 +54,7 @@ def layer_instance(rng, m=8, n=16, bits=3, ridge=None):
     w = rng.normal(size=(m, n))
     h = random_spd(rng, n, ridge if ridge is not None else 0.5)
     params = fit_grid(w, GridSpec(bits=bits, symmetric=True))
-    return w, h, cholesky(h), params
+    return w, h, natural(*cholesky(h)), params
 
 
 # --- permutation --------------------------------------------------------
@@ -113,9 +113,9 @@ def test_greedy_diagonal_h_equals_rtn(rng):
 
 def test_greedy_proxy_matches_recomputation(rng):
     for cfg in (NO_PERM, PERM):
-        w, h, l, params = layer_instance(rng)
+        w, h, fact, params = layer_instance(rng)
         res = snrq_greedy(w, order_and_factor(h, cfg), params, cfg)
-        rec = proxy_row_scores(res.q_dequant, w, natural(l))
+        rec = proxy_row_scores(res.q_dequant, w, fact)
         assert np.allclose(res.per_row_scores, rec, rtol=1e-9)
         assert abs(res.proxy_loss - rec.sum()) <= 1e-9 * max(1.0, rec.sum())
         assert abs(res.per_row_scores.sum() - res.proxy_loss) <= 1e-9 * max(1.0, res.proxy_loss)
@@ -123,7 +123,7 @@ def test_greedy_proxy_matches_recomputation(rng):
 
 def test_proxy_row_scores_gathers_columns_in_factor_order(rng):
     # subtracting before the gather gives the same floats as subtracting gathered columns
-    w, h, l, params = layer_instance(rng, m=6, n=12)
+    w, h, _, params = layer_instance(rng, m=6, n=12)
     h[np.diag_indices(12)] += np.linspace(0, 5, 12)[::-1]  # act_order permutes
     fact = order_and_factor(h, PERM)
     assert not np.array_equal(fact.perm, np.arange(12))
@@ -144,7 +144,7 @@ def test_columnwise_decomposition_identity(rng):
     for _ in range(100):
         m, n = int(rng.integers(1, 8)), int(rng.integers(1, 12))
         e = rng.normal(size=(m, n))
-        l = cholesky(random_spd(rng, n))
+        l = cholesky(random_spd(rng, n))[0]
         cols = proxy_column_costs(e, l)
         full = float(np.sum((e @ l) ** 2))
         assert abs(cols.sum() - full) <= 1e-9 * max(1.0, full)
@@ -154,7 +154,7 @@ def test_rows_solved_independently_match_joint(rng):
     # every solver runs all rows of a layer in one pass; a row's codes must
     # not depend on which other rows share it
     m, n = 150, 12
-    w, h, l, params = layer_instance(rng, m=m, n=n)
+    w, h, _, params = layer_instance(rng, m=m, n=n)
     h[np.diag_indices(n)] += np.linspace(0, 5, n)[::-1]  # act_order permutes
     fact = order_and_factor(h, PERM)
     gptq_fact = gptq_factor(h, PERM)
@@ -216,9 +216,9 @@ def test_lazy_matches_greedy_all_block_sizes(rng):
 
 
 def test_lazy_block_larger_than_n(rng):
-    w, h, l, params = layer_instance(rng, m=3, n=7)
-    ref = beam_reference(w, natural(l), params, 1)
-    lazy = snrq_greedy(w, natural(l), params, SolverConfig(act_order=False, block_size=100))
+    w, h, fact, params = layer_instance(rng, m=3, n=7)
+    ref = beam_reference(w, fact, params, 1)
+    lazy = snrq_greedy(w, fact, params, SolverConfig(act_order=False, block_size=100))
     assert np.array_equal(lazy.codes, ref)
 
 
@@ -227,11 +227,11 @@ def test_lazy_block_larger_than_n(rng):
 
 def test_beam_k1_equals_greedy(rng):
     for _ in range(20):
-        w, h, l, params = layer_instance(rng, m=4, n=10)
-        ref = beam_reference(w, natural(l), params, 1)
+        w, h, fact, params = layer_instance(rng, m=4, n=10)
+        ref = beam_reference(w, fact, params, 1)
         for b in (1, 2, 5, 10, 11):
             cfg = SolverConfig(act_order=False, beam_width=1, block_size=b)
-            assert np.array_equal(ksnrq_beam(w, natural(l), params, cfg).codes, ref), f"B={b}"
+            assert np.array_equal(ksnrq_beam(w, fact, params, cfg).codes, ref), f"B={b}"
 
 
 def test_k1_exact_tie_rounds_up_like_greedy():
@@ -262,10 +262,10 @@ def test_beam_improves_known_instance():
 
 
 def test_beam_score_matches_recomputed_row_objective(rng):
-    w, h, l, params = layer_instance(rng, m=6, n=12)
+    w, h, fact, params = layer_instance(rng, m=6, n=12)
     for k in (1, 2, 4):
-        res = ksnrq_beam(w, natural(l), params, SolverConfig(act_order=False, beam_width=k))
-        rec = proxy_row_scores(res.q_dequant, w, natural(l))
+        res = ksnrq_beam(w, fact, params, SolverConfig(act_order=False, beam_width=k))
+        rec = proxy_row_scores(res.q_dequant, w, fact)
         assert np.allclose(res.per_row_scores, rec, rtol=1e-9, atol=1e-12)
 
 
@@ -274,9 +274,9 @@ def test_beam_saturation_equals_oracle(rng):
         n = 4
         w = rng.normal(size=(1, n))
         h = random_spd(rng, n, ridge=0.1)
-        l = cholesky(h)
+        l, inv = cholesky(h)
         params = fit_grid(w, GridSpec(bits=2, symmetric=True))
-        sat = ksnrq_beam(w, natural(l), params, SolverConfig(act_order=False, beam_width=4 ** n))
+        sat = ksnrq_beam(w, natural(l, inv), params, SolverConfig(act_order=False, beam_width=4 ** n))
         lv = [levels(0, j, params) for j in range(n)]
         orc = exhaustive_row(l.T, l.T @ w[0], lv)
         assert abs(sat.proxy_loss - orc.best_cost) <= 1e-9 * max(1.0, orc.best_cost)
@@ -285,8 +285,8 @@ def test_beam_saturation_equals_oracle(rng):
 
 def test_beam_scores_nondecreasing_in_depth(rng):
     # final score of any beam run is at least the first decision's cost
-    w, h, l, params = layer_instance(rng, m=3, n=8)
-    res = ksnrq_beam(w, natural(l), params, SolverConfig(act_order=False, beam_width=3))
+    w, h, fact, params = layer_instance(rng, m=3, n=8)
+    res = ksnrq_beam(w, fact, params, SolverConfig(act_order=False, beam_width=3))
     assert np.all(res.per_row_scores >= -1e-15)
 
 
@@ -306,7 +306,7 @@ def test_beam_memory_budget():
 def test_beam_memory_charge_bounds_measured_peak(rng, m, n, k, bsz, act_order):
     # the charge covers the state of all m*K beams, which one pass holds at once;
     # on the 3-bit grid, K = 8 and K = 16 make every one of the 2^3 levels a candidate
-    w, h, l, params = layer_instance(rng, m=m, n=n)
+    w, h, _, params = layer_instance(rng, m=m, n=n)
     cfg = SolverConfig(act_order=act_order, beam_width=k, block_size=bsz)
     fact = order_and_factor(h, cfg)
     ksnrq_beam(w, fact, params, cfg)  # first call pays one-time imports and caches
@@ -379,28 +379,28 @@ def test_beam_matches_reference(rng):
 
 
 def test_cd_zero_passes_is_noop(rng):
-    w, h, l, params = layer_instance(rng)
-    res = snrq_greedy(w, natural(l), params, NO_PERM)
-    out = cd_refine(res, w, natural(l), params, passes=0, block_size=4)
+    w, h, fact, params = layer_instance(rng)
+    res = snrq_greedy(w, fact, params, NO_PERM)
+    out = cd_refine(res, w, fact, params, passes=0, block_size=4)
     assert out is res
 
 
 def test_cd_rejects_negative_passes_and_empty_blocks(rng):
-    w, h, l, params = layer_instance(rng)
-    res = snrq_greedy(w, natural(l), params, NO_PERM)
+    w, h, fact, params = layer_instance(rng)
+    res = snrq_greedy(w, fact, params, NO_PERM)
     for passes, bsz in ((-1, 4), (1, 0)):
         with pytest.raises(InvalidSpec):
-            cd_refine(res, w, natural(l), params, passes, bsz)
+            cd_refine(res, w, fact, params, passes, bsz)
 
 
 def test_cd_monotone_trajectory(rng):
     for _ in range(10):
-        w, h, l, params = layer_instance(rng, m=4, n=10)
-        res = rtn_round(w, params, m_ref=w, fact=natural(l))
-        out = cd_refine(res, w, natural(l), params, passes=3, block_size=4)
+        w, h, fact, params = layer_instance(rng, m=4, n=10)
+        res = rtn_round(w, params, m_ref=w, fact=fact)
+        out = cd_refine(res, w, fact, params, passes=3, block_size=4)
         traj = out.objective_trajectory
         assert np.all(np.diff(traj) <= 0.0)
-        rec = proxy_row_scores(out.q_dequant, w, natural(l)).sum()
+        rec = proxy_row_scores(out.q_dequant, w, fact).sum()
         assert abs(traj[-1] - rec) <= 1e-9 * max(1.0, rec)
 
 
@@ -409,7 +409,7 @@ def test_cd_trajectory_is_objective_after_each_pass(rng):
     # the codes a p-pass run returns
     for _ in range(10):
         m, n = int(rng.integers(1, 20)), int(rng.integers(2, 12))
-        w, h, l, params = layer_instance(rng, m=m, n=n)
+        w, h, _, params = layer_instance(rng, m=m, n=n)
         fact = order_and_factor(h, PERM)
         start = rtn_round(w, params, m_ref=w, fact=fact)
         bsz = int(rng.integers(1, n + 2))
@@ -426,10 +426,10 @@ def test_cd_cannot_leave_global_optimum(rng):
     n = 4
     w = rng.normal(size=(1, n))
     h = random_spd(rng, n, ridge=0.1)
-    l = cholesky(h)
+    l, inv = cholesky(h)
     params = fit_grid(w, GridSpec(bits=2, symmetric=True))
-    sat = ksnrq_beam(w, natural(l), params, SolverConfig(act_order=False, beam_width=4 ** n))
-    out = cd_refine(sat, w, natural(l), params, passes=4, block_size=2)
+    sat = ksnrq_beam(w, natural(l, inv), params, SolverConfig(act_order=False, beam_width=4 ** n))
+    out = cd_refine(sat, w, natural(l, inv), params, passes=4, block_size=2)
     assert np.array_equal(out.codes, sat.codes)
     assert np.isclose(out.proxy_loss, sat.proxy_loss, rtol=1e-9)
 
@@ -494,7 +494,7 @@ def test_cd_stops_at_exact_fixed_point(rng, monkeypatch):
     stopped = 0
     for trial in range(40):
         m, n = int(rng.integers(1, 6)), int(rng.integers(2, 13))
-        w, h, l, params = layer_instance(rng, m=m, n=n)
+        w, h, _, params = layer_instance(rng, m=m, n=n)
         fact = order_and_factor(h, PERM)
         bsz = int(rng.integers(1, n + 2))
         runs = [rtn_round(w, params, m_ref=w, fact=fact)]
@@ -555,7 +555,7 @@ def test_gptq_equals_greedy_at_alpha_zero(rng):
     # damping 0, well-conditioned H, act_order on both sides; the greedy
     # reference factors the permuted H with numpy
     for _ in range(20):
-        w, h, l, params = layer_instance(rng, m=8, n=16, ridge=16.0)
+        w, h, _, params = layer_instance(rng, m=8, n=16, ridge=16.0)
         r_snrq = snrq_greedy(w, order_and_factor(h, PERM), params, PERM)
         r_gptq = gptq_round(w, gptq_factor(h, PERM), params, PERM)
         assert np.array_equal(r_snrq.codes, r_gptq.codes)
@@ -664,18 +664,18 @@ def test_oracle_lower_bounds_every_solver(rng):
         n = 5
         w = rng.normal(size=(1, n))
         h = random_spd(rng, n, ridge=0.2)
-        l = cholesky(h)
+        l, inv = cholesky(h)
         params = fit_grid(w, GridSpec(bits=2, symmetric=True))
         lv = [levels(0, j, params) for j in range(n)]
         orc = exhaustive_row(l.T, l.T @ w[0], lv)
         tol = 1e-9 * max(1.0, orc.best_cost)
         for res in (
-            rtn_round(w, params, m_ref=w, fact=natural(l)),
-            snrq_greedy(w, natural(l), params, NO_PERM),
-            ksnrq_beam(w, natural(l), params, SolverConfig(act_order=False, beam_width=3)),
+            rtn_round(w, params, m_ref=w, fact=natural(l, inv)),
+            snrq_greedy(w, natural(l, inv), params, NO_PERM),
+            ksnrq_beam(w, natural(l, inv), params, SolverConfig(act_order=False, beam_width=3)),
             gptq_round(w, gptq_factor(h, NO_PERM), params, NO_PERM),
         ):
-            rec = proxy_row_scores(res.q_dequant, w, natural(l)).sum()
+            rec = proxy_row_scores(res.q_dequant, w, natural(l, inv)).sum()
             assert orc.best_cost <= rec + tol
 
 
