@@ -8,8 +8,11 @@ A calibration batch holds teacher activations ``xf`` and student activations
 decomposes exactly into ``a*L_asym + (1-a)*L_sym - a(1-a)*||w(xf-xq)||_F^2``
 and, after completing the square, into a Hessian-weighted least-squares
 problem around the shifted target M = w C H^{-1}. This module builds the
-second-moment statistics (H, C), selects the interpolation weight (fixed,
-closed form, or Beta-sampled per sequence), and produces M.
+second-moment statistics (H, C) for given weights (one for every sequence,
+or one per sequence), draws folded Beta weights, computes the closed-form
+weight, and produces M. How a layer's weights are chosen, the alpha mode of
+:class:`AlphaStrategy`, is pipeline configuration: only
+:func:`snrq.pipeline.quantize_network` reads it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ __all__ = [
     "accumulate_stats",
     "shifted_target",
     "closed_form_alpha",
-    "module_wise_alpha_schedule",
     "sample_folded_alphas",
 ]
 
@@ -68,11 +70,12 @@ class CalibBatch:
 
 @dataclass(frozen=True)
 class AlphaStrategy:
-    """How the interpolation weight is chosen.
+    """The ``alpha`` section of a pipeline run config: how a layer's weights are chosen.
 
     mode "fixed" uses ``alpha_value`` for every sequence; "closed_form" uses
     the module-wise schedule (``alpha_value`` is the initial value); "sampled"
-    draws a folded Beta(beta_lambda, beta_lambda) weight per sequence.
+    draws a folded Beta(beta_lambda, beta_lambda) weight per sequence. The
+    pipeline turns the mode into the weights it passes :func:`accumulate_stats`.
     """
 
     mode: str = "fixed"
@@ -98,14 +101,11 @@ class CalibStats:
 
     ``h`` is the damped student second moment, ``c_alpha`` the cross moment
     X_alpha X_q^T.
-    ``alpha_trace`` records the per-sequence weights actually used (length 1
-    for a single global weight).
     """
 
     h: np.ndarray
     c_alpha: np.ndarray
     damping_abs: float
-    alpha_trace: np.ndarray
 
 
 def sample_folded_alphas(n: int, beta_lambda: float, rng: SeededRng) -> np.ndarray:
@@ -114,59 +114,40 @@ def sample_folded_alphas(n: int, beta_lambda: float, rng: SeededRng) -> np.ndarr
     return np.minimum(b, 1.0 - b)
 
 
-def accumulate_stats(
-    batch: CalibBatch,
-    strategy: AlphaStrategy,
-    damping: float = 0.01,
-    rng: SeededRng | None = None,
-) -> CalibStats:
-    """Build H and C from one calibration batch.
+def accumulate_stats(batch: CalibBatch, alphas, damping: float = 0.01) -> CalibStats:
+    """Build H and C from one calibration batch and its interpolation weights.
 
-    H gets relative damping: H <- X_q X_q^T + damping * mean(diag) * I. The
-    cross moment uses a single global weight in fixed/closed_form mode and a
-    per-column folded Beta draw in sampled mode (columns are processed in a
-    fixed order, so the draw sequence is reproducible given the rng). The
-    interpolated activations X_alpha are built in place in one array, so
-    sampled mode allocates one activation-sized array and the other modes
-    two.
+    H gets relative damping: H <- X_q X_q^T + damping * mean(diag) * I.
+    ``alphas`` is one weight for every sequence or one per sequence (column).
+    X_alpha = xq + (xf - xq) * alphas is built in place in one array, the
+    only activation-sized array this allocates.
 
     Raises:
-        ShapeMismatch, NonFinite: malformed batch.
-        InvalidSpec: sampled mode without an rng, or negative damping.
+        ShapeMismatch: malformed batch, or ``alphas`` neither a number nor
+            one weight per sequence.
+        NonFinite: a non-finite activation or weight.
+        InvalidSpec: negative damping.
     """
     if damping < 0:
         raise InvalidSpec(f"damping must be >= 0, got {damping}")
     xq, xf = batch.xq, batch.xf
+    alphas = np.asarray(alphas, dtype=np.float64)
+    if alphas.shape not in ((), (batch.n_sequences,)):
+        raise ShapeMismatch(f"alphas {alphas.shape} must be a number or one weight "
+                            f"for each of the {batch.n_sequences} sequences")
     if not (np.all(np.isfinite(xq)) and np.all(np.isfinite(xf))):
         raise NonFinite("calibration batch contains NaN or Inf")
+    if not np.all(np.isfinite(alphas)):
+        raise NonFinite("interpolation weights contain NaN or Inf")
 
     h0 = xq @ xq.T
     damping_abs = damping * float(np.mean(np.diag(h0))) if damping > 0 else 0.0
     h = h0 + damping_abs * np.eye(batch.n_features)
 
-    # x_alpha is built in one array, with the float operations of
-    # xq + (xf - xq) * alphas and a * xf + (1 - a) * xq
-    if strategy.mode == "sampled":
-        if rng is None:
-            raise InvalidSpec("sampled alpha mode requires an rng")
-        alphas = sample_folded_alphas(batch.n_sequences, strategy.beta_lambda, rng)
-        x_alpha = np.subtract(xf, xq)
-        x_alpha *= alphas
-        x_alpha += xq
-        trace = alphas
-    else:
-        a = strategy.alpha_value
-        x_alpha = np.multiply(xf, a)
-        x_alpha += (1.0 - a) * xq
-        trace = np.array([a])
-    c_alpha = x_alpha @ xq.T
-
-    return CalibStats(
-        h=h,
-        c_alpha=c_alpha,
-        damping_abs=damping_abs,
-        alpha_trace=trace,
-    )
+    x_alpha = np.subtract(xf, xq)
+    x_alpha *= alphas
+    x_alpha += xq
+    return CalibStats(h=h, c_alpha=x_alpha @ xq.T, damping_abs=damping_abs)
 
 
 def shifted_target(w: np.ndarray, stats: CalibStats, fact) -> np.ndarray:
@@ -210,17 +191,6 @@ def closed_form_alpha(
     return float(np.clip(raw, 0.0, 1.0))
 
 
-def module_wise_alpha_schedule(
-    prev_layer_result: tuple[np.ndarray, np.ndarray, CalibBatch] | None,
-    default_alpha: float = 0.5,
-) -> float:
-    """Interpolation weight for the next module in a sequential chain.
-
-    The first module (no predecessor) uses the configured initial value;
-    afterwards the closed-form optimum of the previous module's (w, w_hat,
-    batch) is reused, which costs one pass over its retained features.
-    """
-    if prev_layer_result is None:
-        return float(default_alpha)
-    w, w_hat, batch = prev_layer_result
-    return closed_form_alpha(w, w_hat, batch, default_alpha=default_alpha)
+# perfbench tracer only: the pipeline calls the closed-form weight by this
+# name, which the tracer wraps as calibration.alpha_schedule
+module_wise_alpha_schedule = closed_form_alpha

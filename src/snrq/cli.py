@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -85,6 +86,10 @@ def _emit(payload: dict, out: str | Path | None) -> None:
     if out:
         Path(out).write_text(text + "\n")
     print(text)
+
+
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _parse_values(raw: str) -> list[float]:
@@ -314,27 +319,32 @@ def cli_main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    try:
-        _check_out(getattr(args, "out", None))
-        return _COMMANDS[args.command](args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
-        print(f"usage error: file not found: {e.filename}", file=sys.stderr)
-        return 1
-    except (FileExistsError, NotADirectoryError) as e:  # a path that must be a directory is not
-        print(f"usage error: not a directory: {e.filename}", file=sys.stderr)
-        return 1
-    except IsADirectoryError as e:  # a path that must be a file is a directory
-        print(f"usage error: is a directory: {e.filename}", file=sys.stderr)
-        return 1
-    except SnrqError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except MemoryError as e:  # numpy's message names the allocation that failed
-        print(f"error: out of memory: {e}" if str(e) else "error: out of memory", file=sys.stderr)
-        return 2
+    # each warning is one "warning: <message>" line on stderr; catch_warnings
+    # restores the caller's handler, so in-process callers keep theirs
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        try:
+            _check_out(getattr(args, "out", None))
+            return _COMMANDS[args.command](args)
+        except UsageError as e:
+            print(f"usage error: {e}", file=sys.stderr)
+            return 1
+        except FileNotFoundError as e:
+            print(f"usage error: file not found: {e.filename}", file=sys.stderr)
+            return 1
+        except (FileExistsError, NotADirectoryError) as e:  # a path that must be a directory is not
+            print(f"usage error: not a directory: {e.filename}", file=sys.stderr)
+            return 1
+        except IsADirectoryError as e:  # a path that must be a file is a directory
+            print(f"usage error: is a directory: {e.filename}", file=sys.stderr)
+            return 1
+        except SnrqError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        except MemoryError as e:  # numpy's message names the allocation that failed
+            print(f"error: out of memory: {e}" if str(e) else "error: out of memory",
+                  file=sys.stderr)
+            return 2
 
 
 def main() -> None:

@@ -36,7 +36,8 @@ from .calibration import (
     AlphaStrategy,
     CalibBatch,
     accumulate_stats,
-    module_wise_alpha_schedule,
+    module_wise_alpha_schedule,  # closed_form_alpha, under the name the perfbench tracer wraps
+    sample_folded_alphas,
     shifted_target,
 )
 from .errors import InvalidSpec, NonFinite, ShapeMismatch, SnrqError, require_finite, require_int
@@ -308,19 +309,6 @@ def _draw_inputs(dim: int, n: int, rng: SeededRng, distribution: str) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _alpha_for_layer(config: RunConfig, alpha: float) -> tuple[AlphaStrategy, dict]:
-    """Effective strategy for one layer plus its report summary.
-
-    ``alpha`` is the closed-form weight chosen for this layer, read only in closed_form mode.
-    """
-    strategy = config.alpha
-    if strategy.mode == "closed_form":
-        return replace(strategy, alpha_value=alpha), {"mode": "closed_form", "alpha_used": alpha}
-    if strategy.mode == "sampled":
-        return strategy, {"mode": "sampled", "beta_lambda": strategy.beta_lambda}
-    return strategy, {"mode": strategy.mode, "alpha_used": strategy.alpha_value}
-
-
 def _solve_layer(
     w: np.ndarray,
     batch: CalibBatch,
@@ -397,12 +385,11 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
     truncated on open, which costs about 1 ms per rewritten file).
 
     Each activation-sized array lives only while something reads it. A layer
-    holds its carried pair plus the stage temporaries: the statistics' X_alpha
-    (one array in sampled mode, two in fixed and closed_form mode), the
-    activation error's difference, or one new path of the carry. In
-    closed_form mode the next layer's alpha is chosen at the end of this
+    holds its carried pair plus the stage temporaries: the statistics'
+    X_alpha, the activation error's difference, or one new path of the carry.
+    In closed_form mode the next layer's alpha is chosen at the end of this
     layer, from this layer's batch, with that alpha's two products. So at
-    most 3 arrays are alive in sampled mode and 4 in fixed and closed_form
+    most 3 arrays are alive in sampled and fixed mode and 4 in closed_form
     mode. After the loop, the held-out inputs are drawn and run through
     teacher and student side by side: at most 3 arrays.
 
@@ -431,25 +418,29 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
 
     prefix: list[np.ndarray] = []
     records = []
-    alpha = float(config.alpha.alpha_value)  # layer 0's closed-form weight
+    alpha = float(config.alpha.alpha_value)  # fixed mode's weight, and closed_form's for layer 0
     for l, w in enumerate(net.layers):
         t_layer = time.perf_counter()
         last = l + 1 == depth
         try:
             batch = CalibBatch(xf=xf, xq=xq)
-            strategy, alpha_summary = _alpha_for_layer(config, alpha)
-            rng = SeededRng(seed, STREAM_ALPHA + l)
-            stats = accumulate_stats(batch, strategy, config.damping, rng)
+            if config.alpha.mode == "sampled":
+                lam = config.alpha.beta_lambda
+                alphas = sample_folded_alphas(n_seq, lam, SeededRng(seed, STREAM_ALPHA + l))
+                alpha_summary = {"mode": "sampled", "beta_lambda": lam,
+                                 "alpha_trace": _trace_summary(alphas)}
+            else:
+                alphas = alpha
+                alpha_summary = {"mode": config.alpha.mode, "alpha_used": alpha}
+            stats = accumulate_stats(batch, alphas, config.damping)
             params = fit_grid(w, config.grid)
             fact = order_and_factor(stats.h, config.solver)
             m_alpha = shifted_target(w, stats, fact)
-            if strategy.mode == "sampled":
-                alpha_summary = dict(alpha_summary, alpha_trace=_trace_summary(stats.alpha_trace))
             del stats  # H and C are not read again
             result = _solve_layer(w, batch, m_alpha, fact, params, config)
-            if strategy.mode == "closed_form" and not last:  # the next layer's weight
-                alpha = module_wise_alpha_schedule((w, result.q_dequant, batch),
-                                                   default_alpha=config.alpha.alpha_value)
+            if config.alpha.mode == "closed_form" and not last:  # the next layer's weight
+                alpha = module_wise_alpha_schedule(w, result.q_dequant, batch,
+                                                   config.alpha.alpha_value)
         except SnrqError as e:
             e.args = (f"layer {l}: {e}",)
             raise

@@ -100,7 +100,7 @@ def test_c02_proxy_constant_identity():
         batch = random_batch(rng, n, n_seq, mismatch=0.5)
         alpha = float(rng.uniform())
         w = rng.normal(size=(m, n))
-        stats = accumulate_stats(batch, AlphaStrategy(mode="fixed", alpha_value=alpha), damping=0.0)
+        stats = accumulate_stats(batch, alpha, damping=0.0)
         fact = order_and_factor(stats.h, SolverConfig(act_order=False))
         m_t = shifted_target(w, stats, fact)
         low = fact.low

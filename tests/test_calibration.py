@@ -9,6 +9,7 @@ from snrq import (
     AlphaStrategy,
     CalibBatch,
     InvalidSpec,
+    NonFinite,
     SeededRng,
     ShapeMismatch,
     SolverConfig,
@@ -17,7 +18,7 @@ from snrq import (
     order_and_factor,
     shifted_target,
 )
-from snrq.calibration import sample_folded_alphas
+from snrq.calibration import module_wise_alpha_schedule, sample_folded_alphas
 from snrq.oracle import decomposition_check, gamma_weight, objective_direct
 
 from conftest import random_batch, same_bits
@@ -33,38 +34,60 @@ def factor(stats, act_order=False):
 
 def test_alpha_zero_cross_moment_equals_h(rng):
     batch = full_rank_batch(rng)
-    stats = accumulate_stats(batch, AlphaStrategy(mode="fixed", alpha_value=0.0), damping=0.0)
+    stats = accumulate_stats(batch, 0.0, damping=0.0)
     assert np.array_equal(stats.c_alpha, batch.xq @ batch.xq.T)
     assert np.array_equal(stats.h, batch.xq @ batch.xq.T)
 
 
 def test_alpha_one_cross_moment(rng):
     batch = full_rank_batch(rng)
-    stats = accumulate_stats(batch, AlphaStrategy(mode="fixed", alpha_value=1.0), damping=0.0)
+    stats = accumulate_stats(batch, 1.0, damping=0.0)
     assert np.array_equal(stats.c_alpha, batch.xf @ batch.xq.T)
 
 
 def test_sampled_alphas_folded(rng):
     batch = full_rank_batch(rng, n_seq=500)
-    stats = accumulate_stats(
-        batch, AlphaStrategy(mode="sampled", beta_lambda=5.0), damping=0.0,
-        rng=SeededRng(3, 0),
-    )
-    assert stats.alpha_trace.shape == (500,)
-    assert np.all(stats.alpha_trace >= 0.0) and np.all(stats.alpha_trace <= 0.5)
+    alphas = sample_folded_alphas(500, 5.0, SeededRng(3, 0))
+    assert alphas.shape == (500,)
+    assert np.all(alphas >= 0.0) and np.all(alphas <= 0.5)
+    stats = accumulate_stats(batch, alphas, damping=0.0)
     # cross moment matches the columnwise definition
-    x_alpha = batch.xq + batch.delta * stats.alpha_trace[None, :]
+    x_alpha = batch.xq + batch.delta * alphas[None, :]
     assert np.allclose(stats.c_alpha, x_alpha @ batch.xq.T, rtol=1e-15, atol=0)
 
 
-def test_sampled_requires_rng(rng):
-    with pytest.raises(InvalidSpec):
-        accumulate_stats(full_rank_batch(rng), AlphaStrategy(mode="sampled"), 0.0, rng=None)
+def test_scalar_weight_equals_a_constant_vector_bit_for_bit(rng):
+    for _ in range(20):
+        batch = random_batch(rng, int(rng.integers(1, 12)), int(rng.integers(1, 40)))
+        a = float(rng.uniform())
+        scalar = accumulate_stats(batch, a, 0.01)
+        vector = accumulate_stats(batch, np.full(batch.n_sequences, a), 0.01)
+        assert same_bits(scalar.c_alpha, vector.c_alpha)
+        assert same_bits(scalar.h, vector.h)
+
+
+@pytest.mark.parametrize("alphas", [np.full(23, 0.5), np.full(25, 0.5), np.full((1, 24), 0.5),
+                                    np.full((24, 1), 0.5), np.zeros(0)],
+                         ids=["short", "long", "row", "column", "empty"])
+def test_weights_of_the_wrong_shape_are_rejected(rng, alphas):
+    with pytest.raises(ShapeMismatch, match="24 sequences"):
+        accumulate_stats(full_rank_batch(rng), alphas, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_are_rejected(rng, bad):
+    batch = full_rank_batch(rng)
+    with pytest.raises(NonFinite, match="weights"):
+        accumulate_stats(batch, bad, 0.0)
+    alphas = np.full(batch.n_sequences, 0.25)
+    alphas[7] = bad
+    with pytest.raises(NonFinite, match="weights"):
+        accumulate_stats(batch, alphas, 0.0)
 
 
 def test_relative_damping(rng):
     batch = full_rank_batch(rng)
-    stats = accumulate_stats(batch, AlphaStrategy(), damping=0.01)
+    stats = accumulate_stats(batch, 0.5, damping=0.01)
     h0 = batch.xq @ batch.xq.T
     assert np.allclose(stats.h, h0 + 0.01 * np.mean(np.diag(h0)) * np.eye(6))
 
@@ -85,7 +108,7 @@ def test_mode_aliases():
 
 def test_shifted_target_alpha_zero_is_w(rng):
     batch = full_rank_batch(rng)
-    stats = accumulate_stats(batch, AlphaStrategy(mode="fixed", alpha_value=0.0), damping=0.0)
+    stats = accumulate_stats(batch, 0.0, damping=0.0)
     w = rng.normal(size=(4, 6))
     for act_order in (False, True):
         m = shifted_target(w, stats, factor(stats, act_order))
@@ -95,7 +118,7 @@ def test_shifted_target_alpha_zero_is_w(rng):
 def test_shifted_target_scalar_case():
     # W=2, X_f=3, X_q=2, alpha=1: minimize (6 - 2*v)^2 -> v = 3
     batch = CalibBatch(xf=np.array([[3.0]]), xq=np.array([[2.0]]))
-    stats = accumulate_stats(batch, AlphaStrategy(mode="fixed", alpha_value=1.0), damping=0.0)
+    stats = accumulate_stats(batch, 1.0, damping=0.0)
     m = shifted_target(np.array([[2.0]]), stats, factor(stats))
     assert np.allclose(m, [[3.0]], rtol=1e-12)
     # cross-check by scanning the scalar objective
@@ -106,7 +129,7 @@ def test_shifted_target_scalar_case():
 
 def test_shifted_target_damping_bias(rng):
     batch = full_rank_batch(rng)
-    stats = accumulate_stats(batch, AlphaStrategy(mode="fixed", alpha_value=0.0), damping=0.05)
+    stats = accumulate_stats(batch, 0.0, damping=0.05)
     w = rng.normal(size=(4, 6))
     fact = factor(stats, act_order=True)
     assert not np.array_equal(fact.perm, np.arange(6))
@@ -159,7 +182,7 @@ def test_proxy_equivalence_constant_in_w_hat(rng):
     batch = full_rank_batch(rng, n=5, n_seq=20)
     w = rng.normal(size=(3, 5))
     alpha = 0.37
-    stats = accumulate_stats(batch, AlphaStrategy(mode="fixed", alpha_value=alpha), damping=0.0)
+    stats = accumulate_stats(batch, alpha, damping=0.0)
     fact = factor(stats)
     m_t = shifted_target(w, stats, fact)
     low = fact.low
@@ -238,31 +261,22 @@ def test_folded_mean_stable_across_seeds():
 
 
 def test_module_wise_schedule():
-    from snrq.calibration import module_wise_alpha_schedule
-
-    assert module_wise_alpha_schedule(None, default_alpha=0.5) == 0.5
     # exact predecessor with a real mismatch drives the next weight to 0
     batch = CalibBatch(xf=np.array([[1.0, 2.0]]), xq=np.array([[0.5, 1.5]]))
     w = np.array([[1.0]])
-    assert module_wise_alpha_schedule((w, w, batch), default_alpha=0.5) == 0.0
+    assert module_wise_alpha_schedule(w, w, batch, 0.5) == 0.0
 
 
 def test_module_wise_schedule_three_layer_chain(rng):
-    # every scheduled weight stays in [0, 1] and matches an independent
-    # recomputation from the saved features
-    from snrq import closed_form_alpha as cfa
-    from snrq.calibration import module_wise_alpha_schedule
-
-    prev = None
+    # the weight the pipeline chooses at the end of each of three layers, for
+    # the next one, stays in [0, 1] and is closed_form_alpha of that layer
     for _ in range(3):
         batch = random_batch(rng, 5, 20, mismatch=0.4)
         w = rng.normal(size=(3, 5))
         w_hat = w + 0.3 * rng.normal(size=(3, 5))
-        a = module_wise_alpha_schedule(prev, default_alpha=0.5)
+        a = module_wise_alpha_schedule(w, w_hat, batch, 0.5)
         assert 0.0 <= a <= 1.0
-        if prev is not None:
-            assert a == cfa(*prev, default_alpha=0.5)
-        prev = (w, w_hat, batch)
+        assert a == closed_form_alpha(w, w_hat, batch, default_alpha=0.5)
 
 
 # --- in-place intermediates -------------------------------------------
@@ -270,19 +284,21 @@ def test_module_wise_schedule_three_layer_chain(rng):
 
 @pytest.mark.parametrize("mode", ["fixed", "closed_form", "sampled"])
 def test_cross_moment_matches_the_plain_expression_bit_for_bit(rng, mode):
-    # x_alpha is built in place; the float operations are those of the plain expressions
+    # x_alpha is built in place; the float operations are those of the plain
+    # expression, for the weights the pipeline passes in each alpha mode
     for trial in range(20):
         batch = random_batch(rng, int(rng.integers(1, 12)), int(rng.integers(1, 40)),
                              mismatch=float(rng.uniform(0.0, 2.0)))
-        strategy = AlphaStrategy(mode=mode, alpha_value=float(rng.uniform()))
-        stats = accumulate_stats(batch, strategy, 0.01, SeededRng(trial, 0))
-        xf, xq = batch.xf, batch.xq
         if mode == "sampled":
-            x_alpha = xq + (xf - xq) * stats.alpha_trace[None, :]
+            alphas = sample_folded_alphas(batch.n_sequences, 5.0, SeededRng(trial, 0))
+        elif mode == "closed_form":
+            w = rng.normal(size=(3, batch.n_features))
+            alphas = closed_form_alpha(w, w + rng.normal(size=w.shape), batch)
         else:
-            a = strategy.alpha_value
-            x_alpha = a * xf + (1.0 - a) * xq
-        assert same_bits(stats.c_alpha, x_alpha @ xq.T)
+            alphas = float(rng.uniform())
+        stats = accumulate_stats(batch, alphas, 0.01)
+        xf, xq = batch.xf, batch.xq
+        assert same_bits(stats.c_alpha, (xq + (xf - xq) * alphas) @ xq.T)
 
 
 def test_closed_form_matches_the_plain_expression_bit_for_bit(rng):
@@ -309,12 +325,13 @@ def traced_peak(fn, *args) -> int:
 
 def test_sampled_accumulate_stats_allocates_one_activation(rng):
     # n = 64 features x N = 2048 sequences: one activation array is 1 MiB;
-    # x_alpha is the only activation-sized array, the rest is n x n or N long
+    # x_alpha is the only activation-sized array, the rest is n x n or N long;
+    # a single weight (fixed and closed_form mode) allocates no more
     n, n_seq = 64, 2048
     batch = random_batch(rng, n, n_seq)
-    strategy = AlphaStrategy(mode="sampled", beta_lambda=5.0)
-    peak = traced_peak(lambda: accumulate_stats(batch, strategy, 0.01, SeededRng(0, 0)))
-    assert peak <= 1.25 * n * n_seq * 8
+    for alphas in (sample_folded_alphas(n_seq, 5.0, SeededRng(0, 0)), 0.3):
+        peak = traced_peak(accumulate_stats, batch, alphas, 0.01)
+        assert peak <= 1.25 * n * n_seq * 8, "per-sequence" if np.ndim(alphas) else "scalar"
 
 
 def test_closed_form_alpha_allocates_two_activations(rng):

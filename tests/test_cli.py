@@ -395,6 +395,27 @@ def test_dither_demo_non_finite_input_is_usage_error(capsys, flag, value):
     assert out == ""
 
 
+def test_warning_is_one_line_without_source(tmp_path, capsys):
+    # one repeat warns that the spreads degenerate to 0: the CLI prints one
+    # "warning:" line, not Python's file:line header and echoed source line
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"network": {"depth": 2, "width": 8},
+                             "calibration": {"n_sequences": 16}}))
+    src = Path(snrq.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "snrq.cli", "variance-sweep", "--config", str(p),
+                           "--repeats", "1"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("warning: ") and ".py:" not in proc.stderr
+    # in process, the caller's warning handler is back in place afterwards
+    handler = warnings.showwarning
+    code, _, err = run(capsys, "variance-sweep", "--config", str(p), "--repeats", "1")
+    assert code == 0 and err.startswith("warning: ") and len(err.splitlines()) == 1
+    assert warnings.showwarning is handler
+
+
 def test_variance_sweep_zero_repeats_is_usage_error(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text("{}")

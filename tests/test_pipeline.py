@@ -519,14 +519,13 @@ def _loop_charge(width: int, n_seq: int, mode: str) -> int:
     """Upper bound on the bytes ``quantize_network`` allocates on a width-``width`` chain.
 
     Activation-sized arrays (width x n_seq), at the stage that holds the most:
-    the carried pair (2) plus, in sampled mode, the stats' X_alpha (1); in
-    fixed and closed_form mode X_alpha and the (1 - a) X_q product (2), or
-    in closed_form mode closed_form_alpha's u and v while the next alpha is
-    chosen from this layer's batch (2). The activation error, the carries
-    and the held-out passes hold at most 3. Plus 8 vectors of length n_seq (alpha draws and
-    traces); the weights and the width x width statistics are negligible.
+    the carried pair (2) plus the stats' X_alpha (1), or in closed_form mode
+    closed_form_alpha's u and v while the next alpha is chosen from this
+    layer's batch (2). The activation error, the carries and the held-out
+    passes hold at most 3. Plus 8 vectors of length n_seq (alpha draws and
+    their summary); the weights and the width x width statistics are negligible.
     """
-    live = {"sampled": 3, "fixed": 4, "closed_form": 4}[mode]
+    live = {"sampled": 3, "fixed": 3, "closed_form": 4}[mode]
     return (live * width + 8) * n_seq * 8
 
 
@@ -566,9 +565,9 @@ def test_layer_batch_lives_only_while_read(monkeypatch, mode):
         refs.append([weakref.ref(batch), weakref.ref(batch.xf), weakref.ref(batch.xq)])
         return accumulate_stats(batch, *args)
 
-    def recording_alpha(prev, **kwargs):
+    def recording_alpha(w, w_hat, batch, default_alpha):
         events.append(("alpha", len(refs), alive()))
-        return alpha_schedule(prev, **kwargs)
+        return alpha_schedule(w, w_hat, batch, default_alpha)
 
     monkeypatch.setattr(pipeline, "accumulate_stats", recording_stats)
     monkeypatch.setattr(pipeline, "module_wise_alpha_schedule", recording_alpha)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from snrq import (
-    AlphaStrategy,
     CalibBatch,
     GridSpec,
     InvalidSpec,
@@ -572,7 +571,7 @@ def make_batch(rng, n, n_seq, mismatch):
 
 def gptaq_factor(batch, cfg, damping=0.0):
     """The layer factor the pipeline builds for gptaq from this batch."""
-    stats = accumulate_stats(batch, AlphaStrategy(), damping=damping)
+    stats = accumulate_stats(batch, 0.5, damping=damping)
     return order_and_factor(stats.h, SolverConfig(solver="gptaq", act_order=cfg.act_order))
 
 
@@ -649,7 +648,7 @@ def test_gptaq_and_gptq_match_reference_loop(rng):
         assert np.array_equal(got.codes, ref.codes), f"trial {trial}"
         assert abs(got.proxy_loss - ref.proxy_loss) <= 1e-9 * max(1.0, ref.proxy_loss)
         if s == 0.0:
-            stats = accumulate_stats(batch, AlphaStrategy(), damping=damping)
+            stats = accumulate_stats(batch, 0.5, damping=damping)
             gq = gptq_round(w, gptq_factor(stats.h, cfg), params, cfg)
             assert np.array_equal(gq.codes, ref.codes), f"trial {trial}"
         cases += 1
