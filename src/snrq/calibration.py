@@ -140,9 +140,10 @@ def accumulate_stats(batch: CalibBatch, alphas, damping: float = 0.01) -> CalibS
     if not np.all(np.isfinite(alphas)):
         raise NonFinite("interpolation weights contain NaN or Inf")
 
-    h0 = xq @ xq.T
-    damping_abs = damping * float(np.mean(np.diag(h0))) if damping > 0 else 0.0
-    h = h0 + damping_abs * np.eye(batch.n_features)
+    h = xq @ xq.T
+    damping_abs = damping * float(np.mean(np.diag(h))) if damping > 0 else 0.0
+    h += 0.0  # -0.0 entries become +0.0, as adding a damped identity makes them
+    h.flat[::h.shape[0] + 1] += damping_abs
 
     x_alpha = np.subtract(xf, xq)
     x_alpha *= alphas

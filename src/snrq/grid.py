@@ -184,19 +184,25 @@ def round_to_grid(x, scale, zero, spec: GridSpec) -> tuple[np.ndarray, np.ndarra
     [code_min, code_max].
     """
     codes = _round_codes(x, scale, zero, spec)
-    return codes.astype(np.int32), scale * (codes - zero)
+    values = np.subtract(codes, zero)  # dequantize's levels, scale * (codes - zero)
+    values *= scale
+    return codes.astype(np.int32), values
 
 
 def column_grid(params: GridParams, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column (scale, zero point) arrays, m x len(cols), for original column indices.
 
     Zero points come back as float64, so rounding arithmetic stays in one dtype.
+    On per-channel grids (``group_size`` 0) both are read-only broadcast views
+    of the one column of scales and zero points; on grouped grids they are
+    gathered copies.
     """
     gidx = np.asarray(cols, dtype=np.intp)
     if params.spec.group_size == 0:
-        gidx = np.zeros_like(gidx)
-    else:
-        gidx = gidx // params.spec.group_size
+        shape = (params.scales.shape[0], gidx.size)
+        zeros = params.zero_points[:, :1].astype(np.float64)
+        return np.broadcast_to(params.scales[:, :1], shape), np.broadcast_to(zeros, shape)
+    gidx = gidx // params.spec.group_size
     return params.scales[:, gidx], params.zero_points[:, gidx].astype(np.float64)
 
 
@@ -209,6 +215,9 @@ def levels(row: int, col: int, params: GridParams) -> np.ndarray:
 
 
 def dequantize(codes: np.ndarray, params: GridParams) -> np.ndarray:
-    """Dequantize an m x n integer code matrix."""
+    """Dequantize an m x n integer code matrix: scale * (codes - zero), in one new array."""
     scale, zero = column_grid(params, np.arange(codes.shape[1]))
-    return scale * (codes - zero)
+    values = codes.astype(np.float64)  # exact, as the subtraction's own cast would be
+    values -= zero
+    values *= scale
+    return values

@@ -54,8 +54,8 @@ def write_matrix(path, m: np.ndarray, dtype: str | None = None) -> None:
 def read_matrix(path) -> np.ndarray:
     """Read a matrix written by :func:`write_matrix`.
 
-    Returns float64 for dtype codes 0/1 is preserved as written (f32 promotes
-    to f64 values exactly), int32 for code 2.
+    Returns float64 for dtype codes 0 and 1, with the values as written (f32
+    values promote to f64 exactly), and int32 for code 2.
 
     Raises:
         FormatError: bad magic, truncated payload, or non-finite entry.

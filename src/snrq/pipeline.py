@@ -41,7 +41,7 @@ from .calibration import (
     shifted_target,
 )
 from .errors import InvalidSpec, NonFinite, ShapeMismatch, SnrqError, require_finite, require_int
-from .grid import GridSpec, fit_grid
+from .grid import GridSpec, dequantize, fit_grid
 from .matio import read_matrix, write_matrix
 from .rng import SeededRng
 from .solvers import (
@@ -393,6 +393,11 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
     mode. After the loop, the held-out inputs are drawn and run through
     teacher and student side by side: at most 3 arrays.
 
+    A finished layer is kept as its int32 codes and its grid, 4 B per weight,
+    and its other per-layer arrays are dropped before the next layer starts.
+    The held-out student pass dequantizes one layer at a time, which gives
+    each layer's ``q_dequant`` again bit for bit.
+
     Raises InvalidSpec, before any layer runs, when ``group_size`` does not
     divide a layer's input width, and NonFinite, before the report is
     written, when a layer's proxy loss, weight MSE or activation error, or an
@@ -416,7 +421,7 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
     # the calibration inputs start both carried paths
     xf = xq = _draw_inputs(net.input_dim, n_seq, SeededRng(seed, STREAM_CALIBRATION), distribution)
 
-    prefix: list[np.ndarray] = []
+    finished = []  # (codes, grid) of each quantized layer; dequantized again only when read
     records = []
     alpha = float(config.alpha.alpha_value)  # fixed mode's weight, and closed_form's for layer 0
     for l, w in enumerate(net.layers):
@@ -472,7 +477,8 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
             record["codes_file"] = codes_file
             record["dequant_file"] = deq_file
         records.append(record)
-        prefix.append(result.q_dequant)
+        finished.append((result.codes, params))
+        del result, m_alpha, fact  # not read again; the next layer allocates its own
 
     # the carried pair is now the calibration output; the held-out inputs are
     # drawn only now and run through teacher and student side by side, so at
@@ -480,9 +486,9 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
     calibration_mse = _mean_of(xq, xf, np.square)
     del xf, xq
     yf = yq = _draw_inputs(net.input_dim, n_seq, SeededRng(seed, STREAM_HELDOUT), distribution)
-    for l, (w, q) in enumerate(zip(net.layers, prefix)):
+    for l, (w, (codes, params)) in enumerate(zip(net.layers, finished)):
         yf = _carry(w, yf, l + 1 == depth, nonlinearity)
-        yq = _carry(q, yq, l + 1 == depth, nonlinearity)
+        yq = _carry(dequantize(codes, params), yq, l + 1 == depth, nonlinearity)
     end_to_end = {
         "calibration_output_mse": calibration_mse,
         "heldout_output_mse": _mean_of(yq, yf, np.square),

@@ -56,7 +56,7 @@ import numpy as np
 
 from .calibration import CalibBatch
 from .errors import InvalidSpec, MemoryBudget, require_bool, require_int
-from .grid import GridParams, column_grid, dequantize, round_to_grid
+from .grid import GridParams, GridSpec, column_grid, dequantize, round_to_grid
 # solve_with_factor: perfbench tracer only
 from .linalg import cholesky, solve_l, solve_lt, solve_with_factor
 
@@ -190,22 +190,27 @@ def rtn_round(w: np.ndarray, params: GridParams, m_ref: np.ndarray, fact: Ordere
 # ---------------------------------------------------------------------------
 
 
-def _kernel_bytes(m: int, n: int, k: int, bsz: int, n_levels: int) -> int:
-    """Upper bound on the bytes one kernel call allocates, summed over its phases.
+def _kernel_bytes(m: int, n: int, k: int, bsz: int, spec: GridSpec) -> int:
+    """Upper bound on the bytes one kernel call allocates at any time.
 
-    Layer-wide, per m x n entry: the ordered target (8 B), the gathered
-    grid (12 B) and the permuted codes (4 B), alive throughout, plus the
-    scattered codes and dequantization at the end (28 B); per n x n entry:
-    the unit-lower factor, built in place (8 B). All m*K beams are
-    live at once; per beam: the difference/code tails (12 B x n) plus the
-    tail-sized temporary of the end-of-block ancestor gather (8 B x n); the
-    block buffers, correction and their row gathers (32 B x B); the
-    candidate values, scores and sort order (24 B x W, W = min(K, A) + 1);
-    and 64 B of per-beam vectors.
+    The call has two phases. The ordered target (8 B per m x n entry) is
+    alive in both. In the column loop: the unit-lower factor, built in place
+    (8 B per n x n entry), the gathered grid on grouped grids only (20 B per
+    m x n entry: float64 scales and zero points, and the int32 gather the
+    zero points are converted from; per-channel grids are views), and the
+    state of all m*K beams, which are live at once. Per beam: the
+    difference/code tails (12 B x n) plus the tail-sized temporary of the
+    end-of-block ancestor gather (8 B x n); the block buffers, correction
+    and their row gathers (32 B x B); the candidate values, scores and sort
+    order (24 B x W, W = min(K, A) + 1); and 64 B of per-beam vectors. At
+    the end, after the loop state is freed: the permuted and scattered codes
+    and the dequantized values (16 B per m x n entry), plus the grid that
+    :func:`dequantize` gathers on grouped grids (20 B). The charge covers both.
     """
     b = min(bsz, n)
-    width = min(k, n_levels) + 1
-    return m * n * 52 + n * n * 8 + m * k * (20 * n + 32 * b + 24 * width + 64)
+    width = min(k, spec.num_levels) + 1
+    grid = 20 if spec.group_size else 0
+    return m * n * (24 + grid) + n * n * 8 + m * k * (20 * n + 32 * b + 24 * width + 64)
 
 
 def _keep_best(s, center, scale, zero, cost, spec):
@@ -266,7 +271,7 @@ def _successive_round(mp, fact, params, cfg, k) -> RoundResult:
     m, n = mp.shape
     spec = params.spec
     bsz = cfg.block_size
-    need = _kernel_bytes(m, n, k, bsz, spec.num_levels)
+    need = _kernel_bytes(m, n, k, bsz, spec)
     if need > cfg.memory_budget_mb * (1 << 20):
         raise MemoryBudget(
             f"rounding state of {need / 2**20:.0f} MiB (m={m}, K={k}, n={n}) exceeds "
@@ -316,9 +321,11 @@ def _successive_round(mp, fact, params, cfg, k) -> RoundResult:
         tail_c[:, start:i] = bc
         i = start
     codes_p = tail_c[base[:, 0] + np.argmin(s, axis=1)]
-    del tail_d, tail_c  # free the beam state before the results allocate, as _kernel_bytes assumes
+    # free the layer-wide state before the results allocate, as _kernel_bytes assumes
+    del lu, scale_p, zero_p, tail_d, tail_c
     codes = np.empty_like(codes_p)
     codes[:, perm] = codes_p
+    del codes_p
     return RoundResult(codes, dequantize(codes, params), np.min(s, axis=1))
 
 

@@ -301,6 +301,21 @@ def test_cross_moment_matches_the_plain_expression_bit_for_bit(rng, mode):
         assert same_bits(stats.c_alpha, (xq + (xf - xq) * alphas) @ xq.T)
 
 
+@pytest.mark.parametrize("damping", [0.0, 0.01, 1.0])
+def test_damped_h_matches_the_plain_expression_bit_for_bit(rng, damping):
+    # the damping is added to H's diagonal in place; signed zeros included
+    # (rows of 0.0 and -0.0), H equals the product plus the damped identity
+    for _ in range(20):
+        batch = random_batch(rng, int(rng.integers(1, 12)), int(rng.integers(1, 40)))
+        xq = batch.xq.copy()
+        xq[rng.random(xq.shape[0]) < 0.3] = 0.0
+        xq[rng.random(xq.shape[0]) < 0.3] = -0.0
+        stats = accumulate_stats(CalibBatch(xf=batch.xf, xq=xq), 0.5, damping)
+        h0 = xq @ xq.T
+        damping_abs = damping * float(np.mean(np.diag(h0))) if damping > 0 else 0.0
+        assert same_bits(stats.h, h0 + damping_abs * np.eye(xq.shape[0]))
+
+
 def test_closed_form_matches_the_plain_expression_bit_for_bit(rng):
     for _ in range(50):
         n = int(rng.integers(1, 10))

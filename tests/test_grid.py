@@ -9,6 +9,8 @@ from snrq import GridSpec, InvalidSpec, fit_grid, grid, levels
 from snrq.grid import column_grid, dequantize, round_to_grid
 from snrq.oracle import fit_grid_reference
 
+from conftest import same_bits
+
 
 def nearest_level(x, row, col, params):
     """Scalar rounding of one value through the grid's single rounding rule."""
@@ -152,6 +154,28 @@ def test_group_lookup_by_original_index(rng):
         g = col // 4
         assert np.array_equal(scale_p[:, t], params.scales[:, g])
         assert np.array_equal(zero_p[:, t], params.zero_points[:, g])
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_column_grid_views_on_per_channel_grids(rng, symmetric):
+    # per-channel: read-only views equal, value for value, to the gathers of
+    # the one column; grouped: gathered copies of each column's group
+    w = rng.normal(size=(5, 12))
+    cols = rng.permutation(12)
+    params = fit_grid(w, GridSpec(bits=3, symmetric=symmetric))
+    scale, zero = column_grid(params, cols)
+    first = np.zeros(12, dtype=np.intp)
+    assert same_bits(scale, params.scales[:, first])
+    assert same_bits(zero, params.zero_points[:, first].astype(np.float64))
+    for view in (scale, zero):
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+    params = fit_grid(w, GridSpec(bits=3, symmetric=symmetric, group_size=4))
+    scale, zero = column_grid(params, cols)
+    assert same_bits(scale, params.scales[:, cols // 4])
+    assert same_bits(zero, params.zero_points[:, cols // 4].astype(np.float64))
+    assert scale.flags.writeable and zero.flags.writeable
+    assert not np.shares_memory(scale, params.scales)
 
 
 def test_dequantize_matches_levels(rng):

@@ -549,6 +549,31 @@ def test_layer_loop_holds_few_activation_arrays(mode):
     assert peak <= charge < peak + width * n_seq * 8
 
 
+def test_finished_layers_are_held_as_codes():
+    # a weight-heavy chain, width 128 and 16 sequences: a layer's weights are
+    # 128 KiB and an activation array 16 KiB. The peak is at the last layer, so
+    # each finished layer before it adds what the run keeps of it: its int32
+    # codes (4 B per weight), plus its grid and report record (under 1 B per
+    # weight). A finished layer kept as float64 values would add 8 B per weight.
+    width = 128
+
+    def traced_peak(depth):
+        cfg = small_config(calibration=CalibrationConfig(n_sequences=16),
+                           network=NetworkConfig(depth=depth, width=width))
+        net = synth_network(cfg.network, cfg.seed)
+        quantize_network(net, cfg)  # first call pays one-time imports and caches
+        tracemalloc.start()
+        try:
+            quantize_network(net, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grown = traced_peak(6) - traced_peak(2)
+    charge = 4 * width * width * 4  # four more finished layers, 4 B per weight
+    assert charge <= grown < charge + 4 * width * width
+
+
 @pytest.mark.parametrize("mode", ["fixed", "closed_form", "sampled"])
 def test_layer_batch_lives_only_while_read(monkeypatch, mode):
     # each event records, per layer seen so far, whether its batch or either

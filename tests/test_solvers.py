@@ -298,14 +298,21 @@ def test_beam_memory_budget():
         ksnrq_beam(w, natural(l), params, cfg)
 
 
-@pytest.mark.parametrize("m,n,k,bsz,act_order", [
-    (64, 128, 16, 32, False), (200, 64, 8, 16, True), (200, 96, 1, 32, True), (200, 32, 1, 1, True),
-    (128, 128, 4, 32, True),  # the beam_cd layer shape
-])
-def test_beam_memory_charge_bounds_measured_peak(rng, m, n, k, bsz, act_order):
+CHARGE_CASES = [
+    (64, 128, 16, 32, False, 0), (200, 64, 8, 16, True, 0), (200, 96, 1, 32, True, 0),
+    (200, 32, 1, 1, True, 0),
+    (128, 128, 4, 32, True, 0),  # the beam_cd layer shape
+    (128, 128, 4, 32, True, 32), (200, 96, 1, 32, True, 32),  # grouped grids are gathered
+]
+
+
+@pytest.mark.parametrize("m,n,k,bsz,act_order,group_size", CHARGE_CASES, ids=[
+    "-".join(map(str, case[:5])) + (f"-group{case[5]}" if case[5] else "") for case in CHARGE_CASES])
+def test_beam_memory_charge_bounds_measured_peak(rng, m, n, k, bsz, act_order, group_size):
     # the charge covers the state of all m*K beams, which one pass holds at once;
     # on the 3-bit grid, K = 8 and K = 16 make every one of the 2^3 levels a candidate
-    w, h, _, params = layer_instance(rng, m=m, n=n)
+    w, h, _, _ = layer_instance(rng, m=m, n=n)
+    params = fit_grid(w, GridSpec(bits=3, symmetric=True, group_size=group_size))
     cfg = SolverConfig(act_order=act_order, beam_width=k, block_size=bsz)
     fact = order_and_factor(h, cfg)
     ksnrq_beam(w, fact, params, cfg)  # first call pays one-time imports and caches
@@ -315,7 +322,7 @@ def test_beam_memory_charge_bounds_measured_peak(rng, m, n, k, bsz, act_order):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    charge = _kernel_bytes(m, n, k, bsz, params.spec.num_levels)
+    charge = _kernel_bytes(m, n, k, bsz, params.spec)
     assert peak <= charge <= 2 * peak
 
 
@@ -703,6 +710,36 @@ def test_gptaq_scores_match_the_plain_expression_bit_for_bit(rng, act_order):
         res = gptaq_round(w, gptaq_factor(batch, cfg, damping=0.01), params, cfg, batch, scale)
         resid = (res.q_dequant - w) @ batch.xq - scale * (w @ (batch.xf - batch.xq))
         assert same_bits(res.per_row_scores, np.sum(resid * resid, axis=1))
+
+
+@pytest.mark.parametrize("act_order", [False, True])
+@pytest.mark.parametrize("spec", [
+    GridSpec(bits=3), GridSpec(bits=3, group_size=4),
+    GridSpec(bits=4, symmetric=False), GridSpec(bits=4, symmetric=False, group_size=4),
+], ids=["per_channel", "grouped", "asymmetric", "asymmetric_grouped"])
+def test_q_dequant_is_dequantize_of_codes_bit_for_bit(rng, spec, act_order):
+    # the pipeline keeps a finished layer as its codes and grid, and its
+    # held-out pass dequantizes them again: every solver's values, with and
+    # without CD passes, are dequantize(codes) byte for byte
+    m, n = 7, 16
+    for trial in range(4):
+        w = rng.normal(size=(m, n))
+        batch = make_batch(rng, n, 40, 0.5)
+        params = fit_grid(w, spec)
+        target = w + 0.3 * rng.normal(size=(m, n))
+        for solver, k in (("rtn", 1), ("snrq", 1), ("ksnrq", 2), ("ksnrq", 4), ("gptq", 1), ("gptaq", 1)):
+            cfg = SolverConfig(solver=solver, beam_width=k, block_size=4, act_order=act_order)
+            fact = order_and_factor(accumulate_stats(batch, 0.5).h, cfg)
+            result = {
+                "rtn": lambda: rtn_round(w, params, target, fact),
+                "snrq": lambda: snrq_greedy(target, fact, params, cfg),
+                "ksnrq": lambda: ksnrq_beam(target, fact, params, cfg),
+                "gptq": lambda: gptq_round(w, fact, params, cfg),
+                "gptaq": lambda: gptaq_round(w, fact, params, cfg, batch, 0.25),
+            }[solver]()
+            for passes in (0, 2):
+                out = cd_refine(result, target, fact, params, passes, cfg.block_size)
+                assert same_bits(out.q_dequant, dequantize(out.codes, params)), (trial, solver, k, passes)
 
 
 def test_kernel_unit_lower_factor_matches_the_plain_expression_bit_for_bit(rng, monkeypatch):
