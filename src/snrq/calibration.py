@@ -83,10 +83,10 @@ class AlphaStrategy:
     beta_lambda: float = 5.0
 
     def __post_init__(self):
-        mode = {"sample": "sampled"}.get(self.mode, self.mode)
-        object.__setattr__(self, "mode", mode)
+        mode = {"sample": "sampled"}.get(self.mode, self.mode) if isinstance(self.mode, str) else None
         if mode not in ALPHA_MODES:
             raise InvalidSpec(f"alpha mode must be one of {ALPHA_MODES}, got {self.mode!r}")
+        object.__setattr__(self, "mode", mode)
         require_finite("alpha_value", self.alpha_value)
         if not 0.0 <= self.alpha_value <= 1.0:
             raise InvalidSpec(f"alpha_value must be in [0, 1], got {self.alpha_value}")

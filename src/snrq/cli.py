@@ -163,8 +163,7 @@ def build_parser() -> _Parser:
 
 def _cmd_quantize(args) -> int:
     cfg = _load_config(args.config, {"seed": args.seed, "out_dir": args.out_dir})
-    net = synth_network(cfg.network, cfg.seed)
-    _emit(quantize_network(net, cfg), None)
+    _emit(quantize_network(cfg), None)
     return 0
 
 
@@ -174,17 +173,17 @@ def _cmd_synth(args) -> int:
         spec = NetworkConfig(depth=args.depth, width=args.dim, dims=dims, nonlinearity=args.nonlinearity)
     except (InvalidSpec, ValueError) as e:
         raise UsageError(f"bad --depth/--dim/--dims: {e}") from None
-    net = synth_network(spec, args.seed)
+    layers = synth_network(spec, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for l, wmat in enumerate(net.layers):
+    for l, wmat in enumerate(layers):
         name = f"weights_{l:02d}.snrqmat"
         write_matrix(out / name, wmat, dtype="f64")
         paths.append(name)
     manifest = {
-        "nonlinearity": net.nonlinearity,
-        "dims": [net.input_dim] + [w.shape[0] for w in net.layers],
+        "nonlinearity": spec.nonlinearity,
+        "dims": list(spec.layer_dims()),
         "seed": args.seed,
         "weight_paths": paths,
     }

@@ -518,8 +518,7 @@ def sampling_variance_sweep(pipeline_config, n_repeats: int) -> dict:
         for rep in range(n_repeats):
             cfg = replace(pipeline_config, alpha=strategy, seed=pipeline_config.seed + rep,
                           out_dir=None)
-            net = pipeline.synth_network(cfg.network, cfg.seed)
-            report = pipeline.quantize_network(net, cfg)
+            report = pipeline.quantize_network(cfg)
             vals.append(sum(rec["proxy_loss"] for rec in report["layers"]))
         arr = np.array(vals)
         out["modes"][name] = {

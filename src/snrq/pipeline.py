@@ -1,10 +1,10 @@
 """End-to-end harness: toy networks, layer-by-layer quantization, reports.
 
-A toy network is a chain of dense layers with an optional relu between them
-(relu by default, so upstream rounding error produces a nontrivial
-teacher/student mismatch). Layers are quantized in order; the dequantized
-result of each layer becomes the student prefix for the next, exactly the
-sequential setting the calibration statistics assume.
+A run is its config, whose network is a chain of dense layers with an
+optional relu between them (relu by default, so upstream rounding error
+produces a nontrivial teacher/student mismatch). Layers are quantized in
+order; the dequantized result of each layer becomes the student prefix for
+the next, exactly the sequential setting the calibration statistics assume.
 
 The calibration activations are carried from layer to layer: starting from
 the raw inputs, each solved layer advances the teacher path by
@@ -59,7 +59,6 @@ from .solvers import (
 )
 
 __all__ = [
-    "ToyNetwork",
     "RunConfig",
     "CalibrationConfig",
     "NetworkConfig",
@@ -191,6 +190,8 @@ class RunConfig:
                                   f"got {type(sub).__name__}")
             sub = dict(sub)
             if name == "alpha" and "alpha_mode" in sub:
+                if "mode" in sub:
+                    raise InvalidSpec("alpha config sets both 'alpha_mode' and 'mode'")
                 sub["mode"] = sub.pop("alpha_mode")
             allowed = set(cls.__dataclass_fields__)
             bad = set(sub) - allowed
@@ -208,41 +209,15 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ToyNetwork:
-    """Chain of dense layers; layer l maps dims[l] -> dims[l+1]."""
-
-    layers: tuple[np.ndarray, ...]
-    nonlinearity: str = "relu"
-
-    def __post_init__(self):
-        if not self.layers:
-            raise InvalidSpec("network needs at least one layer")
-        for a, b in zip(self.layers, self.layers[1:]):
-            if b.shape[1] != a.shape[0]:
-                raise ShapeMismatch(
-                    f"layer dims do not chain: {a.shape} then {b.shape}"
-                )
-        if self.nonlinearity not in NONLINEARITIES:
-            raise InvalidSpec(f"nonlinearity must be one of {NONLINEARITIES}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].shape[1]
-
-
 def _act(h: np.ndarray, nonlinearity: str) -> np.ndarray:
     return np.maximum(h, 0.0) if nonlinearity == "relu" else h
 
 
-def synth_network(spec: NetworkConfig, seed: int) -> ToyNetwork:
-    """Gaussian layers scaled by 1/sqrt(fan_in), deterministic per seed.
+def synth_network(spec: NetworkConfig, seed: int) -> tuple[np.ndarray, ...]:
+    """The layers of ``spec``: layer l is a dims[l + 1] x dims[l] matrix.
 
-    With ``spec.weight_paths`` the layers are read from those files instead.
+    Gaussian layers scaled by 1/sqrt(fan_in), deterministic per seed. With
+    ``spec.weight_paths`` the layers are read from those files instead.
 
     Raises:
         ShapeMismatch: the files are not one per layer of ``spec.dims``, or a
@@ -260,11 +235,11 @@ def synth_network(spec: NetworkConfig, seed: int) -> ToyNetwork:
                 raise ShapeMismatch(f"{path}: layer {l} of dims {list(dims)} is "
                                     f"{dims[l + 1]} x {dims[l]}, the file is {w.shape[0]} x {w.shape[1]}")
             layers.append(w)
-        return ToyNetwork(layers=tuple(layers), nonlinearity=spec.nonlinearity)
+        return tuple(layers)
     for l in range(len(dims) - 1):
         rng = SeededRng(seed, STREAM_NETWORK + l)
         layers.append(rng.normal(size=(dims[l + 1], dims[l])) / np.sqrt(dims[l]))
-    return ToyNetwork(layers=tuple(layers), nonlinearity=spec.nonlinearity)
+    return tuple(layers)
 
 
 def _forward_input_to_layer(
@@ -278,12 +253,13 @@ def _forward_input_to_layer(
 
 
 def forward_collect(
-    net: ToyNetwork, inputs: np.ndarray, quantized_prefix
+    layers, inputs: np.ndarray, quantized_prefix, nonlinearity: str
 ) -> CalibBatch:
     """Teacher/student activations feeding the next layer to quantize.
 
-    The teacher path runs the full-precision prefix, the student path the
-    dequantized prefix; with an empty prefix the two coincide exactly.
+    The teacher path runs the full-precision prefix of ``layers``, the
+    student path the dequantized prefix, both with ``nonlinearity``; with an
+    empty prefix the two coincide exactly.
 
     This replays the whole prefix from the raw inputs. It is the reference
     that tests compare the carried activations of ``quantize_network``
@@ -291,10 +267,10 @@ def forward_collect(
     call it.
     """
     l = len(quantized_prefix)
-    if l >= net.depth:
+    if l >= len(layers):
         raise ShapeMismatch(f"prefix of length {l} leaves no layer to calibrate")
-    xf = _forward_input_to_layer(net.layers, inputs, l, net.nonlinearity)
-    xq = _forward_input_to_layer(list(quantized_prefix), inputs, l, net.nonlinearity)
+    xf = _forward_input_to_layer(layers, inputs, l, nonlinearity)
+    xq = _forward_input_to_layer(list(quantized_prefix), inputs, l, nonlinearity)
     return CalibBatch(xf=xf, xq=xq)
 
 
@@ -372,8 +348,11 @@ def _require_finite(where: str, values: dict) -> None:
 # overflow and NaN surface as a non-finite layer or end-to-end value, which
 # raises NonFinite; numpy's warnings would only repeat that on stderr
 @np.errstate(over="ignore", invalid="ignore")
-def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
-    """Quantize every layer in order and return the report dictionary.
+def quantize_network(config: RunConfig) -> dict:
+    """Build the network of ``config``, quantize its layers in order, return the report.
+
+    The layers are built first, by ``synth_network(config.network,
+    config.seed)``, so the report's config is the one its layers came from.
 
     When ``config.out_dir`` is set, per-layer code/dequant matrices and the
     report JSON are also written there (codes as the i32 binary variant). A
@@ -398,13 +377,15 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
     The held-out student pass dequantizes one layer at a time, which gives
     each layer's ``q_dequant`` again bit for bit.
 
-    Raises InvalidSpec, before any layer runs, when ``group_size`` does not
-    divide a layer's input width, and NonFinite, before the report is
-    written, when a layer's proxy loss, weight MSE or activation error, or an
-    end-to-end MSE, is not finite.
+    Raises ShapeMismatch when the weight files do not fit
+    ``config.network.dims``; InvalidSpec, before any layer runs, when
+    ``group_size`` does not divide a layer's input width; and NonFinite,
+    before the report is written, when a layer's proxy loss, weight MSE or
+    activation error, or an end-to-end MSE, is not finite.
     """
     t_start = time.perf_counter()
-    for l, w in enumerate(net.layers):  # every layer's width, before a layer runs or writes
+    layers = synth_network(config.network, config.seed)
+    for l, w in enumerate(layers):  # every layer's width, before a layer runs or writes
         try:
             config.grid.groups_for(w.shape[1])
         except InvalidSpec as e:
@@ -416,15 +397,16 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
             if path.name == "report.json" or LAYER_FILE.fullmatch(path.name):
                 path.unlink(missing_ok=True)
 
-    seed, depth, nonlinearity = config.seed, net.depth, net.nonlinearity
+    seed, depth, input_dim = config.seed, len(layers), layers[0].shape[1]
     n_seq, distribution = config.calibration.n_sequences, config.calibration.distribution
+    nonlinearity = config.network.nonlinearity
     # the calibration inputs start both carried paths
-    xf = xq = _draw_inputs(net.input_dim, n_seq, SeededRng(seed, STREAM_CALIBRATION), distribution)
+    xf = xq = _draw_inputs(input_dim, n_seq, SeededRng(seed, STREAM_CALIBRATION), distribution)
 
     finished = []  # (codes, grid) of each quantized layer; dequantized again only when read
     records = []
     alpha = float(config.alpha.alpha_value)  # fixed mode's weight, and closed_form's for layer 0
-    for l, w in enumerate(net.layers):
+    for l, w in enumerate(layers):
         t_layer = time.perf_counter()
         last = l + 1 == depth
         try:
@@ -485,8 +467,8 @@ def quantize_network(net: ToyNetwork, config: RunConfig) -> dict:
     # most three activation arrays are alive after the loop
     calibration_mse = _mean_of(xq, xf, np.square)
     del xf, xq
-    yf = yq = _draw_inputs(net.input_dim, n_seq, SeededRng(seed, STREAM_HELDOUT), distribution)
-    for l, (w, (codes, params)) in enumerate(zip(net.layers, finished)):
+    yf = yq = _draw_inputs(input_dim, n_seq, SeededRng(seed, STREAM_HELDOUT), distribution)
+    for l, (w, (codes, params)) in enumerate(zip(layers, finished)):
         yf = _carry(w, yf, l + 1 == depth, nonlinearity)
         yq = _carry(dequantize(codes, params), yq, l + 1 == depth, nonlinearity)
     end_to_end = {
@@ -573,6 +555,8 @@ def sweep_config(config: RunConfig, axis: str, value) -> RunConfig:
 def sweep(config: RunConfig, axis: str, values) -> dict:
     """Re-run the pipeline per value of one axis and tabulate the results.
 
+    Each row is a ``quantize_network`` run of its swept config: it builds the
+    same network again (no axis touches it), and ``wall_ms`` includes that.
     For the search axes (K, cd_passes) rows after the first also carry the
     marginal improvement per second between consecutive values; it is None
     when the row's wall time did not rise over the row before.
@@ -580,12 +564,11 @@ def sweep(config: RunConfig, axis: str, values) -> dict:
     values = list(values)
     if not values:
         raise InvalidSpec("sweep needs at least one value")
-    net = synth_network(config.network, config.seed)
     rows = []
     for v in values:
         cfg = replace(sweep_config(config, axis, v), out_dir=None)
         t0 = time.perf_counter()
-        report = quantize_network(net, cfg)
+        report = quantize_network(cfg)
         wall_ms = (time.perf_counter() - t0) * 1e3
         rows.append({
             "value": v,

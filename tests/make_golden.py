@@ -24,7 +24,7 @@ import tempfile
 from pathlib import Path
 
 from snrq.matio import read_matrix
-from snrq.pipeline import RunConfig, quantize_network, synth_network
+from snrq.pipeline import RunConfig, quantize_network
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "perfbench" / "workloads.json"
@@ -43,7 +43,7 @@ def run_workload(config: dict, seed: int) -> dict:
     """The golden entry of one workload config at one seed."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = RunConfig.from_dict(dict(config, seed=seed, out_dir=tmp))
-        report = quantize_network(synth_network(cfg.network, cfg.seed), cfg)
+        report = quantize_network(cfg)
         layers = []
         for rec in report["layers"]:
             entry = {"proxy_loss": rec["proxy_loss"]}

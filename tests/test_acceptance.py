@@ -51,7 +51,6 @@ from snrq.pipeline import (
     determinism_hash,
     quantize_network,
     strip_timing,
-    synth_network,
 )
 
 from conftest import act_order_factor, natural, random_batch, random_spd
@@ -372,11 +371,10 @@ def test_c13_end_to_end_desk_analog():
     beam_losses = []
     for seed in range(n_runs):
         cfg = replace(base, seed=seed)
-        net = synth_network(cfg.network, cfg.seed)
-        p_snrq = _total_proxy(quantize_network(net, cfg))
-        p_rtn = _total_proxy(quantize_network(net, replace(
+        p_snrq = _total_proxy(quantize_network(cfg))
+        p_rtn = _total_proxy(quantize_network(replace(
             cfg, solver=SolverConfig(solver="rtn", act_order=True))))
-        p_beam = _total_proxy(quantize_network(net, replace(
+        p_beam = _total_proxy(quantize_network(replace(
             cfg, solver=SolverConfig(solver="ksnrq", beam_width=4, act_order=True))))
         wins += int(p_snrq <= p_rtn)
         greedy_losses.append(p_snrq)
@@ -403,9 +401,8 @@ def test_c14_determinism(tmp_path):
         network=NetworkConfig(depth=3, width=96),
         seed=5,
     )
-    net = synth_network(cfg.network, cfg.seed)
-    r1 = quantize_network(net, replace(cfg, out_dir=str(tmp_path / "a")))
-    r2 = quantize_network(net, replace(cfg, out_dir=str(tmp_path / "b")))
+    r1 = quantize_network(replace(cfg, out_dir=str(tmp_path / "a")))
+    r2 = quantize_network(replace(cfg, out_dir=str(tmp_path / "b")))
     s1 = json.dumps(strip_timing({k: v for k, v in r1.items()
                                   if k not in ("determinism_hash", "config")}), sort_keys=True)
     s2 = json.dumps(strip_timing({k: v for k, v in r2.items()

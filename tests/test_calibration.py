@@ -103,6 +103,12 @@ def test_mode_aliases():
         AlphaStrategy(mode="bogus")
 
 
+@pytest.mark.parametrize("mode", [["fixed"], {}])
+def test_non_string_mode_raises_invalid_spec(mode):
+    with pytest.raises(InvalidSpec, match="alpha mode must be one of"):
+        AlphaStrategy(mode=mode)
+
+
 # --- shifted target -----------------------------------------------------
 
 

@@ -359,6 +359,28 @@ def test_config_field_of_wrong_type_is_usage_error(tmp_path, capsys, section, en
     assert "Traceback" not in err
 
 
+BOTH_KEYS = "alpha config sets both 'alpha_mode' and 'mode'"
+MODES = "alpha mode must be one of ('fixed', 'closed_form', 'sampled')"
+
+
+@pytest.mark.parametrize("alpha,message", [
+    ({"alpha_mode": "fixed", "mode": "sampled"}, BOTH_KEYS),
+    ({"alpha_mode": "sample", "mode": "sampled"}, BOTH_KEYS),
+    ({"mode": {}}, f"{MODES}, got {{}}"),
+    ({"mode": ["fixed"]}, f"{MODES}, got ['fixed']"),
+], ids=["both-keys", "both-keys-same-after-alias", "object-mode", "array-mode"])
+def test_bad_alpha_mode_is_usage_error(tmp_path, capsys, alpha, message):
+    # a mode named twice would run one of them silently; a non-string one
+    # once failed in the alias lookup with "unhashable type"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"network": {"depth": 1, "width": 8},
+                             "calibration": {"n_sequences": 16}, "alpha": alpha}))
+    code, out, err = run(capsys, "quantize", "--config", str(p))
+    assert code == 1
+    assert err == f"usage error: config file {p}: {message}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("axis,values", [("cd_passes", "0.7,1.9"), ("K", "2,2.5")])
 def test_sweep_non_integral_integer_value_is_usage_error(tmp_path, capsys, axis, values):
     p = tmp_path / "cfg.json"

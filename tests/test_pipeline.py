@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from snrq import AlphaStrategy, GridSpec, InvalidSpec, NonFinite, SolverConfig, read_matrix
+from snrq import AlphaStrategy, GridSpec, InvalidSpec, NonFinite, SolverConfig, read_matrix, write_matrix
 from snrq import pipeline
 from snrq.oracle import sampling_variance_sweep
 from snrq.pipeline import (
@@ -18,7 +18,6 @@ from snrq.pipeline import (
     CalibrationConfig,
     NetworkConfig,
     RunConfig,
-    ToyNetwork,
     _draw_inputs,
     determinism_hash,
     forward_collect,
@@ -51,22 +50,20 @@ def test_synth_deterministic():
     spec = NetworkConfig(depth=4, width=8)
     a = synth_network(spec, 3)
     b = synth_network(spec, 3)
-    for wa, wb in zip(a.layers, b.layers):
+    for wa, wb in zip(a, b):
         assert np.array_equal(wa, wb)
-    assert not np.array_equal(synth_network(spec, 4).layers[0], a.layers[0])
+    assert not np.array_equal(synth_network(spec, 4)[0], a[0])
 
 
 def test_synth_dims_chain():
-    net = synth_network(NetworkConfig(dims=(5, 7, 3)), 0)
-    assert [w.shape for w in net.layers] == [(7, 5), (3, 7)]
-    with pytest.raises(Exception):
-        ToyNetwork(layers=(np.ones((3, 5)), np.ones((4, 9))))
+    layers = synth_network(NetworkConfig(dims=(5, 7, 3)), 0)
+    assert [w.shape for w in layers] == [(7, 5), (3, 7)]
 
 
 def test_depth_one_network_has_equal_paths(rng):
-    net = synth_network(NetworkConfig(depth=1, width=6), 0)
+    layers = synth_network(NetworkConfig(depth=1, width=6), 0)
     x = rng.normal(size=(6, 10))
-    batch = forward_collect(net, x, [])
+    batch = forward_collect(layers, x, [], "relu")
     assert np.array_equal(batch.xf, batch.xq)
     assert np.array_equal(batch.xf, x)
 
@@ -74,39 +71,37 @@ def test_depth_one_network_has_equal_paths(rng):
 def test_forward_collect_rejects_full_prefix(rng):
     from snrq import ShapeMismatch
 
-    net = synth_network(NetworkConfig(depth=1, width=6), 0)
+    layers = synth_network(NetworkConfig(depth=1, width=6), 0)
     with pytest.raises(ShapeMismatch):
-        forward_collect(net, rng.normal(size=(6, 4)), [net.layers[0]])
+        forward_collect(layers, rng.normal(size=(6, 4)), [layers[0]], "relu")
 
 
 def test_lossless_prefix_keeps_paths_equal(rng):
-    net = synth_network(NetworkConfig(depth=2, width=6), 0)
+    layers = synth_network(NetworkConfig(depth=2, width=6), 0)
     x = rng.normal(size=(6, 10))
-    batch = forward_collect(net, x, [net.layers[0].copy()])
+    batch = forward_collect(layers, x, [layers[0].copy()], "relu")
     assert np.array_equal(batch.xf, batch.xq)
 
 
 def test_lossy_prefix_produces_mismatch(rng):
-    net = synth_network(NetworkConfig(depth=2, width=6), 0)
+    layers = synth_network(NetworkConfig(depth=2, width=6), 0)
     x = rng.normal(size=(6, 10))
-    batch = forward_collect(net, x, [np.round(net.layers[0], 1)])
+    batch = forward_collect(layers, x, [np.round(layers[0], 1)], "relu")
     assert np.linalg.norm(batch.xf - batch.xq) > 0
 
 
 def test_relu_applied_between_layers(rng):
-    net = synth_network(NetworkConfig(depth=2, width=6, nonlinearity="relu"), 0)
+    layers = synth_network(NetworkConfig(depth=2, width=6), 0)
     x = rng.normal(size=(6, 10))
-    batch = forward_collect(net, x, [net.layers[0]])
+    batch = forward_collect(layers, x, [layers[0]], "relu")
     assert np.all(batch.xf >= 0.0)
-    none = synth_network(NetworkConfig(depth=2, width=6, nonlinearity="none"), 0)
-    batch2 = forward_collect(none, x, [none.layers[0]])
+    batch2 = forward_collect(layers, x, [layers[0]], "none")
     assert np.any(batch2.xf < 0.0)
 
 
 def test_quantize_records_and_proxy_recompute():
     cfg = small_config()
-    net = synth_network(cfg.network, cfg.seed)
-    report = quantize_network(net, cfg)
+    report = quantize_network(cfg)
     assert len(report["layers"]) == 3
     for rec in report["layers"]:
         assert rec["proxy_loss"] >= 0.0
@@ -125,15 +120,14 @@ def test_layer_one_codes_identical_across_alpha_modes(tmp_path):
         "closed": AlphaStrategy(mode="closed_form", alpha_value=0.5),
     }.items():
         cfg = small_config(alpha=strat, out_dir=str(tmp_path / mode))
-        net = synth_network(cfg.network, cfg.seed)
-        quantize_network(net, cfg)
+        quantize_network(cfg)
         codes[mode] = read_matrix(tmp_path / mode / "layer_00_codes.snrqmat")
     ref = codes["fixed0"]
     for mode, arr in codes.items():
         assert np.array_equal(arr, ref), mode
 
 
-def test_lossless_grid_zero_end_mse(rng):
+def test_lossless_grid_zero_end_mse(rng, tmp_path):
     # weights already on a symmetric 2-bit lattice, damping 0: every layer
     # rounds to itself and the end-to-end error is exactly zero
     dims = (6, 6, 6)
@@ -144,14 +138,16 @@ def test_lossless_grid_zero_end_mse(rng):
         w = codes * scale
         w.flat[0] = scale  # pin max|w| so the fitted scale is exactly 0.25
         layers.append(w)
-    net = ToyNetwork(layers=tuple(layers), nonlinearity="relu")
+    paths = [str(tmp_path / f"weights_{l:02d}.snrqmat") for l in range(2)]
+    for path, w in zip(paths, layers):
+        write_matrix(path, w, dtype="f64")
     cfg = small_config(
         grid=GridSpec(bits=2, symmetric=True),
         damping=0.0,
-        network=NetworkConfig(dims=dims),
+        network=NetworkConfig(dims=dims, weight_paths=paths),
         alpha=AlphaStrategy(mode="fixed", alpha_value=0.5),
     )
-    report = quantize_network(net, cfg)
+    report = quantize_network(cfg)
     assert report["end_to_end"]["calibration_output_mse"] == 0.0
     assert report["end_to_end"]["heldout_output_mse"] == 0.0
     for rec in report["layers"]:
@@ -160,8 +156,7 @@ def test_lossless_grid_zero_end_mse(rng):
 
 def test_closed_form_schedule_first_layer_uses_initial():
     cfg = small_config(alpha=AlphaStrategy(mode="closed_form", alpha_value=0.5))
-    net = synth_network(cfg.network, cfg.seed)
-    report = quantize_network(net, cfg)
+    report = quantize_network(cfg)
     assert report["layers"][0]["alpha"]["alpha_used"] == 0.5
     for rec in report["layers"][1:]:
         assert 0.0 <= rec["alpha"]["alpha_used"] <= 1.0
@@ -170,8 +165,7 @@ def test_closed_form_schedule_first_layer_uses_initial():
 
 def test_sampled_alpha_trace_summary():
     cfg = small_config(alpha=AlphaStrategy(mode="sampled", beta_lambda=5.0))
-    net = synth_network(cfg.network, cfg.seed)
-    report = quantize_network(net, cfg)
+    report = quantize_network(cfg)
     tr = report["layers"][1]["alpha"]["alpha_trace"]
     assert tr["n"] == 48
     assert 0.0 <= tr["min"] <= tr["mean"] <= tr["max"] <= 0.5
@@ -184,8 +178,7 @@ def test_all_solvers_run_through_pipeline(solver):
         calibration=CalibrationConfig(n_sequences=32),
         network=NetworkConfig(depth=2, width=10),
     )
-    net = synth_network(cfg.network, cfg.seed)
-    report = quantize_network(net, cfg)
+    report = quantize_network(cfg)
     assert len(report["layers"]) == 2
     assert all(rec["proxy_loss"] >= 0 for rec in report["layers"])
 
@@ -220,7 +213,7 @@ def test_one_factorization_per_layer(monkeypatch, solver, cd_passes, act_order):
                             act_order=act_order, cd_passes=cd_passes),
         network=NetworkConfig(depth=3, width=10),
     )
-    quantize_network(synth_network(cfg.network, cfg.seed), cfg)
+    quantize_network(cfg)
     assert calls == {"names": 3, "lapack": 3}
 
 
@@ -257,24 +250,22 @@ def test_one_block_inverse_per_layer(monkeypatch, solver, cd_passes, act_order):
                             act_order=act_order, cd_passes=cd_passes),
         network=NetworkConfig(depth=3, width=40),  # two diagonal blocks per layer
     )
-    quantize_network(synth_network(cfg.network, cfg.seed), cfg)
+    quantize_network(cfg)
     assert calls == {"cholesky": 3, "inv": 6, "inv_outside": 0}
 
 
 def test_cd_passes_reduce_proxy():
     base = small_config(solver=SolverConfig(solver="rtn", cd_passes=0, act_order=False))
     refined = small_config(solver=SolverConfig(solver="rtn", cd_passes=2, act_order=False))
-    net = synth_network(base.network, base.seed)
-    p0 = sum(r["proxy_loss"] for r in quantize_network(net, base)["layers"])
-    p2 = sum(r["proxy_loss"] for r in quantize_network(net, refined)["layers"])
+    p0 = sum(r["proxy_loss"] for r in quantize_network(base)["layers"])
+    p2 = sum(r["proxy_loss"] for r in quantize_network(refined)["layers"])
     assert p2 <= p0 + 1e-12
 
 
 def test_report_determinism_and_artifacts(tmp_path):
     cfg = small_config(out_dir=str(tmp_path / "a"))
-    net = synth_network(cfg.network, cfg.seed)
-    r1 = quantize_network(net, cfg)
-    r2 = quantize_network(net, replace(cfg, out_dir=str(tmp_path / "b")))
+    r1 = quantize_network(cfg)
+    r2 = quantize_network(replace(cfg, out_dir=str(tmp_path / "b")))
     assert r1["determinism_hash"] == determinism_hash(r2)
     s1 = json.dumps(strip_timing({k: v for k, v in r1.items() if k != "determinism_hash"}),
                     sort_keys=True)
@@ -303,9 +294,8 @@ def test_config_roundtrip_and_unknown_keys():
 
 def test_snrq_lazy_is_read_as_snrq():
     # one kernel, one name: the alias leaves no trace in the report or its hash
-    net = synth_network(small_config().network, 7)
-    lazy = quantize_network(net, small_config(solver=SolverConfig(solver="snrq_lazy")))
-    plain = quantize_network(net, small_config(solver=SolverConfig(solver="snrq")))
+    lazy = quantize_network(small_config(solver=SolverConfig(solver="snrq_lazy")))
+    plain = quantize_network(small_config(solver=SolverConfig(solver="snrq")))
     assert lazy["config"]["solver"]["solver"] == "snrq"
     assert lazy["determinism_hash"] == plain["determinism_hash"]
 
@@ -334,8 +324,8 @@ def test_sweep_rate_is_null_when_wall_time_does_not_rise(monkeypatch):
     seconds = {1: 1.0, 2: 3.0, 3: 2.5, 4: 2.5}
     real = pipeline.quantize_network
 
-    def timed(net, cfg):
-        report = real(net, cfg)
+    def timed(cfg):
+        report = real(cfg)
         clock["now"] += seconds[cfg.solver.beam_width]
         return report
 
@@ -356,12 +346,11 @@ def test_sweep_rate_is_null_when_wall_time_does_not_rise(monkeypatch):
 def test_sweep_rows_are_runs_of_the_swept_config(axis, values):
     cfg = small_config(network=NetworkConfig(depth=2, width=8),
                        calibration=CalibrationConfig(n_sequences=24))
-    net = synth_network(cfg.network, cfg.seed)
     rows = sweep(cfg, axis, values)["rows"]
     assert [r["value"] for r in rows] == values
     for v, row in zip(values, rows):
         run_cfg = sweep_config(cfg, axis, v)
-        report = quantize_network(net, run_cfg)
+        report = quantize_network(run_cfg)
         assert row["proxy_loss"] == sum(rec["proxy_loss"] for rec in report["layers"])
         assert row["heldout_output_mse"] == report["end_to_end"]["heldout_output_mse"]
         if axis == "beta_lambda":
@@ -380,10 +369,9 @@ def test_uniform_calibration_inputs():
     x = _draw_inputs(12, 48, SeededRng(cfg.seed, STREAM_CALIBRATION), "uniform")
     assert np.array_equal(x, SeededRng(cfg.seed, STREAM_CALIBRATION).uniform(-1.0, 1.0, size=(12, 48)))
     assert np.all(np.abs(x) <= 1.0)
-    net = synth_network(cfg.network, cfg.seed)
-    report = quantize_network(net, cfg)
+    report = quantize_network(cfg)
     assert report["config"]["calibration"]["distribution"] == "uniform"
-    normal = quantize_network(net, small_config())
+    normal = quantize_network(small_config())
     assert report["determinism_hash"] != normal["determinism_hash"]
     assert report["layers"][0]["mean_activation_error"] == 0.0  # the raw inputs feed both paths
     with pytest.raises(InvalidSpec, match="distribution"):
@@ -413,9 +401,8 @@ def test_pipeline_snrq_equals_gptq_at_alpha_zero(tmp_path):
         damping=0.0,
         seed=3,
     )
-    net = synth_network(base.network, base.seed)
-    quantize_network(net, replace(base, out_dir=str(tmp_path / "s")))
-    quantize_network(net, replace(
+    quantize_network(replace(base, out_dir=str(tmp_path / "s")))
+    quantize_network(replace(
         base,
         solver=SolverConfig(solver="gptq", act_order=True),
         out_dir=str(tmp_path / "g"),
@@ -435,9 +422,8 @@ def test_errors_carry_layer_context():
         calibration=CalibrationConfig(n_sequences=4),
         network=NetworkConfig(depth=2, width=12),
     )
-    net = synth_network(cfg.network, cfg.seed)
     with pytest.raises(NotPositiveDefinite, match="layer 0"):
-        quantize_network(net, cfg)
+        quantize_network(cfg)
 
 
 def test_variance_sweep_degenerate_cases():
@@ -457,9 +443,8 @@ def test_variance_sweep_degenerate_cases():
 def test_variance_sweep_identical_losses_have_zero_spread(monkeypatch):
     # three equal floats whose mean, (a + a + a) / 3, is not a
     loss = 5.888131383978264
-    monkeypatch.setattr(pipeline, "synth_network", lambda spec, seed: None)
     monkeypatch.setattr(pipeline, "quantize_network",
-                        lambda net, cfg: {"layers": [{"proxy_loss": loss}]})
+                        lambda cfg: {"layers": [{"proxy_loss": loss}]})
     out = sampling_variance_sweep(small_config(), 3)
     assert [m["std"] for m in out["modes"].values()] == [0.0, 0.0]
 
@@ -486,33 +471,32 @@ def test_carried_batches_equal_prefix_replay(monkeypatch, depth, nonlinearity, m
         alpha=AlphaStrategy(mode=mode, alpha_value=0.5),
         network=NetworkConfig(dims=(6, 9, 5, 8, 7)[:depth + 1], nonlinearity=nonlinearity),
     )
-    net = synth_network(cfg.network, cfg.seed)
-    report = quantize_network(net, cfg)
+    report = quantize_network(cfg)
 
-    x_cal = _draw_inputs(net.input_dim, cfg.calibration.n_sequences,
+    layers = synth_network(cfg.network, cfg.seed)
+    x_cal = _draw_inputs(layers[0].shape[1], cfg.calibration.n_sequences,
                          SeededRng(cfg.seed, STREAM_CALIBRATION), cfg.calibration.distribution)
     assert len(batches) == len(dequants) == depth
     # compared after the run, so a later layer writing into an earlier batch also fails
     for l, batch in enumerate(batches):
-        replay = forward_collect(net, x_cal, dequants[:l])
+        replay = forward_collect(layers, x_cal, dequants[:l], nonlinearity)
         assert np.array_equal(batch.xf, replay.xf), f"layer {l} teacher"
         assert np.array_equal(batch.xq, replay.xq), f"layer {l} student"
-    y_f = _forward_output(net.layers, x_cal, nonlinearity)
+    y_f = _forward_output(layers, x_cal, nonlinearity)
     y_q = _forward_output(dequants, x_cal, nonlinearity)
     assert report["end_to_end"]["calibration_output_mse"] == float(np.mean((y_q - y_f) ** 2))
 
 
 def test_quantize_network_replays_no_prefix(monkeypatch):
     cfg = small_config(network=NetworkConfig(depth=4, width=10))
-    net = synth_network(cfg.network, cfg.seed)
-    expected = quantize_network(net, cfg)["determinism_hash"]
+    expected = quantize_network(cfg)["determinism_hash"]
 
     def replay(*args, **kwargs):
         raise AssertionError("quantize_network replayed a prefix from the raw inputs")
 
     monkeypatch.setattr(pipeline, "forward_collect", replay)
     monkeypatch.setattr(pipeline, "_forward_input_to_layer", replay)
-    assert quantize_network(net, cfg)["determinism_hash"] == expected
+    assert quantize_network(cfg)["determinism_hash"] == expected
 
 
 def _loop_charge(width: int, n_seq: int, mode: str) -> int:
@@ -537,11 +521,10 @@ def test_layer_loop_holds_few_activation_arrays(mode):
     cfg = small_config(alpha=AlphaStrategy(mode=mode, alpha_value=0.5),
                        calibration=CalibrationConfig(n_sequences=n_seq),
                        network=NetworkConfig(depth=6, width=width))
-    net = synth_network(cfg.network, cfg.seed)
-    quantize_network(net, cfg)  # first call pays one-time imports and caches
+    quantize_network(cfg)  # first call pays one-time imports and caches
     tracemalloc.start()
     try:
-        quantize_network(net, cfg)
+        quantize_network(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -551,26 +534,27 @@ def test_layer_loop_holds_few_activation_arrays(mode):
 
 def test_finished_layers_are_held_as_codes():
     # a weight-heavy chain, width 128 and 16 sequences: a layer's weights are
-    # 128 KiB and an activation array 16 KiB. The peak is at the last layer, so
-    # each finished layer before it adds what the run keeps of it: its int32
-    # codes (4 B per weight), plus its grid and report record (under 1 B per
-    # weight). A finished layer kept as float64 values would add 8 B per weight.
+    # 128 KiB and an activation array 16 KiB. The run builds its own network,
+    # so each extra layer adds its float64 weights (8 B per weight); the peak
+    # is at the last layer, so each finished layer before it also adds what
+    # the run keeps of it: its int32 codes (4 B per weight), plus its grid and
+    # report record (under 1 B per weight). A finished layer kept as float64
+    # values would add 8 B per weight more.
     width = 128
 
     def traced_peak(depth):
         cfg = small_config(calibration=CalibrationConfig(n_sequences=16),
                            network=NetworkConfig(depth=depth, width=width))
-        net = synth_network(cfg.network, cfg.seed)
-        quantize_network(net, cfg)  # first call pays one-time imports and caches
+        quantize_network(cfg)  # first call pays one-time imports and caches
         tracemalloc.start()
         try:
-            quantize_network(net, cfg)
+            quantize_network(cfg)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     grown = traced_peak(6) - traced_peak(2)
-    charge = 4 * width * width * 4  # four more finished layers, 4 B per weight
+    charge = 4 * width * width * (8 + 4)  # four more layers: weights and codes
     assert charge <= grown < charge + 4 * width * width
 
 
@@ -598,7 +582,7 @@ def test_layer_batch_lives_only_while_read(monkeypatch, mode):
     monkeypatch.setattr(pipeline, "module_wise_alpha_schedule", recording_alpha)
     cfg = small_config(alpha=AlphaStrategy(mode=mode, alpha_value=0.5),
                        network=NetworkConfig(depth=4, width=10))
-    quantize_network(synth_network(cfg.network, cfg.seed), cfg)
+    quantize_network(cfg)
     stats = [a for kind, l, a in events if kind == "stats"]
     assert stats == [[False] * l for l in range(4)]
     alphas = [(l, a) for kind, l, a in events if kind == "alpha"]
@@ -621,8 +605,7 @@ def test_report_errors_match_the_plain_expressions_bit_for_bit(tmp_path, nonline
     # buffers; they equal the plain expressions over fresh arrays bit for bit
     cfg = small_config(network=NetworkConfig(dims=(6, 9, 5, 8), nonlinearity=nonlinearity),
                        out_dir=str(tmp_path))
-    net = synth_network(cfg.network, cfg.seed)
-    report = quantize_network(net, cfg)
+    report = quantize_network(cfg)
     dequants = [read_matrix(tmp_path / rec["dequant_file"]) for rec in report["layers"]]
 
     def forward(layers, x):
@@ -634,14 +617,15 @@ def test_report_errors_match_the_plain_expressions_bit_for_bit(tmp_path, nonline
                 x = np.maximum(x, 0.0)
         return inputs, x
 
-    x_cal, x_held = (_draw_inputs(net.input_dim, cfg.calibration.n_sequences,
+    layers = synth_network(cfg.network, cfg.seed)
+    x_cal, x_held = (_draw_inputs(layers[0].shape[1], cfg.calibration.n_sequences,
                                   SeededRng(cfg.seed, stream), cfg.calibration.distribution)
                      for stream in (STREAM_CALIBRATION, STREAM_HELDOUT))
-    (xf, y_f), (xq, y_q) = forward(net.layers, x_cal), forward(dequants, x_cal)
-    for rec, w, q, f, s in zip(report["layers"], net.layers, dequants, xf, xq):
+    (xf, y_f), (xq, y_q) = forward(layers, x_cal), forward(dequants, x_cal)
+    for rec, w, q, f, s in zip(report["layers"], layers, dequants, xf, xq):
         assert same_bits(rec["weight_mse"], float(np.mean((w - q) ** 2)))
         assert same_bits(rec["mean_activation_error"], float(np.mean(np.abs(f - s))))
     e2e = report["end_to_end"]
     assert same_bits(e2e["calibration_output_mse"], float(np.mean((y_q - y_f) ** 2)))
-    y_f_held, y_q_held = forward(net.layers, x_held)[1], forward(dequants, x_held)[1]
+    y_f_held, y_q_held = forward(layers, x_held)[1], forward(dequants, x_held)[1]
     assert same_bits(e2e["heldout_output_mse"], float(np.mean((y_q_held - y_f_held) ** 2)))

@@ -26,7 +26,7 @@ from snrq import (
     snrq_greedy,
 )
 from snrq import grid, pipeline, solvers
-from snrq.pipeline import RunConfig, quantize_network, synth_network
+from snrq.pipeline import RunConfig, quantize_network
 from snrq.solvers import RoundResult
 
 from conftest import random_batch, random_spd
@@ -69,12 +69,23 @@ def test_tracer_reads_cd_refine_arguments_by_position(monkeypatch):
     monkeypatch.setattr(pipeline, "cd_refine", recorder)
     cfg = RunConfig.from_dict({"solver": {"cd_passes": 2}, "network": {"depth": 2, "width": 8},
                                "calibration": {"n_sequences": 16}})
-    quantize_network(synth_network(cfg.network, cfg.seed), cfg)
+    quantize_network(cfg)
     assert len(calls) == 2
     for args, kwargs, result in calls:
         assert args[4] == 2
         assert isinstance(args[0], RoundResult)
         assert load_tracer()._cd_counts(args, kwargs, result)["visited_computed"] == 8 * 8 * 2
+
+
+def test_tracer_counts_forward_collect_prefix_by_position(rng):
+    # the tracer's forward-collect count reads args[2] as the quantized
+    # prefix: two matmuls (teacher and student) per prefix layer
+    layers = pipeline.synth_network(pipeline.NetworkConfig(depth=4, width=6), 0)
+    prefix = [np.round(w, 1) for w in layers[:3]]
+    args = (layers, rng.normal(size=(6, 5)), prefix, "relu")
+    result = pipeline.forward_collect(*args)
+    counts = load_tracer()._forward_collect_counts(args, {}, result)
+    assert counts == {"matmuls_computed": 2 * len(prefix)}
 
 
 def test_benchmark_workload_configs_load():
