@@ -157,14 +157,15 @@ def shifted_target(w: np.ndarray, stats: CalibStats, fact) -> np.ndarray:
     ``fact`` is the layer's (perm, low, inv) with H[perm][:, perm] = low low^T
     and inv the diagonal-block inverses that came with low (:func:`snrq.solvers.order_and_factor`);
     the right division runs in that order: M[:, perm] = (w C)[:, perm] H[perm][:, perm]^{-1}.
+    The division overwrites (w C)[:, perm], and M is allocated only after it,
+    so at most two m x n arrays are alive at once.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.shape[1] != stats.h.shape[0]:
         raise ShapeMismatch(f"weights {w.shape} incompatible with H {stats.h.shape}")
     perm, low, inv = fact
-    m = np.empty((w.shape[0], len(perm)))
-    m[:, perm] = solve_with_factor(low, (w @ stats.c_alpha)[:, perm], inv)
-    return m
+    mp = solve_with_factor(low, (w @ stats.c_alpha)[:, perm], inv)
+    return mp[:, np.argsort(perm)]
 
 
 def closed_form_alpha(

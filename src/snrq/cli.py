@@ -169,8 +169,9 @@ def _cmd_quantize(args) -> int:
 
 def _cmd_synth(args) -> int:
     try:
-        dims = tuple(int(t) for t in args.dims.split(",")) if args.dims else None
-        spec = NetworkConfig(depth=args.depth, width=args.dim, dims=dims, nonlinearity=args.nonlinearity)
+        shape = ({"dims": [int(t) for t in args.dims.split(",")]} if args.dims
+                 else {"depth": args.depth, "width": args.dim})
+        spec = NetworkConfig(nonlinearity=args.nonlinearity, **shape)
     except (InvalidSpec, ValueError) as e:
         raise UsageError(f"bad --depth/--dim/--dims: {e}") from None
     layers = synth_network(spec, args.seed)
@@ -183,7 +184,7 @@ def _cmd_synth(args) -> int:
         paths.append(name)
     manifest = {
         "nonlinearity": spec.nonlinearity,
-        "dims": list(spec.layer_dims()),
+        "dims": list(spec.dims),
         "seed": args.seed,
         "weight_paths": paths,
     }

@@ -5,8 +5,8 @@ diagonal blocks. The factorization is left-looking: numpy's ``cholesky`` and
 ``inv`` factor and invert each block's Schur complement, and matrix products
 make the panels below, so :func:`cholesky` returns the block inverses with L.
 A failed block is rescanned unblocked for its first pivot <= 0. The right-solves
-make the off-diagonal updates as matrix products and apply each diagonal block
-through its inverse.
+divide their operand in place: they make the off-diagonal updates as matrix
+products and apply each diagonal block through its inverse.
 """
 
 from __future__ import annotations
@@ -23,13 +23,14 @@ _BLOCK = 32
 _SYMMETRY_TOL = 1e-9  # largest |h - h^T| accepted, relative to max |h|
 
 
-def cholesky(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cholesky(h: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Factor a symmetric positive-definite matrix as h = L L^T.
 
     The input is symmetrized (averaging away accumulation-order asymmetry,
     typically 1 ulp) before factorization. Returns ``(low, inv)``: L, with
-    strictly positive diagonal and exact zeros above it, and the inverses of
-    its diagonal blocks (the last one padded with the identity).
+    strictly positive diagonal and exact zeros above it, and the tuple of the
+    inverses of its ``_BLOCK``-wide diagonal blocks, each at its own size (the
+    last block is narrower when ``_BLOCK`` does not divide the order).
 
     Raises:
         NonFinite: h contains NaN or Inf.
@@ -48,19 +49,17 @@ def cholesky(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sym = 0.5 * (h + h.T)
     n = sym.shape[0]
     low = np.zeros_like(sym)
-    inv = np.empty((-(-n // _BLOCK), _BLOCK, _BLOCK))
-    for b, s in enumerate(range(0, n, _BLOCK)):
+    inv = []
+    for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
         schur = sym[s:e, s:e] - low[s:e, :s] @ low[s:e, :s].T
         try:
             low[s:e, s:e] = np.linalg.cholesky(schur)
         except np.linalg.LinAlgError:
             raise _failed_pivot(schur, s) from None
-        block = np.eye(_BLOCK)  # the last block is padded with the identity
-        block[:e - s, :e - s] = low[s:e, s:e]
-        inv[b] = np.linalg.inv(block)
-        low[e:, s:e] = (sym[e:, s:e] - low[e:, :s] @ low[s:e, :s].T) @ inv[b, :e - s, :e - s].T
-    return low, inv
+        inv.append(np.linalg.inv(low[s:e, s:e]))
+        low[e:, s:e] = (sym[e:, s:e] - low[e:, :s] @ low[s:e, :s].T) @ inv[-1].T
+    return low, tuple(inv)
 
 
 def _failed_pivot(a: np.ndarray, start: int) -> NotPositiveDefinite:
@@ -83,32 +82,29 @@ def _failed_pivot(a: np.ndarray, start: int) -> NotPositiveDefinite:
     return NotPositiveDefinite(*smallest)
 
 
-def solve_lt(low: np.ndarray, b: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Right-divide by L^T: returns b L^{-T} for lower-triangular L, left to right.
+def solve_lt(low: np.ndarray, b: np.ndarray, inv: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Right-divide by L^T in place: overwrites the float64 array b with b L^{-T} and returns it.
 
-    ``inv`` is the block inverses that :func:`cholesky` returns with ``low``.
+    L is lower triangular and divided left to right; ``inv`` is the block
+    inverses that :func:`cholesky` returns with ``low``.
     """
-    x = np.array(b, dtype=np.float64)
-    n = low.shape[0]
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
-        x[:, s:e] = (x[:, s:e] - x[:, :s] @ low[s:e, :s].T) @ inv[s // _BLOCK, :e - s, :e - s].T
-    return x
+    for s in range(0, low.shape[0], _BLOCK):
+        e = min(s + _BLOCK, low.shape[0])
+        b[:, s:e] = (b[:, s:e] - b[:, :s] @ low[s:e, :s].T) @ inv[s // _BLOCK].T
+    return b
 
 
-def solve_l(low: np.ndarray, b: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Right-divide by L: returns b L^{-1} for lower-triangular L, right to left.
+def solve_l(low: np.ndarray, b: np.ndarray, inv: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Right-divide by L in place: overwrites the float64 array b with b L^{-1} and returns it.
 
-    ``inv`` is the block inverses that :func:`cholesky` returns with ``low``.
+    L is lower triangular and divided right to left; ``inv`` is as for :func:`solve_lt`.
     """
-    x = np.array(b, dtype=np.float64)
-    n = low.shape[0]
-    for s in reversed(range(0, n, _BLOCK)):
-        e = min(s + _BLOCK, n)
-        x[:, s:e] = (x[:, s:e] - x[:, e:] @ low[e:, s:e]) @ inv[s // _BLOCK, :e - s, :e - s]
-    return x
+    for s in reversed(range(0, low.shape[0], _BLOCK)):
+        e = min(s + _BLOCK, low.shape[0])
+        b[:, s:e] = (b[:, s:e] - b[:, e:] @ low[e:, s:e]) @ inv[s // _BLOCK]
+    return b
 
 
-def solve_with_factor(low: np.ndarray, b: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Right-divide by the factored matrix: returns b (LL^T)^{-1}; ``inv`` is as for :func:`solve_lt`."""
+def solve_with_factor(low: np.ndarray, b: np.ndarray, inv: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Right-divide by the factored matrix in place: overwrites b with b (LL^T)^{-1} and returns it."""
     return solve_l(low, solve_lt(low, b, inv), inv)

@@ -439,6 +439,17 @@ def _variance_se(samples: np.ndarray) -> float:
     return math.sqrt(max(m4 - m2 * m2, 0.0) / n)
 
 
+def _in_range(closed_form) -> float:
+    """``closed_form()`` in numpy float64, nan when a step overflows or divides by zero."""
+    with np.errstate(all="raise", under="ignore"):
+        try:
+            return float(closed_form())
+        except FloatingPointError:
+            return math.nan
+
+
+# a value out of range is non-finite and fails as NonFinite when written, not as a warning
+@np.errstate(over="ignore", invalid="ignore")
 def dither_experiment(setup: DitherSetup, rng: SeededRng) -> DitherResult:
     """Monte Carlo check of the binary-grid dithering proposition.
 
@@ -452,17 +463,17 @@ def dither_experiment(setup: DitherSetup, rng: SeededRng) -> DitherResult:
     is Lipschitz in U, with variance bounded by
     x^2 (|1-w| - |w|)^2 / (2 pi tau_z^2) * tau_s^2 / N.
     """
-    w, x = setup.w, setup.x
-    u = rng.normal(size=setup.n_trials, scale=setup.tau_s / math.sqrt(setup.n_sequences))
+    w, x = setup.w, np.float64(setup.x)  # numpy floats, whose range _in_range checks
+    tau_s, tau_z = np.float64(setup.tau_s), np.float64(setup.tau_z)
+    u = rng.normal(size=setup.n_trials, scale=tau_s / math.sqrt(setup.n_sequences))
     span = abs(1.0 - w) - abs(w)
 
     loss_fixed = abs(x) * np.where(u >= 0.0, abs(1.0 - w), abs(w))
-    smooth = abs(x) * (abs(w) + span * _ndtr(u / setup.tau_z))
+    smooth = abs(x) * (abs(w) + span * _ndtr(u / tau_z))
 
-    var_fixed_closed = (x * x / 4.0) * span * span
-    var_bound = (x * x * span * span) / (2.0 * math.pi * setup.tau_z ** 2) * (
-        setup.tau_s ** 2 / setup.n_sequences
-    )
+    var_fixed_closed = _in_range(lambda: (x * x / 4.0) * span * span)
+    var_bound = _in_range(lambda: (x * x * span * span) / (2.0 * math.pi * tau_z ** 2) * (
+        tau_s ** 2 / setup.n_sequences))
     return DitherResult(
         var_fixed_hat=float(np.var(loss_fixed)),
         var_smoothed_hat=float(np.var(smooth)),

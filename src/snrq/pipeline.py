@@ -26,7 +26,7 @@ import json
 import math
 import re
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import InitVar, asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +80,7 @@ STREAM_ALPHA = 4000
 
 TIMING_KEYS = frozenset({"solve_ms", "total_ms", "wall_ms"})
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 # the layer files a quantize run writes, and removes from its out_dir first
 LAYER_FILE = re.compile(r"layer_[0-9]+_(codes|dequant)\.snrqmat")
@@ -106,37 +106,45 @@ class CalibrationConfig:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    depth: int = 4
-    width: int = 64
+    """A chain of dense layers: layer l maps dims[l] inputs to dims[l + 1] outputs.
+
+    ``depth`` and ``width`` are another way to write ``dims``: ``depth``
+    square layers of ``width`` (default 4 and 64), that is dims =
+    [width] * (depth + 1). They only build ``dims``, which is all the config
+    keeps; giving either with ``dims`` is an InvalidSpec. With
+    ``weight_paths`` the layers are read from those files, one per layer.
+    """
+
     dims: tuple[int, ...] | None = None
     nonlinearity: str = "relu"
     weight_paths: tuple[str, ...] | None = None
+    depth: InitVar[int | None] = None
+    width: InitVar[int | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, depth, width):
         if self.nonlinearity not in NONLINEARITIES:
             raise InvalidSpec(f"nonlinearity must be one of {NONLINEARITIES}")
         for key in ("dims", "weight_paths"):
             value = getattr(self, key)
             if value is not None and not isinstance(value, (list, tuple)):
                 raise InvalidSpec(f"{key} must be an array, got {value!r}")
-        if self.dims is not None:
-            if len(self.dims) < 2:
-                raise InvalidSpec("dims needs at least two positive entries")
-            for d in self.dims:
-                require_int("dims entry", d, 1)
-            object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        else:
-            require_int("depth", self.depth, 1)
-            require_int("width", self.width, 1)
-        if self.weight_paths is not None:
-            if self.dims is None:
+        dims = self.dims
+        if dims is None:
+            if self.weight_paths is not None:
                 raise InvalidSpec("weight_paths needs dims, the layer widths of its files")
+            depth, width = 4 if depth is None else depth, 64 if width is None else width
+            require_int("depth", depth, 1)
+            require_int("width", width, 1)
+            dims = [width] * (depth + 1)
+        elif depth is not None or width is not None:
+            raise InvalidSpec("network config sets 'dims' and also 'depth' or 'width'")
+        if len(dims) < 2:
+            raise InvalidSpec("dims needs at least two positive entries")
+        for d in dims:
+            require_int("dims entry", d, 1)
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
+        if self.weight_paths is not None:
             object.__setattr__(self, "weight_paths", tuple(self.weight_paths))
-
-    def layer_dims(self) -> tuple[int, ...]:
-        if self.dims is not None:
-            return self.dims
-        return tuple([self.width] * (self.depth + 1))
 
 
 @dataclass(frozen=True)
@@ -161,11 +169,6 @@ class RunConfig:
         require_int("seed", self.seed)
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise InvalidSpec(f"out_dir must be a string or null, got {self.out_dir!r}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["network"]["dims"] = list(self.network.layer_dims())
-        return d
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -209,10 +212,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _act(h: np.ndarray, nonlinearity: str) -> np.ndarray:
-    return np.maximum(h, 0.0) if nonlinearity == "relu" else h
-
-
 def synth_network(spec: NetworkConfig, seed: int) -> tuple[np.ndarray, ...]:
     """The layers of ``spec``: layer l is a dims[l + 1] x dims[l] matrix.
 
@@ -223,7 +222,7 @@ def synth_network(spec: NetworkConfig, seed: int) -> tuple[np.ndarray, ...]:
         ShapeMismatch: the files are not one per layer of ``spec.dims``, or a
             file's shape is not its layer's dims[l + 1] x dims[l].
     """
-    dims = spec.layer_dims()
+    dims = spec.dims
     layers = []
     if spec.weight_paths is not None:
         if len(spec.weight_paths) != len(dims) - 1:
@@ -242,35 +241,25 @@ def synth_network(spec: NetworkConfig, seed: int) -> tuple[np.ndarray, ...]:
     return tuple(layers)
 
 
-def _forward_input_to_layer(
-    layers, x: np.ndarray, upto: int, nonlinearity: str
-) -> np.ndarray:
-    """Input activations reaching layer ``upto`` (0 = the raw inputs)."""
-    h = x
-    for l in range(upto):
-        h = _act(layers[l] @ h, nonlinearity)
-    return h
-
-
-def forward_collect(
-    layers, inputs: np.ndarray, quantized_prefix, nonlinearity: str
-) -> CalibBatch:
+def forward_collect(layers, inputs: np.ndarray, quantized_prefix, nonlinearity: str) -> CalibBatch:
     """Teacher/student activations feeding the next layer to quantize.
 
     The teacher path runs the full-precision prefix of ``layers``, the
     student path the dequantized prefix, both with ``nonlinearity``; with an
     empty prefix the two coincide exactly.
 
-    This replays the whole prefix from the raw inputs. It is the reference
-    that tests compare the carried activations of ``quantize_network``
-    against, and a span the benchmark tracer wraps; the pipeline does not
-    call it.
+    This replays the whole prefix from the raw inputs, out of place. It is
+    the reference that tests compare the carried activations of
+    ``quantize_network`` against, and a span the benchmark tracer wraps; the
+    pipeline does not call it.
     """
-    l = len(quantized_prefix)
-    if l >= len(layers):
-        raise ShapeMismatch(f"prefix of length {l} leaves no layer to calibrate")
-    xf = _forward_input_to_layer(layers, inputs, l, nonlinearity)
-    xq = _forward_input_to_layer(list(quantized_prefix), inputs, l, nonlinearity)
+    if len(quantized_prefix) >= len(layers):
+        raise ShapeMismatch(f"prefix of length {len(quantized_prefix)} leaves no layer to calibrate")
+    xf = xq = inputs
+    for w, q in zip(layers, quantized_prefix):
+        xf, xq = w @ xf, q @ xq
+        if nonlinearity == "relu":
+            xf, xq = np.maximum(xf, 0.0), np.maximum(xq, 0.0)
     return CalibBatch(xf=xf, xq=xq)
 
 
@@ -480,7 +469,7 @@ def quantize_network(config: RunConfig) -> dict:
     report = {
         "version": REPORT_VERSION,
         "tool": {"name": "snrq", "version": __version__},
-        "config": config.to_dict(),
+        "config": asdict(config),
         "layers": records,
         "end_to_end": end_to_end,
         "total_ms": (time.perf_counter() - t_start) * 1e3,

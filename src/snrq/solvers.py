@@ -123,11 +123,12 @@ class RoundResult:
 
 class OrderedFactor(NamedTuple):
     """Decision order (original column indices), the lower factor of H[perm][:, perm]
-    and its diagonal-block inverses, which every triangular solve with it applies."""
+    and the tuple of its diagonal-block inverses, each at its block's own size,
+    which every triangular solve with it applies."""
 
     perm: np.ndarray
     low: np.ndarray
-    inv: np.ndarray
+    inv: tuple[np.ndarray, ...]
 
 
 def order_and_factor(h: np.ndarray, cfg: SolverConfig) -> OrderedFactor:

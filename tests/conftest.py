@@ -17,19 +17,22 @@ def random_batch(rng: np.random.Generator, n: int, n_seq: int, mismatch: float =
     return CalibBatch(xf=xf, xq=xq)
 
 
-def diagonal_block_inverses(low: np.ndarray) -> np.ndarray:
-    """Inverses of the ``_BLOCK``-wide diagonal blocks of ``low``, the last one
-    padded with the identity (the layout the triangular solves take), from one
-    batched ``np.linalg.inv``: the reference for what ``cholesky`` returns."""
+def diagonal_block_inverses(low: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Inverses of the ``_BLOCK``-wide diagonal blocks of ``low``, each at its
+    own size (the form the triangular solves take), from one batched
+    ``np.linalg.inv`` of the blocks with the last one padded with the
+    identity: the reference for what ``cholesky`` returns."""
     n = low.shape[0]
     blocks = np.tile(np.eye(_BLOCK), (-(-n // _BLOCK), 1, 1))
     for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
         blocks[s // _BLOCK, :e - s, :e - s] = low[s:e, s:e]
-    return np.linalg.inv(blocks)
+    inverses = np.linalg.inv(blocks)
+    return tuple(inverses[s // _BLOCK, :min(_BLOCK, n - s), :min(_BLOCK, n - s)]
+                 for s in range(0, n, _BLOCK))
 
 
-def natural(low: np.ndarray, inv: np.ndarray | None = None) -> OrderedFactor:
+def natural(low: np.ndarray, inv: tuple[np.ndarray, ...] | None = None) -> OrderedFactor:
     """A lower factor taken in natural column order (no act-order permutation).
 
     ``inv`` is what ``cholesky`` returned with ``low``; a factor built by hand

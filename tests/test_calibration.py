@@ -363,3 +363,15 @@ def test_closed_form_alpha_allocates_two_activations(rng):
     w_hat = w + 0.1 * rng.normal(size=(n, n))
     peak = traced_peak(closed_form_alpha, w, w_hat, batch)
     assert peak <= 2.1 * n * n_seq * 8
+
+
+def test_shifted_target_holds_two_weight_arrays(rng):
+    # a weight-heavy layer, width 128 and 16 sequences: w and M are 128 KiB
+    # each; the solve divides (w C)[:, perm] in place and M is allocated only
+    # after it, so at most two m x n arrays are alive at once
+    n = 128
+    stats = accumulate_stats(random_batch(rng, n, 16), 0.3, 0.01)
+    fact = factor(stats, act_order=True)
+    w = rng.normal(size=(n, n))
+    peak = traced_peak(shifted_target, w, stats, fact)
+    assert peak <= 2.125 * n * n * 8

@@ -128,7 +128,7 @@ def test_synth_then_quantize_roundtrip(tmp_path, capsys):
                        "--out-dir", str(out_dir))
     assert code == 0
     report = json.loads((out_dir / "report.json").read_text())
-    assert report["version"] == 1
+    assert report["version"] == 2
     assert {"layers", "end_to_end", "config", "determinism_hash", "tool"} <= set(report)
     assert len(report["layers"]) == 2
     for rec in report["layers"]:
@@ -381,6 +381,18 @@ def test_bad_alpha_mode_is_usage_error(tmp_path, capsys, alpha, message):
     assert out == ""
 
 
+def test_network_dims_with_depth_is_usage_error(tmp_path, capsys):
+    # dims and depth are two spellings of one network: given both, which one
+    # the run means is unknown
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"network": {"depth": 3, "dims": [8, 6]}}))
+    code, out, err = run(capsys, "quantize", "--config", str(p))
+    assert code == 1
+    assert err == (f"usage error: config file {p}: network config sets 'dims' "
+                   "and also 'depth' or 'width'\n")
+    assert out == ""
+
+
 @pytest.mark.parametrize("axis,values", [("cd_passes", "0.7,1.9"), ("K", "2,2.5")])
 def test_sweep_non_integral_integer_value_is_usage_error(tmp_path, capsys, axis, values):
     p = tmp_path / "cfg.json"
@@ -398,6 +410,19 @@ def test_sweep_zero_beam_width_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "--config", str(p), "--axis", "K", "--values", "0")
     assert code == 1
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("flags", [("--tau-z", "1e-320"), ("--tau-s", "1e200"), ("--tau-z", "1e300")],
+                         ids=["tau-z-squared-underflows", "tau-s-squared-overflows",
+                              "tau-z-squared-overflows"])
+def test_dither_demo_closed_form_out_of_range_is_non_finite(capsys, flags):
+    # squaring tau underflows to 0 or overflows; Python's float arithmetic
+    # raises ZeroDivisionError or OverflowError there, numpy's gives inf or nan
+    code, out, err = run(capsys, "dither-demo", "--w", "1", "--x", "1", *flags, "--trials", "10")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_dither_demo_zero_trials_is_usage_error(capsys):

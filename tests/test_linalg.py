@@ -14,7 +14,7 @@ from conftest import diagonal_block_inverses, random_spd, same_bits
 def test_cholesky_identity():
     low, inv = cholesky(np.eye(3))
     assert np.array_equal(low, np.eye(3))
-    assert np.array_equal(inv, np.eye(_BLOCK)[None])
+    assert len(inv) == 1 and same_bits(inv[0], np.eye(3))
 
 
 def test_cholesky_known_2x2():
@@ -55,9 +55,9 @@ def test_cholesky_structure_and_reconstruction(rng):
 
 
 def solve_spd(h, b):
-    """b h^{-1} through the factor of h and its block inverses."""
+    """b h^{-1} through the factor of h and its block inverses, into a copy of b."""
     low, inv = cholesky(h)
-    return solve_with_factor(low, b, inv)
+    return solve_with_factor(low, b.copy(), inv)
 
 
 def test_solve_spd_identity_and_scalar():
@@ -104,8 +104,8 @@ def test_blocked_solves_match_solve_triangular(rng, n, damping):
     low, inv = cholesky(rank_deficient_gram(rng, n, damping))
     b = rng.normal(size=(7, n))
     cases = [
-        (solve_lt(low, b, inv), solve_triangular(low, b.T, lower=True).T, low.T),
-        (solve_l(low, b, inv), solve_triangular(low, b.T, lower=True, trans="T").T, low),
+        (solve_lt(low, b.copy(), inv), solve_triangular(low, b.T, lower=True).T, low.T),
+        (solve_l(low, b.copy(), inv), solve_triangular(low, b.T, lower=True, trans="T").T, low),
     ]
     for x, ref, divisor in cases:
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -131,10 +131,28 @@ def test_cholesky_failed_pivot_matches_lapack(rng):
 
 @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 197])
 def test_cholesky_returns_diagonal_block_inverses(rng, n):
-    # inv[b] is np.linalg.inv of diagonal block b, the last one identity-padded
+    # inv[b] is the inverse of diagonal block b, at the block's own size. Full
+    # blocks are inverted as the reference inverts them; the reference pads a
+    # narrower last block with the identity, where LAPACK's pivoted LU may take
+    # another path and differ in the last bits
     low, inv = cholesky(random_spd(rng, n))
-    assert inv.shape == (-(-n // _BLOCK), _BLOCK, _BLOCK)
-    assert same_bits(inv, diagonal_block_inverses(low))
+    sizes = [min(_BLOCK, n - s) for s in range(0, n, _BLOCK)]
+    assert [a.shape for a in inv] == [(k, k) for k in sizes]
+    for a, ref in zip(inv, diagonal_block_inverses(low), strict=True):
+        if a.shape == (_BLOCK, _BLOCK):
+            assert same_bits(a, ref)
+        else:
+            assert np.max(np.abs(a - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("solve", [solve_lt, solve_l, solve_with_factor])
+@pytest.mark.parametrize("n", [5, 65])
+def test_solves_overwrite_their_operand(rng, solve, n):
+    low, inv = cholesky(random_spd(rng, n))
+    b = rng.normal(size=(3, n))
+    expected = solve(low, b.copy(), inv)
+    assert solve(low, b, inv) is b
+    assert same_bits(b, expected)
 
 
 def test_cholesky_failed_pivot_beyond_the_first_blocks():

@@ -3,7 +3,7 @@
 import json
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -281,15 +281,35 @@ def test_report_determinism_and_artifacts(tmp_path):
 
 def test_config_roundtrip_and_unknown_keys():
     cfg = small_config()
-    d = cfg.to_dict()
+    d = asdict(cfg)
     back = RunConfig.from_dict(json.loads(json.dumps(d)))
-    assert back.to_dict() == d
+    assert asdict(back) == d
     with pytest.raises(InvalidSpec):
         RunConfig.from_dict({"gird": {}})
     with pytest.raises(InvalidSpec):
         RunConfig.from_dict({"grid": {"bitz": 3}})
     alias = RunConfig.from_dict({"alpha": {"alpha_mode": "sample"}})
     assert alias.alpha.mode == "sampled"
+
+
+@pytest.mark.parametrize("network", [NetworkConfig(depth=2, width=8), NetworkConfig(dims=(12, 9, 7))],
+                         ids=["depth-width", "dims"])
+def test_report_states_its_network(network):
+    # a network is its dims; depth and width only build them
+    report = quantize_network(small_config(network=network))
+    stated = json.loads(json_text(report))["config"]
+    assert set(stated["network"]) == {"dims", "nonlinearity", "weight_paths"}
+    assert stated["network"]["dims"] == list(network.dims)
+    assert RunConfig.from_dict(stated).network == network
+
+
+def test_network_dims_with_depth_or_width_is_invalid():
+    for extra in ({"depth": 3}, {"width": 8}, {"depth": None, "width": 6}):
+        with pytest.raises(InvalidSpec, match="'dims' and also 'depth' or 'width'"):
+            RunConfig.from_dict({"network": dict({"dims": [8, 6]}, **extra)})
+    assert NetworkConfig(depth=2, width=5).dims == (5, 5, 5)
+    assert NetworkConfig(width=5) == NetworkConfig(depth=4, width=5)
+    assert NetworkConfig() == NetworkConfig(dims=[64] * 5)
 
 
 def test_snrq_lazy_is_read_as_snrq():
@@ -495,7 +515,6 @@ def test_quantize_network_replays_no_prefix(monkeypatch):
         raise AssertionError("quantize_network replayed a prefix from the raw inputs")
 
     monkeypatch.setattr(pipeline, "forward_collect", replay)
-    monkeypatch.setattr(pipeline, "_forward_input_to_layer", replay)
     assert quantize_network(cfg)["determinism_hash"] == expected
 
 

@@ -50,6 +50,24 @@ def test_tracer_targets_resolve():
     assert missing == []
 
 
+def test_unread_imports_are_tracer_targets():
+    # a name a module imports but never reads is there only for the tracer to
+    # wrap; any other such name is a dead import
+    wrapped = {(mod, attr) for mod, attr, *_ in load_tracer().TARGETS}
+    unread = set()
+    for path in sorted((ROOT / "src" / "snrq").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        module = "snrq" if path.stem == "__init__" else f"snrq.{path.stem}"
+        exported = set(getattr(importlib.import_module(module), "__all__", ()))
+        unread |= {(module, name) for name in imported - read - exported}
+    assert sorted(unread - wrapped) == []
+
+
 def test_tracer_clip_ratio_count_matches_the_grid():
     # the tracer computes grid.cells_evaluated as m * G * CLIP_RATIOS per MSE-clipped fit
     assert load_tracer().CLIP_RATIOS == len(grid._CLIP_RATIOS)
