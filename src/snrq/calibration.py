@@ -74,8 +74,9 @@ class AlphaStrategy:
 
     mode "fixed" uses ``alpha_value`` for every sequence; "closed_form" uses
     the module-wise schedule (``alpha_value`` is the initial value); "sampled"
-    draws a folded Beta(beta_lambda, beta_lambda) weight per sequence. The
-    pipeline turns the mode into the weights it passes :func:`accumulate_stats`.
+    draws a folded Beta(beta_lambda, beta_lambda) weight per sequence; no
+    other spelling is a mode. The pipeline turns the mode into the weights it
+    passes :func:`accumulate_stats`.
     """
 
     mode: str = "fixed"
@@ -83,10 +84,8 @@ class AlphaStrategy:
     beta_lambda: float = 5.0
 
     def __post_init__(self):
-        mode = {"sample": "sampled"}.get(self.mode, self.mode) if isinstance(self.mode, str) else None
-        if mode not in ALPHA_MODES:
+        if self.mode not in ALPHA_MODES:
             raise InvalidSpec(f"alpha mode must be one of {ALPHA_MODES}, got {self.mode!r}")
-        object.__setattr__(self, "mode", mode)
         require_finite("alpha_value", self.alpha_value)
         if not 0.0 <= self.alpha_value <= 1.0:
             raise InvalidSpec(f"alpha_value must be in [0, 1], got {self.alpha_value}")

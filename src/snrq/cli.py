@@ -65,7 +65,7 @@ def _load_config(path: str, overrides: dict) -> RunConfig:
         if paths is not None:  # relative paths (as `snrq synth` writes them) start at the config
             network = replace(cfg.network, weight_paths=tuple(str(p.parent / w) for w in paths))
             cfg = replace(cfg, network=network)
-    except (InvalidSpec, TypeError, ValueError) as e:
+    except InvalidSpec as e:
         raise UsageError(f"config file {path}: {e}") from None
     updates = {k: v for k, v in overrides.items() if v is not None}
     return replace(cfg, **updates) if updates else cfg
@@ -169,9 +169,9 @@ def _cmd_quantize(args) -> int:
 
 def _cmd_synth(args) -> int:
     try:
-        shape = ({"dims": [int(t) for t in args.dims.split(",")]} if args.dims
-                 else {"depth": args.depth, "width": args.dim})
-        spec = NetworkConfig(nonlinearity=args.nonlinearity, **shape)
+        dims = ([int(t) for t in args.dims.split(",")] if args.dims
+                else NetworkConfig.chain(args.depth, args.dim).dims)
+        spec = NetworkConfig(dims=dims, nonlinearity=args.nonlinearity)
     except (InvalidSpec, ValueError) as e:
         raise UsageError(f"bad --depth/--dim/--dims: {e}") from None
     layers = synth_network(spec, args.seed)

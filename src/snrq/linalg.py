@@ -88,8 +88,9 @@ def solve_lt(low: np.ndarray, b: np.ndarray, inv: tuple[np.ndarray, ...]) -> np.
     L is lower triangular and divided left to right; ``inv`` is the block
     inverses that :func:`cholesky` returns with ``low``.
     """
-    for s in range(0, low.shape[0], _BLOCK):
-        e = min(s + _BLOCK, low.shape[0])
+    n = len(low)
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
         b[:, s:e] = (b[:, s:e] - b[:, :s] @ low[s:e, :s].T) @ inv[s // _BLOCK].T
     return b
 
@@ -99,8 +100,9 @@ def solve_l(low: np.ndarray, b: np.ndarray, inv: tuple[np.ndarray, ...]) -> np.n
 
     L is lower triangular and divided right to left; ``inv`` is as for :func:`solve_lt`.
     """
-    for s in reversed(range(0, low.shape[0], _BLOCK)):
-        e = min(s + _BLOCK, low.shape[0])
+    n = len(low)
+    for s in reversed(range(0, n, _BLOCK)):
+        e = min(s + _BLOCK, n)
         b[:, s:e] = (b[:, s:e] - b[:, e:] @ low[e:, s:e]) @ inv[s // _BLOCK]
     return b
 

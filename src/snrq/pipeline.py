@@ -26,7 +26,7 @@ import json
 import math
 import re
 import time
-from dataclasses import InitVar, asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -108,43 +108,38 @@ class CalibrationConfig:
 class NetworkConfig:
     """A chain of dense layers: layer l maps dims[l] inputs to dims[l + 1] outputs.
 
-    ``depth`` and ``width`` are another way to write ``dims``: ``depth``
-    square layers of ``width`` (default 4 and 64), that is dims =
-    [width] * (depth + 1). They only build ``dims``, which is all the config
-    keeps; giving either with ``dims`` is an InvalidSpec. With
-    ``weight_paths`` the layers are read from those files, one per layer.
+    The default is 4 square layers of width 64; :meth:`chain` builds any
+    square chain. With ``weight_paths`` the layers are read from those files,
+    one per layer.
     """
 
-    dims: tuple[int, ...] | None = None
+    dims: tuple[int, ...] = (64,) * 5
     nonlinearity: str = "relu"
     weight_paths: tuple[str, ...] | None = None
-    depth: InitVar[int | None] = None
-    width: InitVar[int | None] = None
 
-    def __post_init__(self, depth, width):
+    def __post_init__(self):
         if self.nonlinearity not in NONLINEARITIES:
             raise InvalidSpec(f"nonlinearity must be one of {NONLINEARITIES}")
-        for key in ("dims", "weight_paths"):
-            value = getattr(self, key)
-            if value is not None and not isinstance(value, (list, tuple)):
-                raise InvalidSpec(f"{key} must be an array, got {value!r}")
-        dims = self.dims
-        if dims is None:
-            if self.weight_paths is not None:
-                raise InvalidSpec("weight_paths needs dims, the layer widths of its files")
-            depth, width = 4 if depth is None else depth, 64 if width is None else width
-            require_int("depth", depth, 1)
-            require_int("width", width, 1)
-            dims = [width] * (depth + 1)
-        elif depth is not None or width is not None:
-            raise InvalidSpec("network config sets 'dims' and also 'depth' or 'width'")
-        if len(dims) < 2:
+        if not isinstance(self.dims, (list, tuple)):
+            raise InvalidSpec(f"dims must be an array, got {self.dims!r}")
+        paths = self.weight_paths
+        if paths is not None and not (isinstance(paths, (list, tuple))
+                                      and all(isinstance(p, str) for p in paths)):
+            raise InvalidSpec(f"weight_paths must be an array of strings, got {paths!r}")
+        if len(self.dims) < 2:
             raise InvalidSpec("dims needs at least two positive entries")
-        for d in dims:
+        for d in self.dims:
             require_int("dims entry", d, 1)
-        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
-        if self.weight_paths is not None:
-            object.__setattr__(self, "weight_paths", tuple(self.weight_paths))
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        if paths is not None:
+            object.__setattr__(self, "weight_paths", tuple(paths))
+
+    @classmethod
+    def chain(cls, depth: int = 4, width: int = 64, **fields) -> "NetworkConfig":
+        """``depth`` square layers of ``width``: dims = [width] * (depth + 1)."""
+        require_int("depth", depth, 1)
+        require_int("width", width, 1)
+        return cls(dims=[width] * (depth + 1), **fields)
 
 
 @dataclass(frozen=True)
@@ -172,17 +167,18 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        sections = {
-            "grid": GridSpec,
-            "alpha": AlphaStrategy,
-            "solver": SolverConfig,
-            "calibration": CalibrationConfig,
-            "network": NetworkConfig,
-        }
+        """The run a parsed config file describes; every failure is an InvalidSpec.
+
+        The one reader of a file's spellings (the config classes take canonical
+        values): ``alpha_mode`` for ``mode``, ``"sample"`` for ``"sampled"``,
+        ``"snrq_lazy"`` for ``"snrq"``, and ``depth``/``width`` for a chain's ``dims``.
+        """
+        sections = {"grid": GridSpec, "alpha": AlphaStrategy, "solver": SolverConfig,
+                    "calibration": CalibrationConfig, "network": NetworkConfig}
         if not isinstance(d, dict):
             raise InvalidSpec(f"config must be a JSON object, got {type(d).__name__}")
-        known_top = set(sections) | {"damping", "gptaq_alpha", "seed", "out_dir"}
-        unknown = set(d) - known_top
+        scalars = ("damping", "gptaq_alpha", "seed", "out_dir")
+        unknown = set(d) - set(sections) - set(scalars)
         if unknown:
             raise InvalidSpec(f"unknown config keys: {sorted(unknown)}")
         kwargs = {}
@@ -196,14 +192,23 @@ class RunConfig:
                 if "mode" in sub:
                     raise InvalidSpec("alpha config sets both 'alpha_mode' and 'mode'")
                 sub["mode"] = sub.pop("alpha_mode")
-            allowed = set(cls.__dataclass_fields__)
+            allowed = set(cls.__dataclass_fields__) | ({"depth", "width"} if name == "network" else set())
             bad = set(sub) - allowed
             if bad:
                 raise InvalidSpec(f"unknown {name} config keys: {sorted(bad)}")
-            kwargs[name] = cls(**sub)
-        for scalar in ("damping", "gptaq_alpha", "seed", "out_dir"):
-            if scalar in d:
-                kwargs[scalar] = d[scalar]
+            if name == "alpha" and sub.get("mode") == "sample":
+                sub["mode"] = "sampled"
+            if name == "solver" and sub.get("solver") == "snrq_lazy":
+                sub["solver"] = "snrq"
+            shape = {k: sub.pop(k) for k in ("depth", "width") if k in sub}  # network only
+            section = kwargs[name] = cls(**sub)
+            if shape and "dims" in sub:
+                raise InvalidSpec("network config sets 'dims' and also 'depth' or 'width'")
+            if name == "network" and "dims" not in sub:  # depth (default 4) layers of width (64)
+                if section.weight_paths is not None:
+                    raise InvalidSpec("weight_paths needs dims, the layer widths of its files")
+                kwargs[name] = NetworkConfig.chain(nonlinearity=section.nonlinearity, **shape)
+        kwargs.update({k: d[k] for k in scalars if k in d})
         return RunConfig(**kwargs)
 
 
@@ -469,7 +474,7 @@ def quantize_network(config: RunConfig) -> dict:
     report = {
         "version": REPORT_VERSION,
         "tool": {"name": "snrq", "version": __version__},
-        "config": asdict(config),
+        "config": json.loads(json_text(asdict(config))),  # as report.json states it
         "layers": records,
         "end_to_end": end_to_end,
         "total_ms": (time.perf_counter() - t_start) * 1e3,
@@ -546,9 +551,6 @@ def sweep(config: RunConfig, axis: str, values) -> dict:
 
     Each row is a ``quantize_network`` run of its swept config: it builds the
     same network again (no axis touches it), and ``wall_ms`` includes that.
-    For the search axes (K, cd_passes) rows after the first also carry the
-    marginal improvement per second between consecutive values; it is None
-    when the row's wall time did not rise over the row before.
     """
     values = list(values)
     if not values:
@@ -565,9 +567,4 @@ def sweep(config: RunConfig, axis: str, values) -> dict:
             "heldout_output_mse": report["end_to_end"]["heldout_output_mse"],
             "wall_ms": wall_ms,
         })
-    if axis in ("K", "cd_passes") and len(rows) > 1:
-        for i in range(1, len(rows)):
-            dt_s = (rows[i]["wall_ms"] - rows[i - 1]["wall_ms"]) / 1e3
-            gain = rows[i - 1]["proxy_loss"] - rows[i]["proxy_loss"]
-            rows[i]["marginal_improvement_per_s"] = gain / dt_s if dt_s > 0 else None
     return {"axis": axis, "rows": rows}

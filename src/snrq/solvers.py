@@ -16,7 +16,7 @@ center for column j is
 
 Successive rounding is one kernel over K beams and blocks of B columns
 (greedy is K = 1; lazy batching only regroups the updates into blocks, so B
-never changes a decision, and the config name "snrq_lazy" is read as "snrq").
+never changes a decision).
 Its entry points differ in (K, B) and the target:
   * snrq_greedy    (1, block_size) on the shifted target M: nearest-level
                    rounding of the center
@@ -79,7 +79,7 @@ SOLVER_NAMES = ("rtn", "snrq", "ksnrq", "gptq", "gptaq")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver selection and search knobs; ``solver="snrq_lazy"`` is read as ``"snrq"``."""
+    """Solver selection and search knobs; ``solver`` is one of ``SOLVER_NAMES`` exactly."""
 
     solver: str = "snrq"
     beam_width: int = 1
@@ -89,8 +89,6 @@ class SolverConfig:
     memory_budget_mb: int = 2048
 
     def __post_init__(self):
-        if self.solver == "snrq_lazy":  # the blocked greedy kernel is the lazy batch
-            object.__setattr__(self, "solver", "snrq")
         if self.solver not in SOLVER_NAMES:
             raise InvalidSpec(f"solver must be one of {SOLVER_NAMES}, got {self.solver!r}")
         require_int("beam_width", self.beam_width, 1)
@@ -195,11 +193,12 @@ def _kernel_bytes(m: int, n: int, k: int, bsz: int, spec: GridSpec) -> int:
     """Upper bound on the bytes one kernel call allocates at any time.
 
     The call has two phases. The ordered target (8 B per m x n entry) is
-    alive in both. In the column loop: the unit-lower factor, built in place
-    (8 B per n x n entry), the gathered grid on grouped grids only (20 B per
-    m x n entry: float64 scales and zero points, and the int32 gather the
-    zero points are converted from; per-channel grids are views), and the
-    state of all m*K beams, which are live at once. Per beam: the
+    alive in both. In the column loop: the unit-lower factor (8 B per n x n
+    entry), whose broadcast division takes numpy's ufunc buffer of up to
+    ``np.getbufsize()`` float64 entries; the gathered grid on grouped grids
+    only (20 B per m x n entry: float64 scales and zero points, and the int32
+    gather the zero points are converted from; per-channel grids are views);
+    and the state of all m*K beams, which are live at once. Per beam: the
     difference/code tails (12 B x n) plus the tail-sized temporary of the
     end-of-block ancestor gather (8 B x n); the block buffers, correction
     and their row gathers (32 B x B); the candidate values, scores and sort
@@ -211,7 +210,8 @@ def _kernel_bytes(m: int, n: int, k: int, bsz: int, spec: GridSpec) -> int:
     b = min(bsz, n)
     width = min(k, spec.num_levels) + 1
     grid = 20 if spec.group_size else 0
-    return m * n * (24 + grid) + n * n * 8 + m * k * (20 * n + 32 * b + 24 * width + 64)
+    factor = 8 * (n * n + min(n * n, np.getbufsize()))
+    return m * n * (24 + grid) + factor + m * k * (20 * n + 32 * b + 24 * width + 64)
 
 
 def _keep_best(s, center, scale, zero, cost, spec):
@@ -315,7 +315,7 @@ def _successive_round(mp, fact, params, cfg, k) -> RoundResult:
                 src = (base + parent).ravel()
                 anc, bd, bc = anc[src], bd[src], bc[src]
             bd[:, j], bc[:, j] = (target - v_j).ravel(), c_j.ravel()
-        if k > 1 and i < n:
+        if k > 1:  # at i == n the decided tail is empty
             tail_d[:, i:] = tail_d[anc, i:]
             tail_c[:, i:] = tail_c[anc, i:]
         tail_d[:, start:i] = bd

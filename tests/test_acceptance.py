@@ -363,7 +363,7 @@ def test_c13_end_to_end_desk_analog():
         alpha=AlphaStrategy(mode="sampled", beta_lambda=5.0),
         solver=SolverConfig(solver="snrq", act_order=True),
         calibration=CalibrationConfig(n_sequences=256),
-        network=NetworkConfig(depth=4, width=64),
+        network=NetworkConfig.chain(depth=4, width=64),
     )
     n_runs = 40
     wins = 0
@@ -398,7 +398,7 @@ def test_c14_determinism(tmp_path):
         alpha=AlphaStrategy(mode="sampled", beta_lambda=5.0),
         solver=SolverConfig(solver="snrq", act_order=True),
         calibration=CalibrationConfig(n_sequences=128),
-        network=NetworkConfig(depth=3, width=96),
+        network=NetworkConfig.chain(depth=3, width=96),
         seed=5,
     )
     r1 = quantize_network(replace(cfg, out_dir=str(tmp_path / "a")))

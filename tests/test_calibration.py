@@ -20,6 +20,7 @@ from snrq import (
 )
 from snrq.calibration import module_wise_alpha_schedule, sample_folded_alphas
 from snrq.oracle import decomposition_check, gamma_weight, objective_direct
+from snrq.pipeline import RunConfig
 
 from conftest import random_batch, same_bits
 
@@ -98,9 +99,18 @@ def test_shape_mismatch_rejected(rng):
 
 
 def test_mode_aliases():
-    assert AlphaStrategy(mode="sample").mode == "sampled"
-    with pytest.raises(InvalidSpec):
-        AlphaStrategy(mode="bogus")
+    # "sample" is a config file's spelling of "sampled": RunConfig.from_dict
+    # reads it, and AlphaStrategy takes the canonical name only
+    assert RunConfig.from_dict({"alpha": {"mode": "sample"}}).alpha.mode == "sampled"
+    for mode in ("sample", "bogus"):
+        with pytest.raises(InvalidSpec, match="alpha mode must be one of"):
+            AlphaStrategy(mode=mode)
+
+
+def test_beta_lambda_must_be_positive():
+    AlphaStrategy(beta_lambda=1e-300)
+    with pytest.raises(InvalidSpec, match="beta_lambda must be positive"):
+        AlphaStrategy(beta_lambda=0.0)
 
 
 @pytest.mark.parametrize("mode", [["fixed"], {}])

@@ -8,11 +8,12 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import snrq
@@ -55,7 +56,9 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     ([], "must be a JSON object"),
     ({"network": {"weight_paths": "abc"}}, "weight_paths must be an array"),
     ({"network": {"dims": "12"}}, "dims must be an array"),
-], ids=["pairs-section", "empty-list-section", "list-top-level", "str-weight-paths", "str-dims"])
+    ({"network": {"dims": [4, 4], "weight_paths": [5]}}, "weight_paths must be an array of strings"),
+], ids=["pairs-section", "empty-list-section", "list-top-level", "str-weight-paths", "str-dims",
+        "int-weight-path"])
 def test_config_of_wrong_json_type_exits_1(tmp_path, capsys, cfg, message):
     # dict() would read a list of pairs as a section, and tuple() a string as a list of characters
     p = tmp_path / "cfg.json"
@@ -779,6 +782,92 @@ def test_fast_subcommands_exit_0_1_2_without_traceback(case):
             code = cli_main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# every key of every config section, with some values it takes (every file
+# spelling among them) and values of every JSON type, null included
+_CONFIG_VALUES = {
+    "grid": {"bits": [2, 3, 4], "symmetric": [True, False], "group_size": [0, 2, 4],
+             "mse_clip": [True, False]},
+    "alpha": {"mode": ["fixed", "closed_form", "sampled", "sample"],
+              "alpha_mode": ["fixed", "closed_form", "sampled", "sample"],
+              "alpha_value": [0.0, 0.25, 1.0], "beta_lambda": [0.5, 5.0]},
+    "solver": {"solver": ["rtn", "snrq", "snrq_lazy", "ksnrq", "gptq", "gptaq"],
+               "beam_width": [1, 2], "block_size": [1, 2, 32], "act_order": [True, False],
+               "cd_passes": [0, 1], "memory_budget_mb": [1, 2048]},
+    "calibration": {"n_sequences": [1, 8], "distribution": ["normal", "uniform"]},
+    "network": {"dims": [[4, 4, 4], [6, 4, 2]], "depth": [2], "width": [2, 4],
+                "nonlinearity": ["relu", "none"], "weight_paths": [None]},
+}
+_SCALAR_VALUES = {"damping": [0.0, 0.01, 1e300], "gptaq_alpha": [0.25, -1e300],
+                  "seed": [0, 3], "out_dir": [None, "run"]}
+_any_json = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 9), st.sampled_from([0.5, -1.0, 1e300]),
+    st.sampled_from(["", "x", "sample", "snrq_lazy", "relu"]),
+    st.lists(st.one_of(st.integers(-1, 9), st.none(), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+def _value(values):
+    return st.one_of(st.sampled_from(values), _any_json)
+
+
+_config_dicts = st.fixed_dictionaries({}, optional=dict(
+    {name: st.fixed_dictionaries({}, optional={k: _value(v) for k, v in keys.items()})
+     for name, keys in _CONFIG_VALUES.items()},
+    **{k: _value(v) for k, v in _SCALAR_VALUES.items()}))
+
+
+# the values that a config takes, with a 2-layer network in every config
+_small_config_dicts = st.fixed_dictionaries(
+    {"network": st.fixed_dictionaries(
+        {}, optional={k: st.sampled_from(v) for k, v in _CONFIG_VALUES["network"].items()})},
+    optional=dict({name: st.fixed_dictionaries({}, optional={k: st.sampled_from(v) for k, v in keys.items()})
+                   for name, keys in _CONFIG_VALUES.items() if name != "network"},
+                  **{k: st.sampled_from(v) for k, v in _SCALAR_VALUES.items()}))
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(d=_config_dicts)
+def test_config_file_is_a_config_or_invalid_spec(d):
+    # from_dict is the one reader of a config file: it returns a config or
+    # raises InvalidSpec, and the config it returns reads back as itself
+    try:
+        cfg = pipeline.RunConfig.from_dict(d)
+    except snrq.InvalidSpec:
+        return
+    assert pipeline.RunConfig.from_dict(json.loads(pipeline.json_text(asdict(cfg)))) == cfg
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(d=_small_config_dicts)
+def test_quantize_of_an_accepted_config_exits_0_1_2_with_standard_json(d):
+    try:
+        cfg = pipeline.RunConfig.from_dict(d)
+    except snrq.InvalidSpec:
+        cfg = None
+    assume(cfg is not None and len(cfg.network.dims) == 3)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("cfg.json").write_text(json.dumps(d))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["quantize", "--config", "cfg.json"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            report = _strict_json(out.getvalue())
+            assert report["determinism_hash"] == pipeline.determinism_hash(report)
+            if cfg.out_dir is not None:
+                assert _strict_json(Path("run", "report.json").read_text()) == report
+        else:
+            assert out.getvalue() == ""
 
 
 def test_failed_run_leaves_no_stale_report(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """Toy-chain pipeline: synthesis, activation collection, reports, sweeps."""
 
+import inspect
 import json
+import re
 import tracemalloc
 import weakref
-from dataclasses import asdict, replace
-from types import SimpleNamespace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -39,15 +40,20 @@ def small_config(**kw) -> RunConfig:
         alpha=AlphaStrategy(mode="fixed", alpha_value=0.5),
         solver=SolverConfig(solver="snrq", act_order=True),
         calibration=CalibrationConfig(n_sequences=48),
-        network=NetworkConfig(depth=3, width=12),
+        network=NetworkConfig.chain(depth=3, width=12),
         damping=0.01,
         seed=7,
     )
     return replace(base, **kw)
 
 
+def solver_config(**fields) -> SolverConfig:
+    """A solver section as a config file writes it, where "snrq_lazy" is a spelling of "snrq"."""
+    return RunConfig.from_dict({"solver": fields}).solver
+
+
 def test_synth_deterministic():
-    spec = NetworkConfig(depth=4, width=8)
+    spec = NetworkConfig.chain(depth=4, width=8)
     a = synth_network(spec, 3)
     b = synth_network(spec, 3)
     for wa, wb in zip(a, b):
@@ -61,7 +67,7 @@ def test_synth_dims_chain():
 
 
 def test_depth_one_network_has_equal_paths(rng):
-    layers = synth_network(NetworkConfig(depth=1, width=6), 0)
+    layers = synth_network(NetworkConfig.chain(depth=1, width=6), 0)
     x = rng.normal(size=(6, 10))
     batch = forward_collect(layers, x, [], "relu")
     assert np.array_equal(batch.xf, batch.xq)
@@ -71,27 +77,27 @@ def test_depth_one_network_has_equal_paths(rng):
 def test_forward_collect_rejects_full_prefix(rng):
     from snrq import ShapeMismatch
 
-    layers = synth_network(NetworkConfig(depth=1, width=6), 0)
+    layers = synth_network(NetworkConfig.chain(depth=1, width=6), 0)
     with pytest.raises(ShapeMismatch):
         forward_collect(layers, rng.normal(size=(6, 4)), [layers[0]], "relu")
 
 
 def test_lossless_prefix_keeps_paths_equal(rng):
-    layers = synth_network(NetworkConfig(depth=2, width=6), 0)
+    layers = synth_network(NetworkConfig.chain(depth=2, width=6), 0)
     x = rng.normal(size=(6, 10))
     batch = forward_collect(layers, x, [layers[0].copy()], "relu")
     assert np.array_equal(batch.xf, batch.xq)
 
 
 def test_lossy_prefix_produces_mismatch(rng):
-    layers = synth_network(NetworkConfig(depth=2, width=6), 0)
+    layers = synth_network(NetworkConfig.chain(depth=2, width=6), 0)
     x = rng.normal(size=(6, 10))
     batch = forward_collect(layers, x, [np.round(layers[0], 1)], "relu")
     assert np.linalg.norm(batch.xf - batch.xq) > 0
 
 
 def test_relu_applied_between_layers(rng):
-    layers = synth_network(NetworkConfig(depth=2, width=6), 0)
+    layers = synth_network(NetworkConfig.chain(depth=2, width=6), 0)
     x = rng.normal(size=(6, 10))
     batch = forward_collect(layers, x, [layers[0]], "relu")
     assert np.all(batch.xf >= 0.0)
@@ -174,9 +180,9 @@ def test_sampled_alpha_trace_summary():
 @pytest.mark.parametrize("solver", ["rtn", "snrq", "snrq_lazy", "ksnrq", "gptq", "gptaq"])
 def test_all_solvers_run_through_pipeline(solver):
     cfg = small_config(
-        solver=SolverConfig(solver=solver, beam_width=2, block_size=5, act_order=True),
+        solver=solver_config(solver=solver, beam_width=2, block_size=5, act_order=True),
         calibration=CalibrationConfig(n_sequences=32),
-        network=NetworkConfig(depth=2, width=10),
+        network=NetworkConfig.chain(depth=2, width=10),
     )
     report = quantize_network(cfg)
     assert len(report["layers"]) == 2
@@ -209,9 +215,9 @@ def test_one_factorization_per_layer(monkeypatch, solver, cd_passes, act_order):
         monkeypatch.setattr(mod, "cholesky", counted(mod.cholesky, calls, "names"))
     monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky, calls, "lapack"))
     cfg = small_config(
-        solver=SolverConfig(solver=solver, beam_width=2, block_size=4,
-                            act_order=act_order, cd_passes=cd_passes),
-        network=NetworkConfig(depth=3, width=10),
+        solver=solver_config(solver=solver, beam_width=2, block_size=4,
+                             act_order=act_order, cd_passes=cd_passes),
+        network=NetworkConfig.chain(depth=3, width=10),
     )
     quantize_network(cfg)
     assert calls == {"names": 3, "lapack": 3}
@@ -246,9 +252,9 @@ def test_one_block_inverse_per_layer(monkeypatch, solver, cd_passes, act_order):
         monkeypatch.setattr(mod, "cholesky", tracked(mod.cholesky))
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     cfg = small_config(
-        solver=SolverConfig(solver=solver, beam_width=2, block_size=4,
-                            act_order=act_order, cd_passes=cd_passes),
-        network=NetworkConfig(depth=3, width=40),  # two diagonal blocks per layer
+        solver=solver_config(solver=solver, beam_width=2, block_size=4,
+                             act_order=act_order, cd_passes=cd_passes),
+        network=NetworkConfig.chain(depth=3, width=40),  # two diagonal blocks per layer
     )
     quantize_network(cfg)
     assert calls == {"cholesky": 3, "inv": 6, "inv_outside": 0}
@@ -292,7 +298,7 @@ def test_config_roundtrip_and_unknown_keys():
     assert alias.alpha.mode == "sampled"
 
 
-@pytest.mark.parametrize("network", [NetworkConfig(depth=2, width=8), NetworkConfig(dims=(12, 9, 7))],
+@pytest.mark.parametrize("network", [NetworkConfig.chain(depth=2, width=8), NetworkConfig(dims=(12, 9, 7))],
                          ids=["depth-width", "dims"])
 def test_report_states_its_network(network):
     # a network is its dims; depth and width only build them
@@ -303,68 +309,84 @@ def test_report_states_its_network(network):
     assert RunConfig.from_dict(stated).network == network
 
 
+def test_report_in_process_equals_its_json():
+    # the report that quantize_network returns is the one report.json holds:
+    # its config states dims and weight_paths as arrays, not tuples
+    report = quantize_network(small_config(network=NetworkConfig(dims=(12, 9, 7))))
+    assert json.loads(json_text(report)) == report
+    assert report["config"]["network"]["dims"] == [12, 9, 7]
+    assert report["determinism_hash"] == determinism_hash(json.loads(json_text(report)))
+
+
 def test_network_dims_with_depth_or_width_is_invalid():
-    for extra in ({"depth": 3}, {"width": 8}, {"depth": None, "width": 6}):
+    for extra in ({"depth": 3}, {"width": 8}, {"depth": None, "width": 6}, {"depth": None}):
         with pytest.raises(InvalidSpec, match="'dims' and also 'depth' or 'width'"):
             RunConfig.from_dict({"network": dict({"dims": [8, 6]}, **extra)})
-    assert NetworkConfig(depth=2, width=5).dims == (5, 5, 5)
-    assert NetworkConfig(width=5) == NetworkConfig(depth=4, width=5)
-    assert NetworkConfig() == NetworkConfig(dims=[64] * 5)
+    assert NetworkConfig.chain(depth=2, width=5).dims == (5, 5, 5)
+    assert RunConfig.from_dict({"network": {"width": 5}}).network == NetworkConfig.chain(width=5)
+    assert NetworkConfig() == NetworkConfig.chain() == NetworkConfig(dims=[64] * 5)
+
+
+def test_network_config_holds_its_dims_only():
+    # depth and width are a config file's spelling and chain()'s arguments, not fields
+    names = ["dims", "nonlinearity", "weight_paths"]
+    assert [f.name for f in fields(NetworkConfig)] == names
+    assert list(inspect.signature(NetworkConfig).parameters) == names
+    with pytest.raises(TypeError):
+        NetworkConfig(depth=2, width=8)
+    with pytest.raises(AttributeError):
+        NetworkConfig.chain(depth=2, width=8).depth
+    for depth, width in ((0, 8), (2, 0), (2.0, 8), (True, 8), (2, None)):
+        with pytest.raises(InvalidSpec):
+            NetworkConfig.chain(depth=depth, width=width)
+
+
+@pytest.mark.parametrize("network, message", [
+    ({"dims": None}, "dims must be an array, got None"),
+    ({"depth": None}, "depth must be an integer, got None"),
+    ({"width": None, "depth": 2}, "width must be an integer, got None"),
+    ({"dims": [4, 4], "weight_paths": [5]}, "weight_paths must be an array of strings, got [5]"),
+    ({"dims": [4, 4], "weight_paths": ["a", None]},
+     "weight_paths must be an array of strings, got ['a', None]"),
+], ids=["null-dims", "null-depth", "null-width", "int-weight-path", "null-weight-path"])
+def test_network_section_of_wrong_type_is_invalid(network, message):
+    with pytest.raises(InvalidSpec, match=re.escape(message)):
+        RunConfig.from_dict({"network": network})
+
+
+def test_weight_paths_may_be_null():
+    # every report writes "weight_paths": null for a synthesized network
+    assert RunConfig.from_dict({"network": {"weight_paths": None}}).network == NetworkConfig()
+
+
+def test_run_config_defaults():
+    assert RunConfig() == RunConfig.from_dict({})
+    assert RunConfig().seed == 0 and RunConfig().damping == 0.01
+    assert RunConfig().network.dims == (64,) * 5
 
 
 def test_snrq_lazy_is_read_as_snrq():
-    # one kernel, one name: the alias leaves no trace in the report or its hash
-    lazy = quantize_network(small_config(solver=SolverConfig(solver="snrq_lazy")))
+    # one kernel, one name: "snrq_lazy" is a config file's spelling of "snrq",
+    # which leaves no trace in the report or its hash; SolverConfig takes "snrq" only
+    lazy = quantize_network(small_config(solver=solver_config(solver="snrq_lazy")))
     plain = quantize_network(small_config(solver=SolverConfig(solver="snrq")))
     assert lazy["config"]["solver"]["solver"] == "snrq"
     assert lazy["determinism_hash"] == plain["determinism_hash"]
+    with pytest.raises(InvalidSpec, match="solver must be one of"):
+        SolverConfig(solver="snrq_lazy")
 
 
 def test_sweep_single_value_no_marginal():
-    cfg = small_config(network=NetworkConfig(depth=2, width=8),
+    cfg = small_config(network=NetworkConfig.chain(depth=2, width=8),
                        calibration=CalibrationConfig(n_sequences=24))
     table = sweep(cfg, "K", [2])
     assert len(table["rows"]) == 1
-    assert "marginal_improvement_per_s" not in table["rows"][0]
-
-
-def test_sweep_k_axis_emits_marginals():
-    cfg = small_config(network=NetworkConfig(depth=2, width=8),
-                       calibration=CalibrationConfig(n_sequences=24))
-    table = sweep(cfg, "K", [1, 2, 4])
-    assert [r["value"] for r in table["rows"]] == [1, 2, 4]
-    assert "marginal_improvement_per_s" not in table["rows"][0]
-    assert all("marginal_improvement_per_s" in r for r in table["rows"][1:])
-
-
-def test_sweep_rate_is_null_when_wall_time_does_not_rise(monkeypatch):
-    # a clock that moves only between runs: K = 3 runs faster than K = 2, and
-    # K = 4 as fast as K = 3, so neither has a rate
-    clock = {"now": 0.0}
-    seconds = {1: 1.0, 2: 3.0, 3: 2.5, 4: 2.5}
-    real = pipeline.quantize_network
-
-    def timed(cfg):
-        report = real(cfg)
-        clock["now"] += seconds[cfg.solver.beam_width]
-        return report
-
-    monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock["now"]))
-    monkeypatch.setattr(pipeline, "quantize_network", timed)
-    cfg = small_config(network=NetworkConfig(depth=2, width=8),
-                       calibration=CalibrationConfig(n_sequences=24))
-    rows = sweep(cfg, "K", [1, 2, 3, 4])["rows"]
-    assert [r["wall_ms"] for r in rows] == [1000.0, 3000.0, 2500.0, 2500.0]
-    gain = rows[0]["proxy_loss"] - rows[1]["proxy_loss"]
-    assert rows[1]["marginal_improvement_per_s"] == gain / 2.0
-    assert rows[2]["marginal_improvement_per_s"] is None
-    assert rows[3]["marginal_improvement_per_s"] is None
-    assert "null" in json_text(rows)
+    assert set(table["rows"][0]) == {"value", "proxy_loss", "heldout_output_mse", "wall_ms"}
 
 
 @pytest.mark.parametrize("axis,values", [("beta_lambda", [0.5, 5.0]), ("cd_passes", [0, 1, 2])])
 def test_sweep_rows_are_runs_of_the_swept_config(axis, values):
-    cfg = small_config(network=NetworkConfig(depth=2, width=8),
+    cfg = small_config(network=NetworkConfig.chain(depth=2, width=8),
                        calibration=CalibrationConfig(n_sequences=24))
     rows = sweep(cfg, axis, values)["rows"]
     assert [r["value"] for r in rows] == values
@@ -377,10 +399,7 @@ def test_sweep_rows_are_runs_of_the_swept_config(axis, values):
             assert run_cfg.alpha.mode == "sampled" and run_cfg.alpha.beta_lambda == v
         else:
             assert run_cfg.solver.cd_passes == v
-    if axis == "cd_passes":
-        assert all("marginal_improvement_per_s" in r for r in rows[1:])
-    else:
-        assert all("marginal_improvement_per_s" not in r for r in rows)
+    if axis == "beta_lambda":
         assert rows[0]["proxy_loss"] != rows[1]["proxy_loss"]
 
 
@@ -399,11 +418,10 @@ def test_uniform_calibration_inputs():
 
 
 def test_sweep_alpha_axis_mirrors_grid():
-    cfg = small_config(network=NetworkConfig(depth=2, width=8),
+    cfg = small_config(network=NetworkConfig.chain(depth=2, width=8),
                        calibration=CalibrationConfig(n_sequences=24))
     table = sweep(cfg, "alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
     assert len(table["rows"]) == 5
-    assert all("marginal_improvement_per_s" not in r for r in table["rows"])
 
 
 def test_sweep_unknown_axis():
@@ -417,7 +435,7 @@ def test_pipeline_snrq_equals_gptq_at_alpha_zero(tmp_path):
     base = small_config(
         alpha=AlphaStrategy(mode="fixed", alpha_value=0.0),
         calibration=CalibrationConfig(n_sequences=96),
-        network=NetworkConfig(depth=3, width=12),
+        network=NetworkConfig.chain(depth=3, width=12),
         damping=0.0,
         seed=3,
     )
@@ -440,7 +458,7 @@ def test_errors_carry_layer_context():
     cfg = small_config(
         damping=0.0,
         calibration=CalibrationConfig(n_sequences=4),
-        network=NetworkConfig(depth=2, width=12),
+        network=NetworkConfig.chain(depth=2, width=12),
     )
     with pytest.raises(NotPositiveDefinite, match="layer 0"):
         quantize_network(cfg)
@@ -449,7 +467,7 @@ def test_errors_carry_layer_context():
 def test_variance_sweep_degenerate_cases():
     cfg = small_config(
         alpha=AlphaStrategy(mode="sampled", beta_lambda=5.0),
-        network=NetworkConfig(depth=2, width=8),
+        network=NetworkConfig.chain(depth=2, width=8),
         calibration=CalibrationConfig(n_sequences=24),
     )
     with pytest.warns(UserWarning):
@@ -508,7 +526,7 @@ def test_carried_batches_equal_prefix_replay(monkeypatch, depth, nonlinearity, m
 
 
 def test_quantize_network_replays_no_prefix(monkeypatch):
-    cfg = small_config(network=NetworkConfig(depth=4, width=10))
+    cfg = small_config(network=NetworkConfig.chain(depth=4, width=10))
     expected = quantize_network(cfg)["determinism_hash"]
 
     def replay(*args, **kwargs):
@@ -539,7 +557,7 @@ def test_layer_loop_holds_few_activation_arrays(mode):
     width, n_seq = 32, 4096
     cfg = small_config(alpha=AlphaStrategy(mode=mode, alpha_value=0.5),
                        calibration=CalibrationConfig(n_sequences=n_seq),
-                       network=NetworkConfig(depth=6, width=width))
+                       network=NetworkConfig.chain(depth=6, width=width))
     quantize_network(cfg)  # first call pays one-time imports and caches
     tracemalloc.start()
     try:
@@ -563,7 +581,7 @@ def test_finished_layers_are_held_as_codes():
 
     def traced_peak(depth):
         cfg = small_config(calibration=CalibrationConfig(n_sequences=16),
-                           network=NetworkConfig(depth=depth, width=width))
+                           network=NetworkConfig.chain(depth=depth, width=width))
         quantize_network(cfg)  # first call pays one-time imports and caches
         tracemalloc.start()
         try:
@@ -600,7 +618,7 @@ def test_layer_batch_lives_only_while_read(monkeypatch, mode):
     monkeypatch.setattr(pipeline, "accumulate_stats", recording_stats)
     monkeypatch.setattr(pipeline, "module_wise_alpha_schedule", recording_alpha)
     cfg = small_config(alpha=AlphaStrategy(mode=mode, alpha_value=0.5),
-                       network=NetworkConfig(depth=4, width=10))
+                       network=NetworkConfig.chain(depth=4, width=10))
     quantize_network(cfg)
     stats = [a for kind, l, a in events if kind == "stats"]
     assert stats == [[False] * l for l in range(4)]

@@ -303,6 +303,8 @@ CHARGE_CASES = [
     (200, 32, 1, 1, True, 0),
     (128, 128, 4, 32, True, 0),  # the beam_cd layer shape
     (128, 128, 4, 32, True, 32), (200, 96, 1, 32, True, 32),  # grouped grids are gathered
+    # the factor and its ufunc buffer dominate
+    (2, 512, 1, 32, True, 0), (2, 512, 2, 32, True, 0), (1, 384, 1, 32, True, 0),
 ]
 
 

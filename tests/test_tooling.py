@@ -98,7 +98,7 @@ def test_tracer_reads_cd_refine_arguments_by_position(monkeypatch):
 def test_tracer_counts_forward_collect_prefix_by_position(rng):
     # the tracer's forward-collect count reads args[2] as the quantized
     # prefix: two matmuls (teacher and student) per prefix layer
-    layers = pipeline.synth_network(pipeline.NetworkConfig(depth=4, width=6), 0)
+    layers = pipeline.synth_network(pipeline.NetworkConfig.chain(depth=4, width=6), 0)
     prefix = [np.round(w, 1) for w in layers[:3]]
     args = (layers, rng.normal(size=(6, 5)), prefix, "relu")
     result = pipeline.forward_collect(*args)
