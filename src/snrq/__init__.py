@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
     SnrqError,
 )
-from .grid import GridParams, GridSpec, dequantize, fit_grid, levels
+from .grid import GridParams, GridSpec, dequantize, fit_grid
 from .linalg import cholesky
 from .matio import read_matrix, write_matrix
 from .rng import SeededRng
@@ -70,7 +70,6 @@ __all__ = [
     "gptaq_round",
     "gptq_round",
     "ksnrq_beam",
-    "levels",
     "order_and_factor",
     "read_matrix",
     "rtn_round",

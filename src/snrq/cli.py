@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .calibration import CalibBatch
 from .errors import InvalidSpec, NonFinite, ShapeMismatch, SnrqError
-from .grid import GridSpec, fit_grid, levels
+from .grid import GridSpec, fit_grid
 from .linalg import cholesky
 from .matio import read_matrix, write_matrix
 from .pipeline import (
@@ -193,7 +193,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .oracle import exhaustive_row  # imported per command, so quantize never loads the oracles
+    from .oracle import exhaustive_row, levels  # imported per command, so quantize never loads the oracles
 
     try:
         spec = GridSpec(bits=args.bits, symmetric=not args.asymmetric, group_size=0)

@@ -1,9 +1,10 @@
-"""Uniform quantization grids: fitting, rounding, level enumeration.
+"""Uniform quantization grids: fitting, rounding, dequantization.
 
 A grid is defined per output row and per column group. Symmetric grids use the
 full signed code range [-2^(b-1), 2^(b-1)-1] with the scale fitted to
 2^(b-1)-1, so the number of representable levels is always A = 2^b. Asymmetric
-grids use codes [0, 2^b-1] with an integer zero point.
+grids use codes [0, 2^b-1] with an integer zero point. Every cell's range is
+widened to cover zero, so zero is a level and a constant cell keeps its value.
 
 Scales and zero points are always fitted from the original full-precision
 weights and are always looked up by original column index; solvers that
@@ -28,11 +29,10 @@ __all__ = [
     "fit_grid",
     "round_to_grid",
     "column_grid",
-    "levels",
     "dequantize",
 ]
 
-_DEGENERATE_SCALE = 1e-12
+_DEGENERATE_SCALE = 1e-12  # the scale of a cell whose fitted scale is 0: an all-zero cell
 _CLIP_RATIOS = np.linspace(0.5, 1.0, 100)  # MSE-clip candidates, in the order ties are broken
 _CLIP_CHUNK_ENTRIES = 1 << 16  # (ratio, weight) pairs one MSE-clip chunk rounds at once
 
@@ -90,13 +90,14 @@ class GridParams:
 
 
 def _fit_cells(vmin: np.ndarray, vmax: np.ndarray, spec: GridSpec) -> GridParams:
-    """Scales and zero points for cells with the given value ranges."""
+    """Scales and zero points for cells with the given value ranges, widened to cover zero."""
+    vmin = np.minimum(vmin, 0.0)
+    vmax = np.maximum(vmax, 0.0)
     if spec.symmetric:
-        scale = np.maximum(np.abs(vmin), np.abs(vmax)) / spec.code_max
-        scale = np.maximum(scale, _DEGENERATE_SCALE)
+        scale = np.maximum(-vmin, vmax) / spec.code_max
     else:
-        scale = np.maximum((vmax - vmin) / (spec.num_levels - 1), _DEGENERATE_SCALE)
-    scale = np.where(vmax == vmin, _DEGENERATE_SCALE, scale)
+        scale = (vmax - vmin) / (spec.num_levels - 1)
+    scale[scale == 0.0] = _DEGENERATE_SCALE
     zeros = np.zeros(vmin.shape, dtype=np.int32)
     if not spec.symmetric:
         zeros[...] = np.clip(np.floor(-vmin / scale + 0.5), 0, spec.code_max)
@@ -204,14 +205,6 @@ def column_grid(params: GridParams, cols: np.ndarray) -> tuple[np.ndarray, np.nd
         return np.broadcast_to(params.scales[:, :1], shape), np.broadcast_to(zeros, shape)
     gidx = gidx // params.spec.group_size
     return params.scales[:, gidx], params.zero_points[:, gidx].astype(np.float64)
-
-
-def levels(row: int, col: int, params: GridParams) -> np.ndarray:
-    """All A = 2^bits dequantized values for one grid cell, ascending."""
-    spec = params.spec
-    scale, zero = column_grid(params, [col])
-    codes = np.arange(spec.code_min, spec.code_max + 1)
-    return scale[row, 0] * (codes - zero[row, 0])
 
 
 def dequantize(codes: np.ndarray, params: GridParams) -> np.ndarray:

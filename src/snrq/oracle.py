@@ -10,8 +10,9 @@ least-squares solve per column, the column costs restate the levelwise proxy
 decomposition one column at a time, the interpolated objective and both
 sides of its decomposition identity are computed from raw activations, the
 alpha scan evaluates that objective on a grid, and the dithering experiment
-estimates variances by plain Monte Carlo against the closed forms. Helpers
-used only by the tests (``gamma_weight``) live here too.
+estimates variances by plain Monte Carlo against the closed forms. The level
+enumeration these references and ``snrq oracle`` read (``levels``) lives here
+too.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import numpy as np
 from .calibration import AlphaStrategy, CalibBatch, sample_folded_alphas
 from .errors import BudgetExceeded, InvalidSpec, NonFinite, ShapeMismatch
 from .grid import (
-    _CLIP_RATIOS, _DEGENERATE_SCALE, GridParams, GridSpec, column_grid, dequantize, levels,
-    round_to_grid,
+    _CLIP_RATIOS, _DEGENERATE_SCALE, GridParams, GridSpec, column_grid, dequantize, round_to_grid,
 )
 from .rng import SeededRng
 from .solvers import RoundResult
@@ -36,6 +36,7 @@ __all__ = [
     "DitherSetup",
     "DitherResult",
     "AlphaScan",
+    "levels",
     "exhaustive_row",
     "beam_reference",
     "cd_reference",
@@ -45,7 +46,6 @@ __all__ = [
     "objective_direct",
     "decomposition_check",
     "alpha_grid_scan",
-    "gamma_weight",
     "dither_experiment",
     "sampling_variance_sweep",
 ]
@@ -62,6 +62,14 @@ class OracleResult:
     best_values: np.ndarray  # dequantized values
     best_cost: float
     n_evaluated: int
+
+
+def levels(row: int, col: int, params: GridParams) -> np.ndarray:
+    """All A = 2^bits dequantized values for one grid cell, ascending."""
+    spec = params.spec
+    scale, zero = column_grid(params, [col])
+    codes = np.arange(spec.code_min, spec.code_max + 1)
+    return scale[row, 0] * (codes - zero[row, 0])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -202,22 +210,22 @@ def proxy_column_costs(e: np.ndarray, l_chol: np.ndarray) -> np.ndarray:
 
 
 def _fit_cell(values: np.ndarray, spec: GridSpec) -> tuple[float, int]:
-    """Scale and zero point for one (row, group) cell."""
-    vmin = float(values.min())
-    vmax = float(values.max())
-    if vmax == vmin:
-        return _DEGENERATE_SCALE, _zero_for(vmin, _DEGENERATE_SCALE, spec)
+    """Scale and zero point for one (row, group) cell, its range widened to cover zero."""
+    vmin = min(float(values.min()), 0.0)
+    vmax = max(float(values.max()), 0.0)
     if spec.symmetric:
-        scale = max(abs(vmin), abs(vmax)) / spec.code_max
-        return max(scale, _DEGENERATE_SCALE), 0
-    scale = max((vmax - vmin) / (spec.num_levels - 1), _DEGENERATE_SCALE)
+        scale = max(-vmin, vmax) / spec.code_max
+    else:
+        scale = (vmax - vmin) / (spec.num_levels - 1)
+    if scale == 0.0:
+        scale = _DEGENERATE_SCALE
     return scale, _zero_for(vmin, scale, spec)
 
 
 def _zero_for(vmin: float, scale: float, spec: GridSpec) -> int:
     if spec.symmetric:
         return 0
-    # clip the float: -vmin / scale overflows to +-inf for a huge constant cell
+    # clip the float: a subnormal scale can round down far enough to put -vmin / scale past code_max
     return int(np.clip(np.floor(-vmin / scale + 0.5), 0, spec.code_max))
 
 
@@ -319,11 +327,10 @@ def gptaq_reference(
 
     codes = np.empty_like(codes_p)
     codes[:, perm] = codes_p
-    q_deq = dequantize(codes, params)
     # report against the exact asymmetric objective residual
-    resid = (q_deq - w) @ batch.xq - mismatch_scale * (w @ batch.delta)
+    resid = (dequantize(codes, params) - w) @ batch.xq - mismatch_scale * (w @ batch.delta)
     scores = np.sum(resid * resid, axis=1)
-    return RoundResult(codes=codes, q_dequant=q_deq, per_row_scores=scores)
+    return RoundResult(codes, scores)
 
 
 def objective_direct(
@@ -378,11 +385,6 @@ def alpha_grid_scan(
     alphas = np.linspace(0.0, 1.0, grid_points)
     values = np.array([objective_direct(w, w_hat, batch, a) for a in alphas])
     return AlphaScan(alpha_best=float(alphas[int(np.argmin(values))]), alphas=alphas, values=values)
-
-
-def gamma_weight(alpha: float) -> float:
-    """Implied regularization weight a/(1-a); monotone on [0, 1)."""
-    return alpha / (1.0 - alpha)
 
 
 # ---------------------------------------------------------------------------

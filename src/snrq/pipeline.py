@@ -84,6 +84,7 @@ REPORT_VERSION = 2
 
 # the layer files a quantize run writes, and removes from its out_dir first
 LAYER_FILE = re.compile(r"layer_[0-9]+_(codes|dequant)\.snrqmat")
+LAYER_FILE_KEYS = frozenset({"codes_file", "dequant_file"})  # a layer record's file names
 
 NONLINEARITIES = ("none", "relu")
 
@@ -290,7 +291,7 @@ def _solve_layer(
     cfg = config.solver
     name = cfg.solver
     if name == "rtn":
-        result = rtn_round(w, params, m_ref=m_alpha, fact=fact)
+        result = rtn_round(w, params)
     elif name == "snrq":
         result = snrq_greedy(m_alpha, fact, params, cfg)
     elif name == "ksnrq":
@@ -366,10 +367,12 @@ def quantize_network(config: RunConfig) -> dict:
     mode. After the loop, the held-out inputs are drawn and run through
     teacher and student side by side: at most 3 arrays.
 
-    A finished layer is kept as its int32 codes and its grid, 4 B per weight,
-    and its other per-layer arrays are dropped before the next layer starts.
-    The held-out student pass dequantizes one layer at a time, which gives
-    each layer's ``q_dequant`` again bit for bit.
+    A layer's codes are dequantized once, and that one array is the layer's
+    values for the closed-form alpha, the student carry, the proxy, the
+    weight MSE and the dequant file. A finished layer is kept as its int32
+    codes and its grid, 4 B per weight, and its other per-layer arrays are
+    dropped before the next layer starts. The held-out student pass
+    dequantizes one layer at a time, with the same :func:`dequantize`.
 
     Raises ShapeMismatch when the weight files do not fit
     ``config.network.dims``; InvalidSpec, before any layer runs, when
@@ -419,9 +422,9 @@ def quantize_network(config: RunConfig) -> dict:
             m_alpha = shifted_target(w, stats, fact)
             del stats  # H and C are not read again
             result = _solve_layer(w, batch, m_alpha, fact, params, config)
+            q = dequantize(result.codes, params)  # the layer's one dequantized copy
             if config.alpha.mode == "closed_form" and not last:  # the next layer's weight
-                alpha = module_wise_alpha_schedule(w, result.q_dequant, batch,
-                                                   config.alpha.alpha_value)
+                alpha = module_wise_alpha_schedule(w, q, batch, config.alpha.alpha_value)
         except SnrqError as e:
             e.args = (f"layer {l}: {e}",)
             raise
@@ -430,16 +433,16 @@ def quantize_network(config: RunConfig) -> dict:
         # each old path is dropped as its carry is bound; the carries are fresh
         # arrays, so a batch kept by a caller never changes
         xf = _carry(w, xf, last, nonlinearity)
-        xq = _carry(result.q_dequant, xq, last, nonlinearity)
+        xq = _carry(q, xq, last, nonlinearity)
         solve_ms = (time.perf_counter() - t_layer) * 1e3
 
-        proxy = float(np.sum(proxy_row_scores(result.q_dequant, m_alpha, fact)))
+        proxy = float(np.sum(proxy_row_scores(q, m_alpha, fact)))
         record = {
             "layer": l,
             "shape": [int(w.shape[0]), int(w.shape[1])],
             "alpha": alpha_summary,
             "proxy_loss": proxy,
-            "weight_mse": _mean_of(w, result.q_dequant, np.square),
+            "weight_mse": _mean_of(w, q, np.square),
             "mean_activation_error": activation_error,
             "solve_ms": solve_ms,
         }
@@ -449,12 +452,12 @@ def quantize_network(config: RunConfig) -> dict:
             codes_file = f"layer_{l:02d}_codes.snrqmat"
             deq_file = f"layer_{l:02d}_dequant.snrqmat"
             write_matrix(out_dir / codes_file, result.codes, dtype="i32")
-            write_matrix(out_dir / deq_file, result.q_dequant, dtype="f64")
+            write_matrix(out_dir / deq_file, q, dtype="f64")
             record["codes_file"] = codes_file
             record["dequant_file"] = deq_file
         records.append(record)
         finished.append((result.codes, params))
-        del result, m_alpha, fact  # not read again; the next layer allocates its own
+        del result, q, m_alpha, fact  # not read again; the next layer allocates its own
 
     # the carried pair is now the calibration output; the held-out inputs are
     # drawn only now and run through teacher and student side by side, so at
@@ -511,9 +514,13 @@ def strip_timing(obj):
 
 def determinism_hash(report: dict) -> str:
     core = strip_timing({k: v for k, v in report.items() if k != "determinism_hash"})
+    # file locations are IO details, not scientific inputs: the layer files a
+    # run wrote, the output directory, and the weight files, whose contents
+    # the layer records hold
+    if "layers" in core:
+        core["layers"] = [{k: v for k, v in rec.items() if k not in LAYER_FILE_KEYS}
+                          for rec in core["layers"]]
     if isinstance(core.get("config"), dict):
-        # file locations are IO details, not scientific inputs: the output
-        # directory, and the weight files, whose contents the layer records hold
         config = {k: v for k, v in core["config"].items() if k != "out_dir"}
         if isinstance(config.get("network"), dict):
             config["network"] = {k: v for k, v in config["network"].items() if k != "weight_paths"}

@@ -30,7 +30,8 @@ Its entry points differ in (K, B) and the target:
                    mismatch correction, scored by the exact asymmetric objective
 
 Other solvers:
-  * rtn_round      nearest rounding, no error feedback (baseline)
+  * rtn_round      nearest rounding, no error feedback (baseline), scored by
+                   the weight error ||Q - W||^2
   * cd_refine      cyclic exact single-coordinate re-optimization passes on
                    the gradient G = (Q - M) H, blocked like the kernel: moves
                    inside a block of block_size coordinates update only the
@@ -38,8 +39,10 @@ Other solvers:
                    a pass that moves nothing ends the refinement, and the
                    result records the total objective after each pass
 
-The one scorer of the proxy is :func:`proxy_row_scores`, which takes the
-layer's factor and returns ||(Q - T)[:, perm] L||^2 per row.
+A solver returns its codes, not their values, which :func:`snrq.grid.dequantize`
+gives, and its row scores are the objective it minimized. The one scorer of
+the proxy is :func:`proxy_row_scores`, which takes the layer's factor and
+returns ||(Q - T)[:, perm] L||^2 per row.
 
 Rows are independent problems. Every solver handles all rows of a layer in
 one vectorized pass: a column step is a few array operations over all rows
@@ -100,17 +103,18 @@ class SolverConfig:
 
 @dataclass
 class RoundResult:
-    """Outcome of one layer rounding.
+    """Outcome of one layer rounding: its codes and the objective that produced them.
 
-    ``codes`` are in original column order; ``q_dequant`` is exactly
-    dequantize(codes). ``per_row_scores`` are the solver's accumulated row
-    objectives; ``proxy_loss`` is their sum. :func:`cd_refine` sets
-    ``objective_trajectory``, the total objective at its start and after
-    each pass it ran.
+    ``codes`` are in original column order; their values are
+    dequantize(codes, params). ``per_row_scores`` are the row objectives the
+    solver minimized: the proxy toward its target for the successive solvers
+    and :func:`cd_refine`, the asymmetric loss for :func:`gptaq_round`, and
+    the weight error for :func:`rtn_round`. ``proxy_loss`` is their sum.
+    :func:`cd_refine` sets ``objective_trajectory``, the total objective at
+    its start and after each pass it ran.
     """
 
     codes: np.ndarray
-    q_dequant: np.ndarray
     per_row_scores: np.ndarray
     objective_trajectory: np.ndarray | None = None
 
@@ -150,9 +154,9 @@ def order_and_factor(h: np.ndarray, cfg: SolverConfig) -> OrderedFactor:
     return OrderedFactor(perm, *cholesky(h[np.ix_(perm, perm)]))
 
 
-def proxy_row_scores(q_dequant: np.ndarray, m_ref: np.ndarray, fact: OrderedFactor) -> np.ndarray:
+def proxy_row_scores(q: np.ndarray, m_ref: np.ndarray, fact: OrderedFactor) -> np.ndarray:
     """Exact row objectives ||(Q - M)[:, perm] L||^2, recomputed from Q in original column order."""
-    el = (q_dequant - m_ref)[:, fact.perm] @ fact.low
+    el = (q - m_ref)[:, fact.perm] @ fact.low
     el *= el
     return np.sum(el, axis=1)
 
@@ -172,16 +176,14 @@ def _ordered(a: np.ndarray, fact: OrderedFactor) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def rtn_round(w: np.ndarray, params: GridParams, m_ref: np.ndarray, fact: OrderedFactor) -> RoundResult:
-    """Round-to-nearest baseline, no error feedback, scored against the proxy (m_ref, fact).
-
-    With ``m_ref = w`` and an identity factor the scores are the plain
-    weight-rounding error ||Q - w||^2 per row.
-    """
+def rtn_round(w: np.ndarray, params: GridParams) -> RoundResult:
+    """Round-to-nearest baseline, no error feedback, scored by the weight error ||Q - w||^2 per row."""
     w = np.asarray(w, dtype=np.float64)
     scale, zero = column_grid(params, np.arange(w.shape[1]))
-    codes, values = round_to_grid(w, scale, zero, params.spec)  # values are dequantize(codes)
-    return RoundResult(codes, values, proxy_row_scores(values, m_ref, fact))
+    codes, err = round_to_grid(w, scale, zero, params.spec)
+    err -= w
+    err *= err
+    return RoundResult(codes, np.sum(err, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -190,28 +192,27 @@ def rtn_round(w: np.ndarray, params: GridParams, m_ref: np.ndarray, fact: Ordere
 
 
 def _kernel_bytes(m: int, n: int, k: int, bsz: int, spec: GridSpec) -> int:
-    """Upper bound on the bytes one kernel call allocates at any time.
+    """Upper bound on the bytes one kernel call allocates at any time: its column loop.
 
-    The call has two phases. The ordered target (8 B per m x n entry) is
-    alive in both. In the column loop: the unit-lower factor (8 B per n x n
-    entry), whose broadcast division takes numpy's ufunc buffer of up to
-    ``np.getbufsize()`` float64 entries; the gathered grid on grouped grids
-    only (20 B per m x n entry: float64 scales and zero points, and the int32
-    gather the zero points are converted from; per-channel grids are views);
-    and the state of all m*K beams, which are live at once. Per beam: the
-    difference/code tails (12 B x n) plus the tail-sized temporary of the
-    end-of-block ancestor gather (8 B x n); the block buffers, correction
-    and their row gathers (32 B x B); the candidate values, scores and sort
-    order (24 B x W, W = min(K, A) + 1); and 64 B of per-beam vectors. At
-    the end, after the loop state is freed: the permuted and scattered codes
-    and the dequantized values (16 B per m x n entry), plus the grid that
-    :func:`dequantize` gathers on grouped grids (20 B). The charge covers both.
+    The loop holds the ordered target (8 B per m x n entry); the unit-lower
+    factor (8 B per n x n entry), whose broadcast division takes numpy's
+    ufunc buffer of up to ``np.getbufsize()`` float64 entries; the gathered
+    grid on grouped grids only (20 B per m x n entry: float64 scales and zero
+    points, and the int32 gather the zero points are converted from;
+    per-channel grids are views); and the state of all m*K beams, which are
+    live at once. Per beam: the difference/code tails (12 B x n) plus the
+    tail-sized temporary of the end-of-block ancestor gather (8 B x n); the
+    block buffers, correction and their row gathers (32 B x B); the candidate
+    values, scores and sort order (24 B x W, W = min(K, A) + 1); and 64 B of
+    per-beam vectors. After the loop the call holds the ordered target and
+    two int32 code arrays, 16 B per weight, below the loop's 8 B + 20 K B, so
+    the loop is the peak.
     """
     b = min(bsz, n)
     width = min(k, spec.num_levels) + 1
     grid = 20 if spec.group_size else 0
     factor = 8 * (n * n + min(n * n, np.getbufsize()))
-    return m * n * (24 + grid) + factor + m * k * (20 * n + 32 * b + 24 * width + 64)
+    return m * n * (8 + grid) + factor + m * k * (20 * n + 32 * b + 24 * width + 64)
 
 
 def _keep_best(s, center, scale, zero, cost, spec):
@@ -322,12 +323,11 @@ def _successive_round(mp, fact, params, cfg, k) -> RoundResult:
         tail_c[:, start:i] = bc
         i = start
     codes_p = tail_c[base[:, 0] + np.argmin(s, axis=1)]
-    # free the layer-wide state before the results allocate, as _kernel_bytes assumes
+    # free the layer-wide state before the result allocates, as _kernel_bytes assumes
     del lu, scale_p, zero_p, tail_d, tail_c
     codes = np.empty_like(codes_p)
     codes[:, perm] = codes_p
-    del codes_p
-    return RoundResult(codes, dequantize(codes, params), np.min(s, axis=1))
+    return RoundResult(codes, np.min(s, axis=1))
 
 
 def snrq_greedy(
@@ -413,7 +413,7 @@ def cd_refine(
     scale, zero = column_grid(params, np.arange(n))
 
     codes = result.codes.copy()
-    values = result.q_dequant.copy()
+    values = dequantize(codes, params)
     res = (values - m_alpha) @ root  # rowwise R q - y, R = root^T
     scores = np.sum(res * res, axis=1)
     grad = res @ root.T  # G = (Q - M) H
@@ -453,11 +453,7 @@ def cd_refine(
         traj.append(scores.sum())
         if not moved:
             break
-    # round_to_grid's levels are dequantize's scale * (code - zero), bit for bit
-    return replace(
-        result, codes=codes, q_dequant=values, per_row_scores=scores,
-        objective_trajectory=np.array(traj),
-    )
+    return replace(result, codes=codes, per_row_scores=scores, objective_trajectory=np.array(traj))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +510,7 @@ def gptaq_round(
     d = np.tril((dx @ batch.xq.T)[np.ix_(perm, perm)], -1)
     u = solve_l(low, np.tril(solve_lt(low, d, inv), -1), inv)
     result = _successive_round(wp + mismatch_scale * (wp @ u), fact, params, cfg, 1)
-    resid = (result.q_dequant - w) @ batch.xq
+    resid = (dequantize(result.codes, params) - w) @ batch.xq
     shift = w @ dx
     shift *= mismatch_scale
     resid -= shift

@@ -31,7 +31,7 @@ from snrq import (
     shifted_target,
     snrq_greedy,
 )
-from snrq.grid import GridParams, levels
+from snrq.grid import GridParams
 from snrq.oracle import (
     DitherSetup,
     alpha_grid_scan,
@@ -40,6 +40,7 @@ from snrq.oracle import (
     dither_experiment,
     exhaustive_row,
     gptaq_reference,
+    levels,
     objective_direct,
     proxy_column_costs,
     sample_folded_alphas,
@@ -289,7 +290,7 @@ def test_c10_cd_monotonicity():
         h = random_spd(rng, n, ridge=0.3)
         fact = natural(*cholesky(h))
         params = fit_grid(w, GridSpec(bits=3, symmetric=True))
-        start = rtn_round(w, params, m_ref=w, fact=fact)
+        start = rtn_round(w, params)
         out = cd_refine(start, w, fact, params, passes=3, block_size=4)
         ok = ok and bool(np.all(np.diff(out.objective_trajectory) <= 0.0))
     # refinement cannot move a global optimum

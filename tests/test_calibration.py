@@ -19,7 +19,7 @@ from snrq import (
     shifted_target,
 )
 from snrq.calibration import module_wise_alpha_schedule, sample_folded_alphas
-from snrq.oracle import decomposition_check, gamma_weight, objective_direct
+from snrq.oracle import decomposition_check, objective_direct
 from snrq.pipeline import RunConfig
 
 from conftest import random_batch, same_bits
@@ -255,14 +255,6 @@ def test_closed_form_minimizes_over_grid(rng):
         grid_vals = [objective_direct(w, w_hat, batch, a) for a in np.linspace(0, 1, 101)]
         scale = max(1.0, max(grid_vals))
         assert best <= min(grid_vals) + 1e-9 * scale
-
-
-def test_gamma_weight():
-    assert gamma_weight(0.5) == 1.0
-    xs = np.linspace(0.0, 0.99, 100)
-    gs = [gamma_weight(x) for x in xs]
-    assert np.all(np.diff(gs) > 0)
-    assert gs[0] == 0.0
 
 
 def test_folded_mean_stable_across_seeds():

@@ -17,10 +17,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import snrq
-from snrq import CalibBatch, GridSpec, SeededRng, cholesky, cli, fit_grid, levels, oracle, pipeline
+from snrq import CalibBatch, GridSpec, SeededRng, cholesky, cli, fit_grid, oracle, pipeline
 from snrq.cli import cli_main
 from snrq.matio import read_matrix, write_matrix
-from snrq.oracle import DitherSetup, alpha_grid_scan, dither_experiment, exhaustive_row
+from snrq.oracle import DitherSetup, alpha_grid_scan, dither_experiment, exhaustive_row, levels
 
 
 def run(capsys, *argv):
@@ -675,7 +675,7 @@ def _oracle_files(tmp_path, r, y):
     ([[1, 2, 3], [0, 1, 4]], [[1, 2]], "need an n x n R"),
     ([[2, 1], [0, 1]], [[1, 2, 3]], "need an n x n R"),
     ([[0, 1], [0, 1]], [[1, 2]], "--r-path"),
-    ([[1e200, 0], [0, 1e200]], [[1e200, 1e200]], "overflows"),
+    ([[1e200, 0], [0, 1e200]], [[1e200, 3e200]], "overflows"),
 ], ids=["non-square-r", "wrong-y-length", "singular-r", "overflowing-costs"])
 def test_oracle_bad_matrix_files_exit_2(tmp_path, capsys, r, y, message):
     code, out, err = run(capsys, *_oracle_files(tmp_path, r, y))
@@ -868,6 +868,69 @@ def test_quantize_of_an_accepted_config_exits_0_1_2_with_standard_json(d):
                 assert _strict_json(Path("run", "report.json").read_text()) == report
         else:
             assert out.getvalue() == ""
+
+
+def _extreme_layers(dims, exponents, seed):
+    """Layers of entries +-m * 10^e, m in [1, 10), with zeros, constant groups and one-signed rows."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for l in range(len(dims) - 1):
+        shape = (dims[l + 1], dims[l])
+        w = rng.choice([-1.0, 1.0], size=shape) * rng.uniform(1.0, 10.0, size=shape)
+        w *= 10.0 ** np.clip(exponents[l] + rng.integers(-2, 3, size=shape), -300, 307)
+        w[rng.random(size=w.shape) < 0.2] = 0.0
+        row = rng.integers(w.shape[0])
+        w[row, :2] = w[row, 0]  # a constant group of the 2-column groups
+        row = rng.integers(w.shape[0])
+        w[row] = np.abs(w[row])  # a one-signed row
+        layers.append(w)
+    return layers
+
+
+_extreme_runs = st.fixed_dictionaries({
+    "dims": st.lists(st.sampled_from([2, 4]), min_size=2, max_size=3),
+    "exponents": st.lists(st.integers(-300, 307), min_size=2, max_size=2),
+    "seed": st.integers(0, 2 ** 16),
+    "solver": st.sampled_from([("rtn", 1), ("snrq", 1), ("ksnrq", 2), ("gptq", 1), ("gptaq", 1)]),
+    "cd_passes": st.sampled_from([0, 1]),
+    "grid": st.fixed_dictionaries({"bits": st.sampled_from([2, 3, 4]), "symmetric": st.booleans(),
+                                   "group_size": st.sampled_from([0, 2]), "mse_clip": st.booleans()}),
+    "alpha": st.sampled_from(["fixed", "closed_form", "sampled"]),
+})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(run_case=_extreme_runs)
+def test_quantize_of_extreme_weight_files_exits_0_or_2_with_standard_json(run_case):
+    # weight files of any finite magnitude, through every solver, grid and alpha
+    # mode: a run succeeds with a report whose hash recomputes, or fails with one
+    # error line, never with a traceback
+    dims = run_case["dims"]
+    solver, k = run_case["solver"]
+    config = {
+        "network": {"dims": dims, "weight_paths": [f"w{l}.snrqmat" for l in range(len(dims) - 1)]},
+        "grid": run_case["grid"], "alpha": {"mode": run_case["alpha"]},
+        "solver": {"solver": solver, "beam_width": k, "cd_passes": run_case["cd_passes"]},
+        "calibration": {"n_sequences": 8},
+    }
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        layers = _extreme_layers(dims, run_case["exponents"], run_case["seed"])
+        for path, w in zip(config["network"]["weight_paths"], layers):
+            write_matrix(path, w, dtype="f64")
+        Path("cfg.json").write_text(json.dumps(config))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["quantize", "--config", "cfg.json", "--out-dir", "run"])
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            report = _strict_json(Path("run", "report.json").read_text())
+            assert _strict_json(out.getvalue()) == report
+            assert report["determinism_hash"] == pipeline.determinism_hash(report)
+        else:
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_failed_run_leaves_no_stale_report(tmp_path, capsys):

@@ -1,13 +1,13 @@
-"""Grid fitting, nearest-level rounding, level enumeration."""
+"""Grid fitting, nearest-level rounding, dequantization."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from snrq import GridSpec, InvalidSpec, fit_grid, grid, levels
+from snrq import GridSpec, InvalidSpec, fit_grid, grid
 from snrq.grid import column_grid, dequantize, round_to_grid
-from snrq.oracle import fit_grid_reference
+from snrq.oracle import fit_grid_reference, levels
 
 from conftest import same_bits
 
@@ -34,10 +34,50 @@ def test_asymmetric_fit_example():
     assert np.array_equal(levels(0, 0, params), [0.0, 1.0, 2.0, 3.0])
 
 
+def _round_trip(w, spec):
+    """Codes and values of w rounded to nearest on its own fitted grid."""
+    params = fit_grid(w, spec)
+    scale, zero = column_grid(params, np.arange(w.shape[1]))
+    codes = round_to_grid(w, scale, zero, spec)[0]
+    return codes, dequantize(codes, params)
+
+
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_constant_group_degenerate_floor(symmetric):
-    params = fit_grid(np.array([[5.0, 5.0]]), GridSpec(bits=3, symmetric=symmetric))
-    assert params.scales[0, 0] == 1e-12
+    # only an all-zero cell, whose range has width 0 even after it covers zero,
+    # takes the floor scale; a constant nonzero cell keeps its value
+    w = np.array([[5.0, 5.0, 0.0, 0.0]])
+    spec = GridSpec(bits=3, symmetric=symmetric, group_size=2)
+    assert fit_grid(w, spec).scales[0, 1] == 1e-12
+    _, values = _round_trip(w, spec)
+    np.testing.assert_allclose(values, w, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("bits", [2, 3, 4, 8])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_constant_and_one_signed_cells_round_trip(bits, symmetric):
+    # every cell's range covers zero: a constant cell of either sign is a level
+    # of its grid, and so is each end of a one-signed cell, in every group
+    w = np.array([[5.0, 5.0, -2.0, -2.0, 0.0, 3.0, -1e-7, -1e-7, 1e300, 1e300]])
+    _, values = _round_trip(w, GridSpec(bits=bits, symmetric=symmetric, group_size=2))
+    np.testing.assert_allclose(values, w, rtol=1e-15, atol=0)
+    # an asymmetric one-signed cell [1, 3] has levels {0, 1, 2, 3}, not [0, 2]
+    w = np.array([[1.0, 3.0]])
+    codes, values = _round_trip(w, GridSpec(bits=2, symmetric=False))
+    assert np.array_equal(values, w) and np.array_equal(codes, [[1, 3]])
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec(bits=3, symmetric=True),
+    GridSpec(bits=4, symmetric=False, group_size=4, mse_clip=True),
+], ids=["sym3", "asym4_g4_clip"])
+def test_codes_invariant_under_power_of_two_scaling(rng, spec):
+    # a power of two scales every range, scale and rounding error exactly, so the
+    # codes do not depend on the weights' magnitude
+    w = rng.normal(size=(6, 16))
+    codes, _ = _round_trip(w, spec)
+    for k in (-60, -45, -30, 30, 45, 60):
+        assert np.array_equal(_round_trip(w * 2.0 ** k, spec)[0], codes), k
 
 
 def test_group_size_must_divide():

@@ -9,8 +9,8 @@ from scipy.special import ndtr
 from snrq import (
     BudgetExceeded, GridSpec, InvalidSpec, NonFinite, SeededRng, cholesky, fit_grid, snrq_greedy,
 )
-from snrq.grid import levels
 from snrq.oracle import (
+    levels,
     DitherSetup,
     alpha_grid_scan,
     dither_experiment,

@@ -12,6 +12,7 @@ import pytest
 
 from snrq import AlphaStrategy, GridSpec, InvalidSpec, NonFinite, SolverConfig, read_matrix, write_matrix
 from snrq import pipeline
+from snrq.grid import dequantize
 from snrq.oracle import sampling_variance_sweep
 from snrq.pipeline import (
     STREAM_CALIBRATION,
@@ -285,6 +286,15 @@ def test_report_determinism_and_artifacts(tmp_path):
     assert report_file["determinism_hash"] == r1["determinism_hash"]
 
 
+def test_hash_does_not_depend_on_whether_a_run_wrote_files(tmp_path):
+    # the layer records of a run with an out_dir name their files; the hash
+    # leaves those names out, as it leaves out the out_dir itself
+    cfg = small_config(network=NetworkConfig.chain(depth=2, width=8))
+    wrote = quantize_network(replace(cfg, out_dir=str(tmp_path)))
+    assert wrote["layers"][0]["codes_file"] == "layer_00_codes.snrqmat"
+    assert quantize_network(cfg)["determinism_hash"] == wrote["determinism_hash"]
+
+
 def test_config_roundtrip_and_unknown_keys():
     cfg = small_config()
     d = asdict(cfg)
@@ -498,9 +508,9 @@ def test_carried_batches_equal_prefix_replay(monkeypatch, depth, nonlinearity, m
         batches.append(batch)
         return accumulate_stats(batch, *args)
 
-    def recording_solve(*args):
-        result = solve_layer(*args)
-        dequants.append(result.q_dequant)
+    def recording_solve(w, batch, m_alpha, fact, params, config):
+        result = solve_layer(w, batch, m_alpha, fact, params, config)
+        dequants.append(dequantize(result.codes, params))
         return result
 
     monkeypatch.setattr(pipeline, "accumulate_stats", recording_stats)

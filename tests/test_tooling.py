@@ -1,5 +1,6 @@
 """The benchmark (perfbench/) still resolves every traced function and loads every workload;
-the package keeps to its declared dependencies; the README's library example runs."""
+the package keeps to its declared dependencies; the README's library example runs, and
+its CLI lines and config block parse."""
 
 import ast
 import importlib
@@ -25,7 +26,7 @@ from snrq import (
     order_and_factor,
     snrq_greedy,
 )
-from snrq import grid, pipeline, solvers
+from snrq import cli, grid, pipeline, solvers
 from snrq.pipeline import RunConfig, quantize_network
 from snrq.solvers import RoundResult
 
@@ -188,6 +189,19 @@ def test_runtime_dependencies_are_numpy_only():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert [dep.split(">")[0].split("=")[0] for dep in project["dependencies"]] == ["numpy"]
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+def test_readme_cli_lines_and_config_block_parse():
+    text = (ROOT / "README.md").read_text()
+    argvs = [line.split()[1:] for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.S | re.M)
+             for line in block.splitlines() if line.startswith("snrq ")]
+    assert len(argvs) >= 7
+    parser = cli.build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)  # a line that does not parse raises cli.UsageError
+    configs = re.findall(r"^```json\n(.*?)^```", text, flags=re.S | re.M)
+    assert len(configs) == 1
+    RunConfig.from_dict(json.loads(configs[0]))
 
 
 def test_readme_library_example_runs():
