@@ -51,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config(path: str, overrides: dict) -> RunConfig:
+def _load_config(path: str, seed: int | None) -> RunConfig:
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"config file not found: {path}")
@@ -67,8 +67,7 @@ def _load_config(path: str, overrides: dict) -> RunConfig:
             cfg = replace(cfg, network=network)
     except InvalidSpec as e:
         raise UsageError(f"config file {path}: {e}") from None
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **updates) if updates else cfg
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def _check_out(out: str | None) -> None:
@@ -162,8 +161,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_quantize(args) -> int:
-    cfg = _load_config(args.config, {"seed": args.seed, "out_dir": args.out_dir})
-    _emit(quantize_network(cfg), None)
+    _emit(quantize_network(_load_config(args.config, args.seed), args.out_dir), None)
     return 0
 
 
@@ -277,13 +275,13 @@ def _cmd_variance_sweep(args) -> int:
 
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
-    cfg = _load_config(args.config, {"seed": args.seed})
+    cfg = _load_config(args.config, args.seed)
     _emit(sampling_variance_sweep(cfg, args.repeats), args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config, {"seed": args.seed})
+    cfg = _load_config(args.config, args.seed)
     values = _parse_values(args.values)
     if not values:
         raise UsageError("--values needs at least one value")

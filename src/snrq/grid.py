@@ -96,7 +96,11 @@ def _fit_cells(vmin: np.ndarray, vmax: np.ndarray, spec: GridSpec) -> GridParams
     if spec.symmetric:
         scale = np.maximum(-vmin, vmax) / spec.code_max
     else:
-        scale = (vmax - vmin) / (spec.num_levels - 1)
+        steps = spec.num_levels - 1
+        with np.errstate(over="ignore"):
+            scale = (vmax - vmin) / steps
+        # split only a range that overflows: elsewhere the split moves last bits
+        scale = np.where(np.isinf(scale), vmax / steps - vmin / steps, scale)
     scale[scale == 0.0] = _DEGENERATE_SCALE
     zeros = np.zeros(vmin.shape, dtype=np.int32)
     if not spec.symmetric:

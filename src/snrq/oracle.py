@@ -216,7 +216,10 @@ def _fit_cell(values: np.ndarray, spec: GridSpec) -> tuple[float, int]:
     if spec.symmetric:
         scale = max(-vmin, vmax) / spec.code_max
     else:
-        scale = (vmax - vmin) / (spec.num_levels - 1)
+        steps = spec.num_levels - 1
+        scale = (vmax - vmin) / steps
+        if math.isinf(scale):  # the range overflows: split it
+            scale = vmax / steps - vmin / steps
     if scale == 0.0:
         scale = _DEGENERATE_SCALE
     return scale, _zero_for(vmin, scale, spec)
@@ -529,8 +532,7 @@ def sampling_variance_sweep(pipeline_config, n_repeats: int) -> dict:
     for name, strategy in modes.items():
         vals = []
         for rep in range(n_repeats):
-            cfg = replace(pipeline_config, alpha=strategy, seed=pipeline_config.seed + rep,
-                          out_dir=None)
+            cfg = replace(pipeline_config, alpha=strategy, seed=pipeline_config.seed + rep)
             report = pipeline.quantize_network(cfg)
             vals.append(sum(rec["proxy_loss"] for rec in report["layers"]))
         arr = np.array(vals)

@@ -15,7 +15,7 @@ same float operations run in the same order as the prefix replay of
 ``forward_collect``, so every batch is bit-identical to it.
 
 All randomness flows from the single config seed through fixed stream ids,
-so identical configs produce byte-identical reports modulo timing fields at a
+so identical configs produce byte-identical reports apart from ``timing`` at a
 fixed BLAS thread count (on the benchmark workloads, also across thread counts).
 """
 
@@ -67,7 +67,6 @@ __all__ = [
     "quantize_network",
     "sweep",
     "sweep_config",
-    "strip_timing",
     "determinism_hash",
     "json_text",
 ]
@@ -78,13 +77,10 @@ STREAM_CALIBRATION = 2000
 STREAM_HELDOUT = 3000
 STREAM_ALPHA = 4000
 
-TIMING_KEYS = frozenset({"solve_ms", "total_ms", "wall_ms"})
-
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 # the layer files a quantize run writes, and removes from its out_dir first
 LAYER_FILE = re.compile(r"layer_[0-9]+_(codes|dequant)\.snrqmat")
-LAYER_FILE_KEYS = frozenset({"codes_file", "dequant_file"})  # a layer record's file names
 
 NONLINEARITIES = ("none", "relu")
 
@@ -155,7 +151,6 @@ class RunConfig:
     damping: float = 0.01
     gptaq_alpha: float = 0.25
     seed: int = 0
-    out_dir: str | None = None
 
     def __post_init__(self):
         require_finite("damping", self.damping)
@@ -163,8 +158,6 @@ class RunConfig:
             raise InvalidSpec(f"damping must be >= 0, got {self.damping!r}")
         require_finite("gptaq_alpha", self.gptaq_alpha)
         require_int("seed", self.seed)
-        if self.out_dir is not None and not isinstance(self.out_dir, str):
-            raise InvalidSpec(f"out_dir must be a string or null, got {self.out_dir!r}")
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -178,7 +171,7 @@ class RunConfig:
                     "calibration": CalibrationConfig, "network": NetworkConfig}
         if not isinstance(d, dict):
             raise InvalidSpec(f"config must be a JSON object, got {type(d).__name__}")
-        scalars = ("damping", "gptaq_alpha", "seed", "out_dir")
+        scalars = ("damping", "gptaq_alpha", "seed")
         unknown = set(d) - set(sections) - set(scalars)
         if unknown:
             raise InvalidSpec(f"unknown config keys: {sorted(unknown)}")
@@ -343,20 +336,17 @@ def _require_finite(where: str, values: dict) -> None:
 # overflow and NaN surface as a non-finite layer or end-to-end value, which
 # raises NonFinite; numpy's warnings would only repeat that on stderr
 @np.errstate(over="ignore", invalid="ignore")
-def quantize_network(config: RunConfig) -> dict:
+def quantize_network(config: RunConfig, out_dir: str | Path | None = None) -> dict:
     """Build the network of ``config``, quantize its layers in order, return the report.
 
     The layers are built first, by ``synth_network(config.network,
     config.seed)``, so the report's config is the one its layers came from.
 
-    When ``config.out_dir`` is set, per-layer code/dequant matrices and the
-    report JSON are also written there (codes as the i32 binary variant). A
-    ``report.json`` and any ``layer_<digits>_codes.snrqmat`` or
-    ``layer_<digits>_dequant.snrqmat`` already there are removed before
-    layer 0, and other files are left alone. So a failed run leaves no
-    report, no earlier run's layer file outlives its report, and every layer
-    file is written as a new file (ext4 flushes a file on close after it was
-    truncated on open, which costs about 1 ms per rewritten file).
+    With ``out_dir`` the directory is created before layer 0, and the run's
+    files are written there only once its report is complete, by
+    :func:`_write_run`: a run that fails writes nothing. The report is the
+    same either way; its ``timing`` section (``layer_ms`` per layer and
+    ``total_ms``) holds its only values that are not deterministic.
 
     Each activation-sized array lives only while something reads it. A layer
     holds its carried pair plus the stage temporaries: the statistics'
@@ -369,30 +359,26 @@ def quantize_network(config: RunConfig) -> dict:
 
     A layer's codes are dequantized once, and that one array is the layer's
     values for the closed-form alpha, the student carry, the proxy, the
-    weight MSE and the dequant file. A finished layer is kept as its int32
-    codes and its grid, 4 B per weight, and its other per-layer arrays are
-    dropped before the next layer starts. The held-out student pass
-    dequantizes one layer at a time, with the same :func:`dequantize`.
+    weight MSE. A finished layer is kept as its int32 codes and its grid,
+    4 B per weight, and its other per-layer arrays are dropped before the
+    next layer starts. The held-out student pass and the dequant files
+    dequantize one layer at a time, with the same :func:`dequantize`.
 
     Raises ShapeMismatch when the weight files do not fit
     ``config.network.dims``; InvalidSpec, before any layer runs, when
     ``group_size`` does not divide a layer's input width; and NonFinite,
-    before the report is written, when a layer's proxy loss, weight MSE or
+    before any file is written, when a layer's proxy loss, weight MSE or
     activation error, or an end-to-end MSE, is not finite.
     """
     t_start = time.perf_counter()
     layers = synth_network(config.network, config.seed)
-    for l, w in enumerate(layers):  # every layer's width, before a layer runs or writes
+    for l, w in enumerate(layers):  # every layer's width, before a layer runs
         try:
             config.grid.groups_for(w.shape[1])
         except InvalidSpec as e:
             raise InvalidSpec(f"layer {l}: {e}") from None
-    out_dir = Path(config.out_dir) if config.out_dir else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for path in out_dir.iterdir():
-            if path.name == "report.json" or LAYER_FILE.fullmatch(path.name):
-                path.unlink(missing_ok=True)
+    if out_dir is not None:  # a path that cannot be a directory fails before any work
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
 
     seed, depth, input_dim = config.seed, len(layers), layers[0].shape[1]
     n_seq, distribution = config.calibration.n_sequences, config.calibration.distribution
@@ -401,7 +387,7 @@ def quantize_network(config: RunConfig) -> dict:
     xf = xq = _draw_inputs(input_dim, n_seq, SeededRng(seed, STREAM_CALIBRATION), distribution)
 
     finished = []  # (codes, grid) of each quantized layer; dequantized again only when read
-    records = []
+    records, layer_ms = [], []
     alpha = float(config.alpha.alpha_value)  # fixed mode's weight, and closed_form's for layer 0
     for l, w in enumerate(layers):
         t_layer = time.perf_counter()
@@ -434,7 +420,7 @@ def quantize_network(config: RunConfig) -> dict:
         # arrays, so a batch kept by a caller never changes
         xf = _carry(w, xf, last, nonlinearity)
         xq = _carry(q, xq, last, nonlinearity)
-        solve_ms = (time.perf_counter() - t_layer) * 1e3
+        layer_ms.append((time.perf_counter() - t_layer) * 1e3)
 
         proxy = float(np.sum(proxy_row_scores(q, m_alpha, fact)))
         record = {
@@ -444,17 +430,9 @@ def quantize_network(config: RunConfig) -> dict:
             "proxy_loss": proxy,
             "weight_mse": _mean_of(w, q, np.square),
             "mean_activation_error": activation_error,
-            "solve_ms": solve_ms,
         }
         _require_finite(f"layer {l}", {k: record[k] for k in (
             "proxy_loss", "weight_mse", "mean_activation_error")})
-        if out_dir is not None:
-            codes_file = f"layer_{l:02d}_codes.snrqmat"
-            deq_file = f"layer_{l:02d}_dequant.snrqmat"
-            write_matrix(out_dir / codes_file, result.codes, dtype="i32")
-            write_matrix(out_dir / deq_file, q, dtype="f64")
-            record["codes_file"] = codes_file
-            record["dequant_file"] = deq_file
         records.append(record)
         finished.append((result.codes, params))
         del result, q, m_alpha, fact  # not read again; the next layer allocates its own
@@ -480,12 +458,33 @@ def quantize_network(config: RunConfig) -> dict:
         "config": json.loads(json_text(asdict(config))),  # as report.json states it
         "layers": records,
         "end_to_end": end_to_end,
-        "total_ms": (time.perf_counter() - t_start) * 1e3,
+        "timing": {"layer_ms": layer_ms, "total_ms": (time.perf_counter() - t_start) * 1e3},
     }
     report["determinism_hash"] = determinism_hash(report)
     if out_dir is not None:
-        (out_dir / "report.json").write_text(json_text(report) + "\n")
+        _write_run(Path(out_dir), report, finished)
     return report
+
+
+def _write_run(out_dir: Path, report: dict, finished) -> None:
+    """Write a finished run into ``out_dir``: its layer files, then ``report.json``.
+
+    The report is serialized first, so a report that ``json_text`` refuses
+    leaves the directory as it was. Then the ``report.json`` and the
+    :data:`LAYER_FILE` matches already there are removed (other files stay),
+    so no earlier run's layer file outlives its report, and each layer file
+    is written as a new file: ext4 flushes a file on close after it was
+    truncated on open, about 1 ms per rewritten file. Codes are written as
+    i32 and ``dequantize(codes, grid)`` as f64.
+    """
+    text = json_text(report)
+    for path in out_dir.iterdir():
+        if path.name == "report.json" or LAYER_FILE.fullmatch(path.name):
+            path.unlink(missing_ok=True)
+    for l, (codes, params) in enumerate(finished):
+        write_matrix(out_dir / f"layer_{l:02d}_codes.snrqmat", codes, dtype="i32")
+        write_matrix(out_dir / f"layer_{l:02d}_dequant.snrqmat", dequantize(codes, params), dtype="f64")
+    (out_dir / "report.json").write_text(text + "\n")
 
 
 def _plain(obj):
@@ -503,28 +502,16 @@ def json_text(payload) -> str:
         raise NonFinite(f"refusing to write non-standard JSON: {e}") from None
 
 
-def strip_timing(obj):
-    """Recursively drop timing fields (they never enter the determinism hash)."""
-    if isinstance(obj, dict):
-        return {k: strip_timing(v) for k, v in obj.items() if k not in TIMING_KEYS}
-    if isinstance(obj, list):
-        return [strip_timing(v) for v in obj]
-    return obj
-
-
 def determinism_hash(report: dict) -> str:
-    core = strip_timing({k: v for k, v in report.items() if k != "determinism_hash"})
-    # file locations are IO details, not scientific inputs: the layer files a
-    # run wrote, the output directory, and the weight files, whose contents
-    # the layer records hold
-    if "layers" in core:
-        core["layers"] = [{k: v for k, v in rec.items() if k not in LAYER_FILE_KEYS}
-                          for rec in core["layers"]]
-    if isinstance(core.get("config"), dict):
-        config = {k: v for k, v in core["config"].items() if k != "out_dir"}
-        if isinstance(config.get("network"), dict):
-            config["network"] = {k: v for k, v in config["network"].items() if k != "weight_paths"}
-        core["config"] = config
+    """sha256 of a report without its ``timing``, its hash and ``config.network.weight_paths``.
+
+    Where the weight files were read from is no scientific input; their
+    contents are in the layer records.
+    """
+    core = {k: v for k, v in report.items() if k not in ("timing", "determinism_hash")}
+    config = core["config"]
+    core["config"] = dict(config, network={k: v for k, v in config["network"].items()
+                                           if k != "weight_paths"})
     blob = json.dumps(core, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -564,7 +551,7 @@ def sweep(config: RunConfig, axis: str, values) -> dict:
         raise InvalidSpec("sweep needs at least one value")
     rows = []
     for v in values:
-        cfg = replace(sweep_config(config, axis, v), out_dir=None)
+        cfg = sweep_config(config, axis, v)
         t0 = time.perf_counter()
         report = quantize_network(cfg)
         wall_ms = (time.perf_counter() - t0) * 1e3

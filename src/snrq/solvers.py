@@ -197,22 +197,25 @@ def _kernel_bytes(m: int, n: int, k: int, bsz: int, spec: GridSpec) -> int:
     The loop holds the ordered target (8 B per m x n entry); the unit-lower
     factor (8 B per n x n entry), whose broadcast division takes numpy's
     ufunc buffer of up to ``np.getbufsize()`` float64 entries; the gathered
-    grid on grouped grids only (20 B per m x n entry: float64 scales and zero
-    points, and the int32 gather the zero points are converted from;
-    per-channel grids are views); and the state of all m*K beams, which are
-    live at once. Per beam: the difference/code tails (12 B x n) plus the
-    tail-sized temporary of the end-of-block ancestor gather (8 B x n); the
-    block buffers, correction and their row gathers (32 B x B); the candidate
-    values, scores and sort order (24 B x W, W = min(K, A) + 1); and 64 B of
-    per-beam vectors. After the loop the call holds the ordered target and
-    two int32 code arrays, 16 B per weight, below the loop's 8 B + 20 K B, so
-    the loop is the peak.
+    grid on grouped grids only (16 B per m x n entry: float64 scales and zero
+    points; the int32 gather the zero points are converted from is freed
+    before the loop, and per-channel grids are views); and the state of all
+    m*K beams, which are live at once. Per beam: the difference/code tails
+    (12 B x n) and the block buffers and correction (20 B x B). With K > 1
+    also the tail-sized temporary of the end-of-block ancestor gather
+    (8 B x n), the block buffers' row gathers (12 B x B), and the candidate
+    values, scores and sort order (24 B x W, W = min(K, A) + 1). Each beam
+    also holds 64 B of vectors, at K = 1 those of the column's rounding.
+    The loop's state is freed before the codes are gathered, so after the
+    loop the call holds the ordered target and two int32 code arrays, 16 B
+    per weight, below the loop's 8 B of target plus 12 B of tails per beam.
     """
     b = min(bsz, n)
     width = min(k, spec.num_levels) + 1
-    grid = 20 if spec.group_size else 0
+    grid = 16 if spec.group_size else 0
     factor = 8 * (n * n + min(n * n, np.getbufsize()))
-    return m * n * (8 + grid) + factor + m * k * (20 * n + 32 * b + 24 * width + 64)
+    gathers = 8 * n + 12 * b + 24 * width if k > 1 else 0  # K = 1 gathers and sorts nothing
+    return m * n * (8 + grid) + factor + m * k * (12 * n + 20 * b + 64 + gathers)
 
 
 def _keep_best(s, center, scale, zero, cost, spec):
@@ -322,9 +325,10 @@ def _successive_round(mp, fact, params, cfg, k) -> RoundResult:
         tail_d[:, start:i] = bd
         tail_c[:, start:i] = bc
         i = start
-    codes_p = tail_c[base[:, 0] + np.argmin(s, axis=1)]
     # free the layer-wide state before the result allocates, as _kernel_bytes assumes
-    del lu, scale_p, zero_p, tail_d, tail_c
+    del lu, scale_p, zero_p, tail_d, bd, bc, t_corr
+    codes_p = tail_c[base[:, 0] + np.argmin(s, axis=1)]
+    del tail_c
     codes = np.empty_like(codes_p)
     codes[:, perm] = codes_p
     return RoundResult(codes, np.min(s, axis=1))

@@ -42,14 +42,15 @@ def row_digests(codes) -> str:
 def run_workload(config: dict, seed: int) -> dict:
     """The golden entry of one workload config at one seed."""
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = RunConfig.from_dict(dict(config, seed=seed, out_dir=tmp))
-        report = quantize_network(cfg)
+        report = quantize_network(RunConfig.from_dict(dict(config, seed=seed)), tmp)
         layers = []
-        for rec in report["layers"]:
+        for l, rec in enumerate(report["layers"]):
             entry = {"proxy_loss": rec["proxy_loss"]}
-            for key in ("codes_file", "dequant_file"):
-                entry[key] = hashlib.sha256((Path(tmp) / rec[key]).read_bytes()).hexdigest()
-            entry["code_rows"] = row_digests(read_matrix(Path(tmp) / rec["codes_file"]))
+            files = {key: Path(tmp) / f"layer_{l:02d}_{kind}.snrqmat"
+                     for key, kind in (("codes_file", "codes"), ("dequant_file", "dequant"))}
+            for key, path in files.items():
+                entry[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+            entry["code_rows"] = row_digests(read_matrix(files["codes_file"]))
             layers.append(entry)
     return {"layers": layers, "heldout_output_mse": report["end_to_end"]["heldout_output_mse"]}
 

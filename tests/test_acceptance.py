@@ -51,7 +51,6 @@ from snrq.pipeline import (
     RunConfig,
     determinism_hash,
     quantize_network,
-    strip_timing,
 )
 
 from conftest import act_order_factor, natural, random_batch, random_spd
@@ -402,12 +401,10 @@ def test_c14_determinism(tmp_path):
         network=NetworkConfig.chain(depth=3, width=96),
         seed=5,
     )
-    r1 = quantize_network(replace(cfg, out_dir=str(tmp_path / "a")))
-    r2 = quantize_network(replace(cfg, out_dir=str(tmp_path / "b")))
-    s1 = json.dumps(strip_timing({k: v for k, v in r1.items()
-                                  if k not in ("determinism_hash", "config")}), sort_keys=True)
-    s2 = json.dumps(strip_timing({k: v for k, v in r2.items()
-                                  if k not in ("determinism_hash", "config")}), sort_keys=True)
+    r1 = quantize_network(cfg, tmp_path / "a")
+    r2 = quantize_network(cfg, tmp_path / "b")
+    s1 = json.dumps({k: v for k, v in r1.items() if k != "timing"}, sort_keys=True)
+    s2 = json.dumps({k: v for k, v in r2.items() if k != "timing"}, sort_keys=True)
     byte_identical = s1 == s2 and r1["determinism_hash"] == determinism_hash(r2)
     same_codes = (
         (tmp_path / "a" / "layer_00_codes.snrqmat").read_bytes()

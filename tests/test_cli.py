@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import snrq
 from snrq import CalibBatch, GridSpec, SeededRng, cholesky, cli, fit_grid, oracle, pipeline
 from snrq.cli import cli_main
-from snrq.matio import read_matrix, write_matrix
+from snrq.matio import write_matrix
 from snrq.oracle import DitherSetup, alpha_grid_scan, dither_experiment, exhaustive_row, levels
 
 
@@ -131,12 +131,12 @@ def test_synth_then_quantize_roundtrip(tmp_path, capsys):
                        "--out-dir", str(out_dir))
     assert code == 0
     report = json.loads((out_dir / "report.json").read_text())
-    assert report["version"] == 2
-    assert {"layers", "end_to_end", "config", "determinism_hash", "tool"} <= set(report)
-    assert len(report["layers"]) == 2
-    for rec in report["layers"]:
-        assert (out_dir / rec["codes_file"]).is_file()
-        assert (out_dir / rec["dequant_file"]).is_file()
+    assert report["version"] == 3
+    assert {"layers", "end_to_end", "config", "determinism_hash", "tool", "timing"} <= set(report)
+    assert len(report["layers"]) == len(report["timing"]["layer_ms"]) == 2
+    for l, rec in enumerate(report["layers"]):
+        assert (out_dir / f"layer_{l:02d}_codes.snrqmat").is_file()
+        assert (out_dir / f"layer_{l:02d}_dequant.snrqmat").is_file()
         assert rec["proxy_loss"] >= 0.0
 
 
@@ -264,13 +264,16 @@ def test_bad_top_level_scalar_is_usage_error(tmp_path, capsys, entry):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("out_dir", [5, ["a"], True], ids=["int", "list", "bool"])
+@pytest.mark.parametrize("out_dir", [5, ["a"], True, "run", None],
+                         ids=["int", "list", "bool", "str", "null"])
 def test_out_dir_of_wrong_type_is_usage_error(tmp_path, capsys, out_dir):
+    # the output directory is the --out-dir argument, not part of the run's
+    # config: an out_dir key in a config file, of any type, is an unknown key
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"network": {"depth": 1, "width": 4}, "out_dir": out_dir}))
     code, out, err = run(capsys, "quantize", "--config", str(p))
     assert code == 1
-    assert err.startswith("usage error:") and "out_dir" in err and "Traceback" not in err
+    assert err == f"usage error: config file {p}: unknown config keys: ['out_dir']\n"
     assert out == ""
 
 
@@ -800,7 +803,7 @@ _CONFIG_VALUES = {
                 "nonlinearity": ["relu", "none"], "weight_paths": [None]},
 }
 _SCALAR_VALUES = {"damping": [0.0, 0.01, 1e300], "gptaq_alpha": [0.25, -1e300],
-                  "seed": [0, 3], "out_dir": [None, "run"]}
+                  "seed": [0, 3]}
 _any_json = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 9), st.sampled_from([0.5, -1.0, 1e300]),
     st.sampled_from(["", "x", "sample", "snrq_lazy", "relu"]),
@@ -858,16 +861,16 @@ def test_quantize_of_an_accepted_config_exits_0_1_2_with_standard_json(d):
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         Path("cfg.json").write_text(json.dumps(d))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_main(["quantize", "--config", "cfg.json"])
+            code = cli_main(["quantize", "--config", "cfg.json", "--out-dir", "run"])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         if code == 0:
             report = _strict_json(out.getvalue())
             assert report["determinism_hash"] == pipeline.determinism_hash(report)
-            if cfg.out_dir is not None:
-                assert _strict_json(Path("run", "report.json").read_text()) == report
-        else:
+            assert _strict_json(Path("run", "report.json").read_text()) == report
+        else:  # a run that fails writes nothing
             assert out.getvalue() == ""
+            assert not Path("run").exists() or not any(Path("run").iterdir())
 
 
 def _extreme_layers(dims, exponents, seed):
@@ -934,14 +937,15 @@ def test_quantize_of_extreme_weight_files_exits_0_or_2_with_standard_json(run_ca
 
 
 def test_failed_run_leaves_no_stale_report(tmp_path, capsys):
-    # a report from an earlier run in the same directory must not describe
-    # layer files that a later, failed run has overwritten
+    # a run that fails at layer 1 into the directory of an earlier run leaves
+    # every file there as it was: the files are written only once a run succeeds
     out_dir = tmp_path / "run"
     small = tmp_path / "small.json"
     small.write_text(json.dumps({"calibration": {"n_sequences": 16},
                                  "network": {"depth": 1, "width": 4}}))
     assert run(capsys, "quantize", "--config", str(small), "--out-dir", str(out_dir))[0] == 0
-    assert (out_dir / "report.json").exists()
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert sorted(before) == ["layer_00_codes.snrqmat", "layer_00_dequant.snrqmat", "report.json"]
 
     rng = np.random.default_rng(0)
     write_matrix(tmp_path / "w0.snrqmat", rng.normal(size=(8, 8)), dtype="f64")
@@ -950,9 +954,9 @@ def test_failed_run_leaves_no_stale_report(tmp_path, capsys):
     big.write_text(json.dumps({"calibration": {"n_sequences": 16},
                                "network": {"dims": [8, 8, 8],
                                            "weight_paths": ["w0.snrqmat", "w1.snrqmat"]}}))
-    assert run(capsys, "quantize", "--config", str(big), "--out-dir", str(out_dir))[0] == 2
-    assert read_matrix(out_dir / "layer_00_codes.snrqmat").shape == (8, 8)
-    assert not (out_dir / "report.json").exists()
+    code, _, err = run(capsys, "quantize", "--config", str(big), "--out-dir", str(out_dir))
+    assert code == 2 and err.startswith("error: layer 1:"), err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
 def test_rerun_leaves_only_its_own_layer_files(tmp_path, capsys):

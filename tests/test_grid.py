@@ -1,6 +1,7 @@
 """Grid fitting, nearest-level rounding, dequantization."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from snrq import GridSpec, InvalidSpec, fit_grid, grid
 from snrq.grid import column_grid, dequantize, round_to_grid
 from snrq.oracle import fit_grid_reference, levels
+from snrq.solvers import rtn_round
 
 from conftest import same_bits
 
@@ -65,6 +67,24 @@ def test_constant_and_one_signed_cells_round_trip(bits, symmetric):
     w = np.array([[1.0, 3.0]])
     codes, values = _round_trip(w, GridSpec(bits=2, symmetric=False))
     assert np.array_equal(values, w) and np.array_equal(codes, [[1, 3]])
+
+
+@pytest.mark.parametrize("mse_clip", [False, True])
+def test_asymmetric_cell_whose_range_overflows_has_a_finite_scale(mse_clip):
+    # vmax - vmin overflows for the first row; its scale is vmax/15 - vmin/15,
+    # finite, so the row still dequantizes to finite values
+    w = np.array([[-1e308, 1e308, 5.0, -3.0], [1e308] * 4])
+    spec = GridSpec(bits=4, symmetric=False, mse_clip=mse_clip)
+    # the clip search's squared errors overflow as well; only the fit without it is warning-free
+    with warnings.catch_warnings(), np.errstate(over="ignore" if mse_clip else "raise"):
+        warnings.simplefilter("error")
+        params = fit_grid(w, spec)
+        ref = fit_grid_reference(w, spec)
+    assert np.all(np.isfinite(params.scales))
+    assert same_bits(params.scales, ref.scales) and same_bits(params.zero_points, ref.zero_points)
+    with np.errstate(over="ignore"):  # rtn_round's squared-error score overflows
+        codes = rtn_round(w, params).codes
+    assert np.all(np.isfinite(dequantize(codes, params)))
 
 
 @pytest.mark.parametrize("spec", [

@@ -25,7 +25,6 @@ from snrq.pipeline import (
     forward_collect,
     json_text,
     quantize_network,
-    strip_timing,
     sweep,
     sweep_config,
     synth_network,
@@ -126,8 +125,7 @@ def test_layer_one_codes_identical_across_alpha_modes(tmp_path):
         "sampled": AlphaStrategy(mode="sampled", beta_lambda=5.0),
         "closed": AlphaStrategy(mode="closed_form", alpha_value=0.5),
     }.items():
-        cfg = small_config(alpha=strat, out_dir=str(tmp_path / mode))
-        quantize_network(cfg)
+        quantize_network(small_config(alpha=strat), tmp_path / mode)
         codes[mode] = read_matrix(tmp_path / mode / "layer_00_codes.snrqmat")
     ref = codes["fixed0"]
     for mode, arr in codes.items():
@@ -269,30 +267,32 @@ def test_cd_passes_reduce_proxy():
     assert p2 <= p0 + 1e-12
 
 
+def without_timing(report: dict) -> dict:
+    return {k: v for k, v in report.items() if k != "timing"}
+
+
 def test_report_determinism_and_artifacts(tmp_path):
-    cfg = small_config(out_dir=str(tmp_path / "a"))
-    r1 = quantize_network(cfg)
-    r2 = quantize_network(replace(cfg, out_dir=str(tmp_path / "b")))
+    cfg = small_config()
+    r1 = quantize_network(cfg, tmp_path / "a")
+    r2 = quantize_network(cfg, tmp_path / "b")
     assert r1["determinism_hash"] == determinism_hash(r2)
-    s1 = json.dumps(strip_timing({k: v for k, v in r1.items() if k != "determinism_hash"}),
-                    sort_keys=True)
-    s2 = json.dumps(strip_timing({k: v for k, v in r2.items() if k != "determinism_hash"}),
-                    sort_keys=True)
-    assert s1.replace(str(tmp_path / "a"), "") == s2.replace(str(tmp_path / "b"), "")
+    assert without_timing(r1) == without_timing(r2)
+    assert set(r1["timing"]) == {"layer_ms", "total_ms"}
+    assert len(r1["timing"]["layer_ms"]) == len(r1["layers"])
     codes_a = (tmp_path / "a" / "layer_00_codes.snrqmat").read_bytes()
     codes_b = (tmp_path / "b" / "layer_00_codes.snrqmat").read_bytes()
     assert codes_a == codes_b
     report_file = json.loads((tmp_path / "a" / "report.json").read_text())
-    assert report_file["determinism_hash"] == r1["determinism_hash"]
+    assert report_file == json.loads(json_text(r1))
 
 
 def test_hash_does_not_depend_on_whether_a_run_wrote_files(tmp_path):
-    # the layer records of a run with an out_dir name their files; the hash
-    # leaves those names out, as it leaves out the out_dir itself
+    # the report is the same whether or not the run wrote files, apart from
+    # its timing section, which the hash leaves out
     cfg = small_config(network=NetworkConfig.chain(depth=2, width=8))
-    wrote = quantize_network(replace(cfg, out_dir=str(tmp_path)))
-    assert wrote["layers"][0]["codes_file"] == "layer_00_codes.snrqmat"
-    assert quantize_network(cfg)["determinism_hash"] == wrote["determinism_hash"]
+    wrote = quantize_network(cfg, tmp_path)
+    assert (tmp_path / "layer_01_codes.snrqmat").is_file()
+    assert without_timing(quantize_network(cfg)) == without_timing(wrote)
 
 
 def test_config_roundtrip_and_unknown_keys():
@@ -449,12 +449,8 @@ def test_pipeline_snrq_equals_gptq_at_alpha_zero(tmp_path):
         damping=0.0,
         seed=3,
     )
-    quantize_network(replace(base, out_dir=str(tmp_path / "s")))
-    quantize_network(replace(
-        base,
-        solver=SolverConfig(solver="gptq", act_order=True),
-        out_dir=str(tmp_path / "g"),
-    ))
+    quantize_network(base, tmp_path / "s")
+    quantize_network(replace(base, solver=SolverConfig(solver="gptq", act_order=True)), tmp_path / "g")
     for l in range(3):
         a = read_matrix(tmp_path / "s" / f"layer_{l:02d}_codes.snrqmat")
         b = read_matrix(tmp_path / "g" / f"layer_{l:02d}_codes.snrqmat")
@@ -650,10 +646,10 @@ def test_json_text_refuses_non_finite_values():
 def test_report_errors_match_the_plain_expressions_bit_for_bit(tmp_path, nonlinearity):
     # the report's error means use one difference array each and reused forward
     # buffers; they equal the plain expressions over fresh arrays bit for bit
-    cfg = small_config(network=NetworkConfig(dims=(6, 9, 5, 8), nonlinearity=nonlinearity),
-                       out_dir=str(tmp_path))
-    report = quantize_network(cfg)
-    dequants = [read_matrix(tmp_path / rec["dequant_file"]) for rec in report["layers"]]
+    cfg = small_config(network=NetworkConfig(dims=(6, 9, 5, 8), nonlinearity=nonlinearity))
+    report = quantize_network(cfg, tmp_path)
+    dequants = [read_matrix(tmp_path / f"layer_{l:02d}_dequant.snrqmat")
+                for l in range(len(report["layers"]))]
 
     def forward(layers, x):
         inputs = []

@@ -308,14 +308,13 @@ CHARGE_CASES = [
     (128, 128, 4, 32, True, 32), (200, 96, 1, 32, True, 32),  # grouped grids are gathered
     # the factor and its ufunc buffer dominate
     (2, 512, 1, 32, True, 0), (2, 512, 2, 32, True, 0), (1, 384, 1, 32, True, 0),
+    # K = 1 with wide blocks: no beam is gathered, so the tails and block buffers dominate
+    (1024, 64, 1, 64, True, 0), (512, 128, 1, 128, True, 0), (256, 256, 1, 256, True, 0),
 ]
 
 
-@pytest.mark.parametrize("m,n,k,bsz,act_order,group_size", CHARGE_CASES, ids=[
-    "-".join(map(str, case[:5])) + (f"-group{case[5]}" if case[5] else "") for case in CHARGE_CASES])
-def test_beam_memory_charge_bounds_measured_peak(rng, m, n, k, bsz, act_order, group_size):
-    # the charge covers the state of all m*K beams, which one pass holds at once;
-    # on the 3-bit grid, K = 8 and K = 16 make every one of the 2^3 levels a candidate
+def _kernel_peak(rng, m, n, k, bsz, act_order, group_size) -> tuple[int, int]:
+    """The traced peak of one ksnrq_beam call on an m x n layer, and its charge."""
     w, h, _, _ = layer_instance(rng, m=m, n=n)
     params = fit_grid(w, GridSpec(bits=3, symmetric=True, group_size=group_size))
     cfg = SolverConfig(act_order=act_order, beam_width=k, block_size=bsz)
@@ -327,8 +326,28 @@ def test_beam_memory_charge_bounds_measured_peak(rng, m, n, k, bsz, act_order, g
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    charge = _kernel_bytes(m, n, k, bsz, params.spec)
+    return peak, _kernel_bytes(m, n, k, bsz, params.spec)
+
+
+@pytest.mark.parametrize("m,n,k,bsz,act_order,group_size", CHARGE_CASES, ids=[
+    "-".join(map(str, case[:5])) + (f"-group{case[5]}" if case[5] else "") for case in CHARGE_CASES])
+def test_beam_memory_charge_bounds_measured_peak(rng, m, n, k, bsz, act_order, group_size):
+    # the charge covers the state of all m*K beams, which one pass holds at once;
+    # on the 3-bit grid, K = 8 and K = 16 make every one of the 2^3 levels a candidate
+    peak, charge = _kernel_peak(rng, m, n, k, bsz, act_order, group_size)
     assert peak <= charge <= 1.5 * peak
+
+
+@pytest.mark.parametrize("m,n,k,bsz", [(512, 64, 1, 32), (1024, 64, 1, 64), (512, 128, 1, 128),
+                                       (256, 64, 2, 32)])
+def test_grouped_grid_charge_matches_measured_gather(rng, m, n, k, bsz):
+    # a grouped grid's gathered scales and zero points against a per-channel
+    # grid's views: the charged difference per weight is the measured one
+    grouped, grouped_charge = _kernel_peak(rng, m, n, k, bsz, True, 32)
+    per_channel, per_channel_charge = _kernel_peak(rng, m, n, k, bsz, True, 0)
+    measured = (grouped - per_channel) / (m * n)
+    charged = (grouped_charge - per_channel_charge) / (m * n)
+    assert abs(charged - measured) <= 0.5, (charged, measured)
 
 
 def test_beam_exact_tie_keeps_lower_parent_and_level():
