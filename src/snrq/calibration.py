@@ -190,8 +190,3 @@ def closed_form_alpha(
         return float(default_alpha)
     raw = -float(np.sum(v)) / u_sq
     return float(np.clip(raw, 0.0, 1.0))
-
-
-# perfbench tracer only: the pipeline calls the closed-form weight by this
-# name, which the tracer wraps as calibration.alpha_schedule
-module_wise_alpha_schedule = closed_form_alpha

@@ -31,6 +31,7 @@ from .pipeline import (
     RunConfig,
     json_text,
     quantize_network,
+    sampling_variance_sweep,
     sweep,
     sweep_config,
     synth_network,
@@ -271,8 +272,6 @@ def _cmd_dither(args) -> int:
 
 
 def _cmd_variance_sweep(args) -> int:
-    from .oracle import sampling_variance_sweep
-
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     cfg = _load_config(args.config, args.seed)

@@ -138,8 +138,9 @@ def fit_grid(w: np.ndarray, spec: GridSpec) -> GridParams:
     best_err = np.full((m, n_groups), np.inf)
     chunk = min(len(_CLIP_RATIOS), max(1, _CLIP_CHUNK_ENTRIES // (m * n)))
     buf = np.empty((chunk,) + cells.shape)
-    for start in range(0, len(_CLIP_RATIOS), chunk):
-        _merge_clip_chunk(best, best_err, cells, cmin, cmax, _CLIP_RATIOS[start:start + chunk], buf)
+    with np.errstate(over="ignore"):  # an overflowing error is inf, and loses to every finite one
+        for start in range(0, len(_CLIP_RATIOS), chunk):
+            _merge_clip_chunk(best, best_err, cells, cmin, cmax, _CLIP_RATIOS[start:start + chunk], buf)
     return best
 
 

@@ -12,18 +12,19 @@ sides of its decomposition identity are computed from raw activations, the
 alpha scan evaluates that objective on a grid, and the dithering experiment
 estimates variances by plain Monte Carlo against the closed forms. The level
 enumeration these references and ``snrq oracle`` read (``levels``) lives here
-too.
+too. The module holds references only and imports nothing of the pipeline:
+the seed study that re-runs it, ``sampling_variance_sweep``, is a sweep of
+:mod:`snrq.pipeline`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import AlphaStrategy, CalibBatch, sample_folded_alphas
+from .calibration import CalibBatch
 from .errors import BudgetExceeded, InvalidSpec, NonFinite, ShapeMismatch
 from .grid import (
     _CLIP_RATIOS, _DEGENERATE_SCALE, GridParams, GridSpec, column_grid, dequantize, round_to_grid,
@@ -47,7 +48,6 @@ __all__ = [
     "decomposition_check",
     "alpha_grid_scan",
     "dither_experiment",
-    "sampling_variance_sweep",
 ]
 
 ENUMERATION_BUDGET = 10_000_000
@@ -232,6 +232,8 @@ def _zero_for(vmin: float, scale: float, spec: GridSpec) -> int:
     return int(np.clip(np.floor(-vmin / scale + 0.5), 0, spec.code_max))
 
 
+# an error that overflows is inf, which the clip search already ranks last
+@np.errstate(over="ignore")
 def _cell_mse(values: np.ndarray, scale: float, zero: int, spec: GridSpec) -> float:
     _, approx = round_to_grid(values, scale, zero, spec)
     return float(np.sum((values - approx) ** 2))
@@ -488,62 +490,3 @@ def dither_experiment(setup: DitherSetup, rng: SeededRng) -> DitherResult:
         se_smoothed_hat=_variance_se(smooth),
     )
 
-
-# ---------------------------------------------------------------------------
-# run-to-run variability of the end proxy loss
-# ---------------------------------------------------------------------------
-
-_ALPHA_MEAN_STREAM = 9001
-_ALPHA_MEAN_DRAWS = 100_000
-
-
-def folded_alpha_mean(beta_lambda: float, seed: int = 0) -> float:
-    """Monte Carlo estimate of E[min(b, 1-b)] for b ~ Beta(l, l)."""
-    rng = SeededRng(seed, _ALPHA_MEAN_STREAM)
-    return float(np.mean(sample_folded_alphas(_ALPHA_MEAN_DRAWS, beta_lambda, rng)))
-
-
-def sampling_variance_sweep(pipeline_config, n_repeats: int) -> dict:
-    """Run-to-run spread of the end proxy loss: fixed-at-mean vs sampled.
-
-    Re-runs the full toy-chain quantization ``n_repeats`` times per mode,
-    at seeds seed, seed + 1, ..., so each run resamples the network and the
-    calibration data. Reports mean and standard deviation of the total proxy
-    loss per mode; no hard ordering is asserted, the result just flags the
-    observed direction.
-    """
-    from . import pipeline  # deferred: the oracle is otherwise pipeline-free
-
-    if n_repeats < 1:
-        raise InvalidSpec(f"n_repeats must be >= 1, got {n_repeats}")
-    if n_repeats == 1:
-        warnings.warn("n_repeats == 1: standard deviations degenerate to 0", stacklevel=2)
-
-    lam = pipeline_config.alpha.beta_lambda
-    mean_alpha = folded_alpha_mean(lam, pipeline_config.seed)
-    modes = {
-        "fixed_at_mean": AlphaStrategy(mode="fixed", alpha_value=mean_alpha, beta_lambda=lam),
-        "sampled": AlphaStrategy(
-            mode="sampled", alpha_value=pipeline_config.alpha.alpha_value, beta_lambda=lam
-        ),
-    }
-
-    out: dict = {"n_repeats": n_repeats, "alpha_mean": mean_alpha, "modes": {}}
-    for name, strategy in modes.items():
-        vals = []
-        for rep in range(n_repeats):
-            cfg = replace(pipeline_config, alpha=strategy, seed=pipeline_config.seed + rep)
-            report = pipeline.quantize_network(cfg)
-            vals.append(sum(rec["proxy_loss"] for rec in report["layers"]))
-        arr = np.array(vals)
-        out["modes"][name] = {
-            "mean": float(arr.mean()),
-            # shifted by the first loss, so identical repeats give exactly 0
-            # (the mean of n equal floats need not equal them)
-            "std": float((arr - arr[0]).std(ddof=1)) if n_repeats > 1 else 0.0,
-            "losses": vals,
-        }
-    out["sampled_std_leq_fixed"] = bool(
-        out["modes"]["sampled"]["std"] <= out["modes"]["fixed_at_mean"]["std"]
-    )
-    return out

@@ -17,6 +17,10 @@ same float operations run in the same order as the prefix replay of
 All randomness flows from the single config seed through fixed stream ids,
 so identical configs produce byte-identical reports apart from ``timing`` at a
 fixed BLAS thread count (on the benchmark workloads, also across thread counts).
+
+A study is a set of runs of :func:`sweep_config` configs, each result read
+from its run's report: :func:`sweep` over one axis, and
+:func:`sampling_variance_sweep` over seeds for two alpha modes.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import json
 import math
 import re
 import time
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -36,7 +41,7 @@ from .calibration import (
     AlphaStrategy,
     CalibBatch,
     accumulate_stats,
-    module_wise_alpha_schedule,  # closed_form_alpha, under the name the perfbench tracer wraps
+    closed_form_alpha as module_wise_alpha_schedule,  # the name the perfbench tracer wraps
     sample_folded_alphas,
     shifted_target,
 )
@@ -55,7 +60,7 @@ from .solvers import (
     proxy_row_scores,
     rtn_round,
     snrq_greedy,
-    snrq_lazy,  # perfbench tracer only
+    snrq_greedy as snrq_lazy,  # perfbench tracer only
 )
 
 __all__ = [
@@ -67,6 +72,7 @@ __all__ = [
     "quantize_network",
     "sweep",
     "sweep_config",
+    "sampling_variance_sweep",
     "determinism_hash",
     "json_text",
 ]
@@ -517,7 +523,7 @@ def determinism_hash(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parameter sweeps
+# parameter sweeps and the seed study
 # ---------------------------------------------------------------------------
 
 SWEEP_AXES = ("alpha", "beta_lambda", "K", "cd_passes")
@@ -543,22 +549,75 @@ def sweep_config(config: RunConfig, axis: str, value) -> RunConfig:
 def sweep(config: RunConfig, axis: str, values) -> dict:
     """Re-run the pipeline per value of one axis and tabulate the results.
 
-    Each row is a ``quantize_network`` run of its swept config: it builds the
-    same network again (no axis touches it), and ``wall_ms`` includes that.
+    Every value's config is built before the first run, so an invalid value
+    raises before any layer work. Each row is a ``quantize_network`` run of
+    its swept config: it builds the same network again (no axis touches it),
+    and ``wall_ms`` is the run's ``timing.total_ms``, which includes that.
     """
     values = list(values)
     if not values:
         raise InvalidSpec("sweep needs at least one value")
+    configs = [sweep_config(config, axis, v) for v in values]
     rows = []
-    for v in values:
-        cfg = sweep_config(config, axis, v)
-        t0 = time.perf_counter()
+    for v, cfg in zip(values, configs):
         report = quantize_network(cfg)
-        wall_ms = (time.perf_counter() - t0) * 1e3
         rows.append({
             "value": v,
             "proxy_loss": sum(rec["proxy_loss"] for rec in report["layers"]),
             "heldout_output_mse": report["end_to_end"]["heldout_output_mse"],
-            "wall_ms": wall_ms,
+            "wall_ms": report["timing"]["total_ms"],
         })
     return {"axis": axis, "rows": rows}
+
+
+# run-to-run variability of the end proxy loss
+_ALPHA_MEAN_STREAM = 9001
+_ALPHA_MEAN_DRAWS = 100_000
+
+
+def folded_alpha_mean(beta_lambda: float, seed: int = 0) -> float:
+    """Monte Carlo estimate of E[min(b, 1-b)] for b ~ Beta(l, l)."""
+    rng = SeededRng(seed, _ALPHA_MEAN_STREAM)
+    return float(np.mean(sample_folded_alphas(_ALPHA_MEAN_DRAWS, beta_lambda, rng)))
+
+
+def sampling_variance_sweep(config: RunConfig, n_repeats: int) -> dict:
+    """Run-to-run spread of the end proxy loss: fixed-at-mean vs sampled.
+
+    The modes are the "alpha" sweep config at the :func:`folded_alpha_mean`
+    of ``config.alpha.beta_lambda`` and the "beta_lambda" one at that lambda.
+    Each runs ``n_repeats`` times, at seeds seed, seed + 1, ..., so each run
+    resamples the network and the calibration data. Reports mean and standard
+    deviation of the total proxy loss per mode; no hard ordering is asserted,
+    the result just flags the observed direction.
+    """
+    if n_repeats < 1:
+        raise InvalidSpec(f"n_repeats must be >= 1, got {n_repeats}")
+    if n_repeats == 1:
+        warnings.warn("n_repeats == 1: standard deviations degenerate to 0", stacklevel=2)
+
+    lam = config.alpha.beta_lambda
+    mean_alpha = folded_alpha_mean(lam, config.seed)
+    modes = {
+        "fixed_at_mean": sweep_config(config, "alpha", mean_alpha),
+        "sampled": sweep_config(config, "beta_lambda", lam),
+    }
+
+    out: dict = {"n_repeats": n_repeats, "alpha_mean": mean_alpha, "modes": {}}
+    for name, mode_config in modes.items():
+        vals = []
+        for rep in range(n_repeats):
+            report = quantize_network(replace(mode_config, seed=config.seed + rep))
+            vals.append(sum(rec["proxy_loss"] for rec in report["layers"]))
+        arr = np.array(vals)
+        out["modes"][name] = {
+            "mean": float(arr.mean()),
+            # shifted by the first loss, so identical repeats give exactly 0
+            # (the mean of n equal floats need not equal them)
+            "std": float((arr - arr[0]).std(ddof=1)) if n_repeats > 1 else 0.0,
+            "losses": vals,
+        }
+    out["sampled_std_leq_fixed"] = bool(
+        out["modes"]["sampled"]["std"] <= out["modes"]["fixed_at_mean"]["std"]
+    )
+    return out

@@ -350,10 +350,6 @@ def snrq_greedy(
     return _successive_round(_ordered(m_alpha, fact), fact, params, cfg, 1)
 
 
-# perfbench tracer only: it wraps the pipeline's import of this name
-snrq_lazy = snrq_greedy
-
-
 def ksnrq_beam(
     m_alpha: np.ndarray,
     fact: OrderedFactor,

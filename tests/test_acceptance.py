@@ -31,6 +31,7 @@ from snrq import (
     shifted_target,
     snrq_greedy,
 )
+from snrq.calibration import sample_folded_alphas
 from snrq.grid import GridParams
 from snrq.oracle import (
     DitherSetup,
@@ -43,7 +44,6 @@ from snrq.oracle import (
     levels,
     objective_direct,
     proxy_column_costs,
-    sample_folded_alphas,
 )
 from snrq.pipeline import (
     CalibrationConfig,

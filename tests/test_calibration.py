@@ -18,9 +18,9 @@ from snrq import (
     order_and_factor,
     shifted_target,
 )
-from snrq.calibration import module_wise_alpha_schedule, sample_folded_alphas
+from snrq.calibration import sample_folded_alphas
 from snrq.oracle import decomposition_check, objective_direct
-from snrq.pipeline import RunConfig
+from snrq.pipeline import RunConfig, module_wise_alpha_schedule
 
 from conftest import random_batch, same_bits
 

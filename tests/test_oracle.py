@@ -15,9 +15,9 @@ from snrq.oracle import (
     alpha_grid_scan,
     dither_experiment,
     exhaustive_row,
-    folded_alpha_mean,
     _ndtr,
 )
+from snrq.pipeline import folded_alpha_mean
 from snrq.solvers import SolverConfig
 
 from conftest import natural, random_batch, random_spd

@@ -13,7 +13,6 @@ import pytest
 from snrq import AlphaStrategy, GridSpec, InvalidSpec, NonFinite, SolverConfig, read_matrix, write_matrix
 from snrq import pipeline
 from snrq.grid import dequantize
-from snrq.oracle import sampling_variance_sweep
 from snrq.pipeline import (
     STREAM_CALIBRATION,
     STREAM_HELDOUT,
@@ -22,9 +21,11 @@ from snrq.pipeline import (
     RunConfig,
     _draw_inputs,
     determinism_hash,
+    folded_alpha_mean,
     forward_collect,
     json_text,
     quantize_network,
+    sampling_variance_sweep,
     sweep,
     sweep_config,
     synth_network,
@@ -439,6 +440,28 @@ def test_sweep_unknown_axis():
         sweep(small_config(), "bits", [2, 3])
 
 
+def test_sweep_checks_every_value_before_its_first_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr(pipeline, "quantize_network", runs.append)
+    with pytest.raises(InvalidSpec, match="beam_width"):
+        sweep(small_config(), "K", [2, 0])
+    assert runs == []
+
+
+def test_sweep_rows_read_their_run_reports(monkeypatch):
+    def fake_run(cfg):
+        k = cfg.solver.cd_passes
+        return {"layers": [{"proxy_loss": 1.0 + k}, {"proxy_loss": 2.0}],
+                "end_to_end": {"heldout_output_mse": 0.5 * k},
+                "timing": {"layer_ms": [3.0, 4.0], "total_ms": 10.0 + k}}
+
+    monkeypatch.setattr(pipeline, "quantize_network", fake_run)
+    assert sweep(small_config(), "cd_passes", [0, 2])["rows"] == [
+        {"value": 0, "proxy_loss": 3.0, "heldout_output_mse": 0.0, "wall_ms": 10.0},
+        {"value": 2, "proxy_loss": 5.0, "heldout_output_mse": 1.0, "wall_ms": 12.0},
+    ]
+
+
 def test_pipeline_snrq_equals_gptq_at_alpha_zero(tmp_path):
     # fixed alpha 0 with zero damping: the shifted target is the weights, so
     # the two error-feedback solvers make identical decisions layer by layer
@@ -491,6 +514,26 @@ def test_variance_sweep_identical_losses_have_zero_spread(monkeypatch):
                         lambda cfg: {"layers": [{"proxy_loss": loss}]})
     out = sampling_variance_sweep(small_config(), 3)
     assert [m["std"] for m in out["modes"].values()] == [0.0, 0.0]
+
+
+def test_variance_sweep_runs_both_sweep_configs_at_consecutive_seeds(monkeypatch):
+    runs = []
+
+    def recording_run(cfg):
+        runs.append(cfg)
+        return {"layers": [{"proxy_loss": float(len(runs))}]}
+
+    monkeypatch.setattr(pipeline, "quantize_network", recording_run)
+    cfg = small_config(alpha=AlphaStrategy(mode="closed_form", alpha_value=0.3, beta_lambda=3.0), seed=4)
+    out = sampling_variance_sweep(cfg, 3)
+    mean_alpha = folded_alpha_mean(3.0, 4)
+    modes = [sweep_config(cfg, "alpha", mean_alpha), sweep_config(cfg, "beta_lambda", 3.0)]
+    assert runs == [replace(mode, seed=seed) for mode in modes for seed in (4, 5, 6)]
+    assert modes[0].alpha == AlphaStrategy(mode="fixed", alpha_value=mean_alpha, beta_lambda=3.0)
+    assert modes[1].alpha == AlphaStrategy(mode="sampled", alpha_value=0.3, beta_lambda=3.0)
+    assert out["alpha_mean"] == mean_alpha
+    assert out["modes"]["fixed_at_mean"]["losses"] == [1.0, 2.0, 3.0]
+    assert out["modes"]["sampled"]["losses"] == [4.0, 5.0, 6.0]
 
 
 @pytest.mark.parametrize("mode", ["fixed", "closed_form", "sampled"])

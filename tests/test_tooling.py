@@ -156,27 +156,45 @@ def test_every_export_resolves():
     assert missing == []
 
 
+def imported_modules(path: Path) -> list[str]:
+    """Every module an import in ``path`` names, at any depth, with relative imports in snrq.
+
+    ``from m import x`` names both m and m.x, since x may be a submodule.
+    """
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["snrq" if node.level else "", node.module]))
+            names += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    return names
+
+
 def test_package_imports_no_scipy():
     # scipy serves the tests and the benchmark's environment record only
-    offenders = []
-    for path in sorted((ROOT / "src" / "snrq").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    offenders = [f"{path.name}: {n}" for path in sorted((ROOT / "src" / "snrq").glob("*.py"))
+                 for n in imported_modules(path) if n.split(".")[0] == "scipy"]
     assert offenders == []
 
 
-def test_quantize_does_not_import_the_oracle(tmp_path):
-    # only the oracle, alpha-scan, dither-demo and variance-sweep commands load it
+def test_oracle_imports_nothing_of_the_pipeline():
+    # the references stay independent of what they check; the seed study is the pipeline's
+    names = imported_modules(ROOT / "src" / "snrq" / "oracle.py")
+    assert [n for n in names if n == "snrq.pipeline" or n.startswith("snrq.pipeline.")] == []
+
+
+@pytest.mark.parametrize("command", [
+    ["quantize"],
+    ["sweep", "--axis", "cd_passes", "--values", "0"],
+    ["variance-sweep", "--repeats", "2"],
+], ids=lambda command: command[0])
+def test_quantize_does_not_import_the_oracle(tmp_path, command):
+    # only the oracle, alpha-scan and dither-demo commands load it
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"network": {"depth": 1, "width": 4}, "calibration": {"n_sequences": 8}}))
     script = ("import sys; from snrq.cli import cli_main; "
-              f"code = cli_main(['quantize', '--config', {str(config)!r}]); "
+              f"code = cli_main({command + ['--config', str(config)]!r}); "
               "print(code, 'snrq.oracle' in sys.modules, file=sys.stderr)")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
