@@ -35,8 +35,6 @@ __all__ = [
     "sample_folded_alphas",
 ]
 
-DEGENERATE_U_THRESHOLD = 1e-24
-
 ALPHA_MODES = ("fixed", "closed_form", "sampled")
 
 
@@ -86,10 +84,10 @@ class AlphaStrategy:
     def __post_init__(self):
         if self.mode not in ALPHA_MODES:
             raise InvalidSpec(f"alpha mode must be one of {ALPHA_MODES}, got {self.mode!r}")
-        require_finite("alpha_value", self.alpha_value)
+        object.__setattr__(self, "alpha_value", require_finite("alpha_value", self.alpha_value))
         if not 0.0 <= self.alpha_value <= 1.0:
             raise InvalidSpec(f"alpha_value must be in [0, 1], got {self.alpha_value}")
-        require_finite("beta_lambda", self.beta_lambda)
+        object.__setattr__(self, "beta_lambda", require_finite("beta_lambda", self.beta_lambda))
         if self.beta_lambda <= 0:
             raise InvalidSpec(f"beta_lambda must be positive, got {self.beta_lambda}")
 
@@ -176,8 +174,10 @@ def closed_form_alpha(
     """Minimizer of the objective over the interpolation weight, clamped to [0, 1].
 
     With U = w(xf - xq) and V = (w - w_hat)xq the unconstrained optimum is
-    -<V, U> / ||U||^2. When ||U||^2 vanishes every weight is optimal, so the
-    configured default is returned.
+    -<V, U> / ||U||^2. Both terms scale alike with the weights and with the
+    activations, so their ratio needs no absolute floor: only where
+    ||U||^2 is exactly 0 (xf == xq, as at layer 0 or after a lossless
+    layer) is every weight optimal, and the configured default is returned.
     """
     w = np.asarray(w, dtype=np.float64)
     w_hat = np.asarray(w_hat, dtype=np.float64)
@@ -186,7 +186,7 @@ def closed_form_alpha(
     v *= u  # the products and squares overwrite v and u: two arrays of u's size
     u *= u
     u_sq = float(np.sum(u))
-    if u_sq < DEGENERATE_U_THRESHOLD:
+    if u_sq == 0.0:
         return float(default_alpha)
     raw = -float(np.sum(v)) / u_sq
     return float(np.clip(raw, 0.0, 1.0))

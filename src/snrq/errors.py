@@ -47,19 +47,28 @@ class MemoryBudget(SnrqError):
     """
 
 
-def require_int(name: str, value, minimum: int | None = None) -> None:
-    """Raise InvalidSpec unless ``value`` is an integer (bools rejected) >= ``minimum``."""
+def require_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int; raise InvalidSpec unless it is an integer (bools rejected) >= ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidSpec(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise InvalidSpec(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
-def require_finite(name: str, value) -> None:
-    """Raise InvalidSpec unless ``value`` is a finite real number (bools rejected)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise InvalidSpec(f"{name} must be a finite number, got {value!r}")
+def require_finite(name: str, value) -> float:
+    """``value`` as a float, -0.0 as 0.0, so each number has one form.
+
+    Raises InvalidSpec unless ``value`` is a real number (bools rejected)
+    that is finite as a float: an integer beyond the float range is not.
+    """
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            if math.isfinite(value):
+                return float(value) + 0.0
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise InvalidSpec(f"{name} must be a finite number, got {value!r}")
 
 
 def require_bool(name: str, value) -> None:

@@ -17,6 +17,8 @@ same float operations run in the same order as the prefix replay of
 All randomness flows from the single config seed through fixed stream ids,
 so identical configs produce byte-identical reports apart from ``timing`` at a
 fixed BLAS thread count (on the benchmark workloads, also across thread counts).
+A config number has one form: the config classes store a float field as its
+float, so ``3`` and ``3.0``, or ``-0.0`` and ``0.0``, are one config and one hash.
 
 A study is a set of runs of :func:`sweep_config` configs, each result read
 from its run's report: :func:`sweep` over one axis, and
@@ -131,9 +133,7 @@ class NetworkConfig:
             raise InvalidSpec(f"weight_paths must be an array of strings, got {paths!r}")
         if len(self.dims) < 2:
             raise InvalidSpec("dims needs at least two positive entries")
-        for d in self.dims:
-            require_int("dims entry", d, 1)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(require_int("dims entry", d, 1) for d in self.dims))
         if paths is not None:
             object.__setattr__(self, "weight_paths", tuple(paths))
 
@@ -159,10 +159,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_finite("damping", self.damping)
+        object.__setattr__(self, "damping", require_finite("damping", self.damping))
         if self.damping < 0:
             raise InvalidSpec(f"damping must be >= 0, got {self.damping!r}")
-        require_finite("gptaq_alpha", self.gptaq_alpha)
+        object.__setattr__(self, "gptaq_alpha", require_finite("gptaq_alpha", self.gptaq_alpha))
         require_int("seed", self.seed)
 
     @staticmethod
@@ -394,7 +394,7 @@ def quantize_network(config: RunConfig, out_dir: str | Path | None = None) -> di
 
     finished = []  # (codes, grid) of each quantized layer; dequantized again only when read
     records, layer_ms = [], []
-    alpha = float(config.alpha.alpha_value)  # fixed mode's weight, and closed_form's for layer 0
+    alpha = config.alpha.alpha_value  # fixed mode's weight, and closed_form's for layer 0
     for l, w in enumerate(layers):
         t_layer = time.perf_counter()
         last = l + 1 == depth
@@ -532,13 +532,9 @@ SWEEP_AXES = ("alpha", "beta_lambda", "K", "cd_passes")
 def sweep_config(config: RunConfig, axis: str, value) -> RunConfig:
     """The run config for one value of a sweep axis; raises if the value is invalid."""
     if axis == "alpha":
-        alpha = AlphaStrategy(mode="fixed", alpha_value=float(value),
-                              beta_lambda=config.alpha.beta_lambda)
-        return replace(config, alpha=alpha)
+        return replace(config, alpha=replace(config.alpha, mode="fixed", alpha_value=value))
     if axis == "beta_lambda":
-        alpha = AlphaStrategy(mode="sampled", alpha_value=config.alpha.alpha_value,
-                              beta_lambda=float(value))
-        return replace(config, alpha=alpha)
+        return replace(config, alpha=replace(config.alpha, mode="sampled", beta_lambda=value))
     if axis == "K":
         return replace(config, solver=replace(config.solver, solver="ksnrq", beam_width=value))
     if axis == "cd_passes":

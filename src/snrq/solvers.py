@@ -24,8 +24,15 @@ Its entry points differ in (K, B) and the target:
                    accumulated branch metrics; each beam is expanded by a
                    window of min(K + 1, A) codes found in closed form from
                    its center, which holds every code that can survive
-  * gptq_round     (1, block_size) on the weights W: classic left-to-right
-                   error feedback makes exactly these decisions
+  * gptq_round     (1, block_size) on the weights W: snrq_greedy itself.
+                   GPTQ quantizes column j at its running value and spreads
+                   the error over the later columns through row j of the
+                   upper Cholesky factor of H^{-1}. Its running values are
+                   the kernel's centers on target W, in the reverse of GPTQ's
+                   order (what order_and_factor builds for "gptq"), so the
+                   kernel makes exactly GPTQ's decisions; its blocks are
+                   GPTQ's lazy batch updates, and its scores the levelwise
+                   proxy ||(Q - W)[:, perm] L||^2 per row
   * gptaq_round    (1, block_size) on W shifted by the single-component
                    mismatch correction, scored by the exact asymmetric objective
 
@@ -461,24 +468,7 @@ def cd_refine(
 # ---------------------------------------------------------------------------
 
 
-def gptq_round(
-    w: np.ndarray,
-    fact: OrderedFactor,
-    params: GridParams,
-    cfg: SolverConfig = SolverConfig(),
-) -> RoundResult:
-    """Classic left-to-right error feedback, run as greedy rounding of the weights.
-
-    GPTQ quantizes column j at its running value and spreads the error over
-    the later columns through row j of the upper Cholesky factor of H^{-1}.
-    Its running values are the centers of the reverse-order kernel on target
-    W, in the reverse of GPTQ's order (that is what :func:`order_and_factor`
-    builds for ``gptq``), so the kernel makes exactly GPTQ's decisions.
-    Like GPTQ's lazy batch updates, the kernel runs in blocks of
-    ``cfg.block_size`` columns. Scores are the levelwise proxy
-    ||(Q - W)[:, perm] L||^2 per row.
-    """
-    return _successive_round(_ordered(w, fact), fact, params, cfg, 1)
+gptq_round = snrq_greedy  # GPTQ's decisions; see the module docstring
 
 
 def gptaq_round(

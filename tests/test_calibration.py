@@ -246,6 +246,22 @@ def test_closed_form_degenerate_flag(rng):
     assert a == 0.3
 
 
+def test_closed_form_alpha_does_not_depend_on_the_scale(rng):
+    # <V, U> and ||U||^2 scale alike, so weights and activations scaled by a
+    # power of two give the same alpha: a vanishing U is an exact zero only,
+    # not one below an absolute floor (which 2^-40 once fell under)
+    batch = random_batch(rng, 4, 12, mismatch=0.6)
+    w = rng.normal(size=(3, 4))
+    # (w - w_hat) xq is about -0.3 U, so the optimum is inside (0, 1)
+    w_hat = w + 0.3 * (w @ batch.delta) @ np.linalg.pinv(batch.xq)
+    w_hat += 0.05 * rng.normal(size=w.shape)
+    a = closed_form_alpha(w, w_hat, batch)
+    assert 0.0 < a < 1.0 and a != 0.5
+    s = 2.0 ** -40
+    scaled = CalibBatch(xf=s * batch.xf, xq=s * batch.xq)
+    assert closed_form_alpha(s * w, s * w_hat, scaled) == a
+
+
 def test_closed_form_minimizes_over_grid(rng):
     for _ in range(50):
         batch = random_batch(rng, 4, 12, mismatch=0.6)

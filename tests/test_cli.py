@@ -399,6 +399,26 @@ def test_network_dims_with_depth_is_usage_error(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("section,field", [
+    ("alpha", "alpha_value"), ("alpha", "beta_lambda"), (None, "damping"), (None, "gptaq_alpha"),
+], ids=lambda v: v or "top")
+def test_float_field_beyond_the_float_range_is_usage_error(tmp_path, capsys, section, field):
+    # JSON has integers of any length; one that no float holds is a bad value,
+    # not an OverflowError traceback out of the range check
+    huge = int("1" + "0" * 400)
+    cfg = {"network": {"depth": 1, "width": 4}, "calibration": {"n_sequences": 8}}
+    if section is None:
+        cfg[field] = huge
+    else:
+        cfg[section] = {field: huge}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "quantize", "--config", str(p))
+    assert code == 1
+    assert err == f"usage error: config file {p}: {field} must be a finite number, got {huge}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("axis,values", [("cd_passes", "0.7,1.9"), ("K", "2,2.5")])
 def test_sweep_non_integral_integer_value_is_usage_error(tmp_path, capsys, axis, values):
     p = tmp_path / "cfg.json"

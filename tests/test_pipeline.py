@@ -387,6 +387,66 @@ def test_snrq_lazy_is_read_as_snrq():
         SolverConfig(solver="snrq_lazy")
 
 
+@pytest.mark.parametrize("section,key,mode,a,b", [
+    ("alpha", "beta_lambda", "sampled", 3, 3.0),
+    ("alpha", "alpha_value", "fixed", 1, 1.0),
+    ("alpha", "alpha_value", "fixed", -0.0, 0.0),
+    (None, "damping", "fixed", 1, 1.0),
+    (None, "damping", "fixed", -0.0, 0.0),
+    (None, "gptaq_alpha", "fixed", 1, 1.0),
+    (None, "gptaq_alpha", "fixed", -0.0, 0.0),
+])
+def test_a_config_number_has_one_form(section, key, mode, a, b):
+    # two spellings of one number are one config: the same report config
+    # (as JSON, where 3 and 3.0 or -0.0 and 0.0 are different text) and hash
+    def report(value):
+        d = {"network": {"depth": 2, "width": 4}, "calibration": {"n_sequences": 8},
+             "alpha": {"mode": mode}, "solver": {"solver": "gptaq"}}
+        if section is None:
+            d[key] = value
+        else:
+            d[section][key] = value
+        return quantize_network(RunConfig.from_dict(d))
+
+    ra, rb = report(a), report(b)
+    assert json_text(ra["config"]) == json_text(rb["config"])
+    assert ra["determinism_hash"] == rb["determinism_hash"]
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -25, 2.0 ** -60], ids=["2^-25", "2^-60"])
+def test_closed_form_codes_do_not_depend_on_the_weight_scale(tmp_path, scale):
+    # every stage is homogeneous in the weights, so weights scaled by a power
+    # of two round to the same codes; layer 2's alpha once fell back to its
+    # default because ||W(X_f - X_q)||^2 was under an absolute floor
+    def run(weights, out):
+        paths = [str(tmp_path / f"{out}_w{l}.snrqmat") for l in range(len(weights))]
+        for path, w in zip(paths, weights):
+            write_matrix(path, w, dtype="f64")
+        cfg = RunConfig.from_dict({"alpha": {"mode": "closed_form"}, "calibration": {"n_sequences": 64},
+                                   "network": {"dims": [16] * 4, "weight_paths": paths}, "seed": 2})
+        report = quantize_network(cfg, tmp_path / out)
+        codes = [read_matrix(tmp_path / out / f"layer_{l:02d}_codes.snrqmat") for l in range(3)]
+        return report, codes
+
+    layers = synth_network(NetworkConfig.chain(depth=3, width=16), 2)
+    plain, plain_codes = run(layers, "plain")
+    scaled, scaled_codes = run([scale * w for w in layers], "scaled")
+    for a, b in zip(scaled_codes, plain_codes):
+        assert np.array_equal(a, b)
+    assert [rec["alpha"] for rec in scaled["layers"]] == [rec["alpha"] for rec in plain["layers"]]
+
+
+def test_swept_values_follow_the_config_file_rules():
+    # a swept number is stored as a config file's is; a string is no number
+    cfg = small_config()
+    value = sweep_config(cfg, "alpha", 1).alpha.alpha_value
+    assert value == 1.0 and type(value) is float
+    assert type(sweep_config(cfg, "beta_lambda", 3).alpha.beta_lambda) is float
+    for axis in ("alpha", "beta_lambda"):
+        with pytest.raises(InvalidSpec, match="must be a finite number"):
+            sweep_config(cfg, axis, "0.5")
+
+
 def test_sweep_single_value_no_marginal():
     cfg = small_config(network=NetworkConfig.chain(depth=2, width=8),
                        calibration=CalibrationConfig(n_sequences=24))

@@ -3,6 +3,7 @@ the package keeps to its declared dependencies; the README's library example run
 its CLI lines and config block parse."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from snrq import (
+    AlphaStrategy,
     GridSpec,
     SolverConfig,
     cd_refine,
@@ -27,7 +29,7 @@ from snrq import (
     snrq_greedy,
 )
 from snrq import cli, grid, pipeline, solvers
-from snrq.pipeline import RunConfig, quantize_network
+from snrq.pipeline import CalibrationConfig, NetworkConfig, RunConfig, quantize_network
 from snrq.solvers import RoundResult
 
 from conftest import random_batch, random_spd
@@ -143,6 +145,16 @@ def test_traced_solver_names_run_on_the_op_thread(rng, monkeypatch):
     gptaq_cfg = SolverConfig(solver="gptaq")
     gptaq_round(w, order_and_factor(batch.xq @ batch.xq.T, gptaq_cfg), params, gptaq_cfg, batch)
     assert threads == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("cls", [GridSpec, AlphaStrategy, SolverConfig, CalibrationConfig,
+                                 NetworkConfig, RunConfig], ids=lambda cls: cls.__name__)
+def test_config_float_fields_store_floats(cls):
+    # a float field that skips require_finite would keep an int 1 as 1, and a
+    # report would then state (and hash) 1 where another states 1.0
+    floats = [f.name for f in dataclasses.fields(cls) if f.type in (float, "float")]
+    stored = {name: getattr(cls(**{name: 1}), name) for name in floats}
+    assert {name: type(v) for name, v in stored.items()} == {name: float for name in floats}
 
 
 def test_every_export_resolves():
