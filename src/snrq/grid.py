@@ -5,6 +5,8 @@ full signed code range [-2^(b-1), 2^(b-1)-1] with the scale fitted to
 2^(b-1)-1, so the number of representable levels is always A = 2^b. Asymmetric
 grids use codes [0, 2^b-1] with an integer zero point. Every cell's range is
 widened to cover zero, so zero is a level and a constant cell keeps its value.
+Every level of a fitted cell is finite, so near the largest float a cell's
+scale shrinks until its farthest level fits, and its extreme values can move.
 
 Scales and zero points are always fitted from the original full-precision
 weights and are always looked up by original column index; solvers that
@@ -132,7 +134,7 @@ def fit_grid(w: np.ndarray, spec: GridSpec) -> GridParams:
     cmin = cells.min(axis=2)
     cmax = cells.max(axis=2)
     if not spec.mse_clip:
-        return _fit_cells(cmin, cmax, spec)
+        return _finite_levels(_fit_cells(cmin, cmax, spec))
     # a cell whose every error overflows keeps the first ratio, as a running minimum would
     best = _fit_cells(_CLIP_RATIOS[0] * cmin, _CLIP_RATIOS[0] * cmax, spec)
     best_err = np.full((m, n_groups), np.inf)
@@ -141,7 +143,18 @@ def fit_grid(w: np.ndarray, spec: GridSpec) -> GridParams:
     with np.errstate(over="ignore"):  # an overflowing error is inf, and loses to every finite one
         for start in range(0, len(_CLIP_RATIOS), chunk):
             _merge_clip_chunk(best, best_err, cells, cmin, cmax, _CLIP_RATIOS[start:start + chunk], buf)
-    return best
+    return _finite_levels(best)
+
+
+@np.errstate(over="ignore")
+def _finite_levels(params: GridParams) -> GridParams:
+    """In place, give each cell whose farthest level, reach steps from the zero point,
+    overflows the float below MAX / reach as scale; no other cell or zero point changes."""
+    zero = params.zero_points
+    reach = np.maximum(zero - params.spec.code_min, params.spec.code_max - zero)
+    over = np.isinf(params.scales * reach)
+    params.scales[over] = np.nextafter(np.finfo(np.float64).max / reach[over], 0.0)
+    return params
 
 
 def _merge_clip_chunk(best, best_err, cells, cmin, cmax, ratios, buf) -> None:

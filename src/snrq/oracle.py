@@ -12,9 +12,9 @@ sides of its decomposition identity are computed from raw activations, the
 alpha scan evaluates that objective on a grid, and the dithering experiment
 estimates variances by plain Monte Carlo against the closed forms. The level
 enumeration these references and ``snrq oracle`` read (``levels``) lives here
-too. The module holds references only and imports nothing of the pipeline:
-the seed study that re-runs it, ``sampling_variance_sweep``, is a sweep of
-:mod:`snrq.pipeline`.
+too. The module holds references only and imports nothing of the solvers or
+the pipeline: the seed study that re-runs it, ``sampling_variance_sweep``, is
+a sweep of :mod:`snrq.pipeline`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .grid import (
     _CLIP_RATIOS, _DEGENERATE_SCALE, GridParams, GridSpec, column_grid, dequantize, round_to_grid,
 )
 from .rng import SeededRng
-from .solvers import RoundResult
 
 __all__ = [
     "OracleResult",
@@ -222,14 +221,10 @@ def _fit_cell(values: np.ndarray, spec: GridSpec) -> tuple[float, int]:
             scale = vmax / steps - vmin / steps
     if scale == 0.0:
         scale = _DEGENERATE_SCALE
-    return scale, _zero_for(vmin, scale, spec)
-
-
-def _zero_for(vmin: float, scale: float, spec: GridSpec) -> int:
     if spec.symmetric:
-        return 0
+        return scale, 0
     # clip the float: a subnormal scale can round down far enough to put -vmin / scale past code_max
-    return int(np.clip(np.floor(-vmin / scale + 0.5), 0, spec.code_max))
+    return scale, int(np.clip(np.floor(-vmin / scale + 0.5), 0, spec.code_max))
 
 
 # an error that overflows is inf, which the clip search already ranks last
@@ -245,7 +240,8 @@ def fit_grid_reference(w: np.ndarray, spec: GridSpec) -> GridParams:
     Same contract as :func:`snrq.grid.fit_grid` (finite 2-D weights, a
     dividing group_size): with ``spec.mse_clip`` each cell takes the first of
     100 ratios over [0.5, 1.0] whose shrunk min/max range gives the smallest
-    squared round-trip error.
+    squared round-trip error. A fitted cell whose farthest level, reach steps
+    from its zero point, overflows takes the float below MAX / reach as scale.
     """
     w = np.asarray(w, dtype=np.float64)
     m, n = w.shape
@@ -265,8 +261,11 @@ def fit_grid_reference(w: np.ndarray, spec: GridSpec) -> GridParams:
                 err = _cell_mse(cell, scale, zero, spec) if len(ratios) > 1 else 0.0
                 if best is None or err < best[0]:
                     best = (err, scale, zero)
-            scales[r, g] = best[1]
-            zeros[r, g] = best[2]
+            _, scale, zero = best
+            reach = max(zero - spec.code_min, spec.code_max - zero)
+            if math.isinf(scale * reach):
+                scale = math.nextafter(np.finfo(np.float64).max / reach, 0.0)
+            scales[r, g], zeros[r, g] = scale, zero
     return GridParams(scales=scales, zero_points=zeros, spec=spec)
 
 
@@ -286,14 +285,15 @@ def gptaq_reference(
     damping: float = 0.0,
     mismatch_scale: float = 1.0,
     exact: bool = False,
-) -> RoundResult:
+) -> np.ndarray:
     """Left-to-right rounding, forming and factoring the trailing moment block per column.
 
     With ``exact`` the un-absorbed remainder of the whole mismatch image is
     used at every step (the exact tail problem); otherwise only the
     single-component term of the current column (the surrogate of
     :func:`snrq.solvers.gptaq_round`). ``act_order`` takes columns in
-    descending diag(H) order. Scores are the exact asymmetric objective.
+    descending diag(H) order. Returns the int codes in original column order;
+    their asymmetric loss is :func:`objective_direct` at alpha 1.
     """
     w = np.asarray(w, dtype=np.float64)
     m, n = w.shape
@@ -332,10 +332,7 @@ def gptaq_reference(
 
     codes = np.empty_like(codes_p)
     codes[:, perm] = codes_p
-    # report against the exact asymmetric objective residual
-    resid = (dequantize(codes, params) - w) @ batch.xq - mismatch_scale * (w @ batch.delta)
-    scores = np.sum(resid * resid, axis=1)
-    return RoundResult(codes, scores)
+    return codes
 
 
 def objective_direct(

@@ -31,14 +31,13 @@ Its entry points differ in (K, B) and the target:
                    the kernel's centers on target W, in the reverse of GPTQ's
                    order (what order_and_factor builds for "gptq"), so the
                    kernel makes exactly GPTQ's decisions; its blocks are
-                   GPTQ's lazy batch updates, and its scores the levelwise
-                   proxy ||(Q - W)[:, perm] L||^2 per row
+                   GPTQ's lazy batch updates
   * gptaq_round    (1, block_size) on W shifted by the single-component
-                   mismatch correction, scored by the exact asymmetric objective
+                   mismatch correction
 
 Other solvers:
-  * rtn_round      nearest rounding, no error feedback (baseline), scored by
-                   the weight error ||Q - W||^2
+  * rtn_round      nearest rounding, no error feedback (baseline): the target
+                   W under the identity factor, whose proxy is ||Q - W||^2
   * cd_refine      cyclic exact single-coordinate re-optimization passes on
                    the gradient G = (Q - M) H, blocked like the kernel: moves
                    inside a block of block_size coordinates update only the
@@ -47,9 +46,9 @@ Other solvers:
                    result records the total objective after each pass
 
 A solver returns its codes, not their values, which :func:`snrq.grid.dequantize`
-gives, and its row scores are the objective it minimized. The one scorer of
-the proxy is :func:`proxy_row_scores`, which takes the layer's factor and
-returns ||(Q - T)[:, perm] L||^2 per row.
+gives, and its row scores are the proxy ||(Q - T)[:, perm] L||^2 toward the
+target T it rounded. The one scorer of the proxy from codes is
+:func:`proxy_row_scores`, which takes the layer's factor.
 
 Rows are independent problems. Every solver handles all rows of a layer in
 one vectorized pass: a column step is a few array operations over all rows
@@ -110,13 +109,12 @@ class SolverConfig:
 
 @dataclass
 class RoundResult:
-    """Outcome of one layer rounding: its codes and the objective that produced them.
+    """Outcome of one layer rounding: its codes and their proxy toward the solver's target.
 
     ``codes`` are in original column order; their values are
-    dequantize(codes, params). ``per_row_scores`` are the row objectives the
-    solver minimized: the proxy toward its target for the successive solvers
-    and :func:`cd_refine`, the asymmetric loss for :func:`gptaq_round`, and
-    the weight error for :func:`rtn_round`. ``proxy_loss`` is their sum.
+    dequantize(codes, params). ``per_row_scores`` are, for every solver, the
+    rows of ||(Q - T)[:, perm] L||^2 toward the target T it rounded (W under
+    the identity factor for :func:`rtn_round`). ``proxy_loss`` is their sum.
     :func:`cd_refine` sets ``objective_trajectory``, the total objective at
     its start and after each pass it ran.
     """
@@ -184,7 +182,7 @@ def _ordered(a: np.ndarray, fact: OrderedFactor) -> np.ndarray:
 
 
 def rtn_round(w: np.ndarray, params: GridParams) -> RoundResult:
-    """Round-to-nearest baseline, no error feedback, scored by the weight error ||Q - w||^2 per row."""
+    """Round-to-nearest baseline, no error feedback, scored by its proxy under L = I: ||Q - w||^2 per row."""
     w = np.asarray(w, dtype=np.float64)
     scale, zero = column_grid(params, np.arange(w.shape[1]))
     codes, err = round_to_grid(w, scale, zero, params.spec)
@@ -490,20 +488,11 @@ def gptaq_round(
     q equal to D[q, q+1:] H[q+1:, q+1:]^{-1}. Those trailing blocks of H are
     leading blocks of the one factor (which is in the reverse order), so U
     costs two triangular solves with the factor's block inverses. Scores are
-    the exact asymmetric objective.
+    the kernel's, the proxy toward that shifted target.
     """
-    w = np.asarray(w, dtype=np.float64)
     perm, low, inv = fact
     wp = _ordered(w, fact)
-    dx = batch.delta
     # kernel order: U is strictly lower, row i = D[i, :i] (L_i L_i^T)^{-1} with L_i = low[:i, :i]
-    d = np.tril((dx @ batch.xq.T)[np.ix_(perm, perm)], -1)
+    d = np.tril((batch.delta @ batch.xq.T)[np.ix_(perm, perm)], -1)
     u = solve_l(low, np.tril(solve_lt(low, d, inv), -1), inv)
-    result = _successive_round(wp + mismatch_scale * (wp @ u), fact, params, cfg, 1)
-    resid = (dequantize(result.codes, params) - w) @ batch.xq
-    shift = w @ dx
-    shift *= mismatch_scale
-    resid -= shift
-    resid *= resid
-    scores = np.sum(resid, axis=1)
-    return replace(result, per_row_scores=scores)
+    return _successive_round(wp + mismatch_scale * (wp @ u), fact, params, cfg, 1)

@@ -32,7 +32,7 @@ from snrq import (
     snrq_greedy,
 )
 from snrq.calibration import sample_folded_alphas
-from snrq.grid import GridParams
+from snrq.grid import GridParams, dequantize
 from snrq.oracle import (
     DitherSetup,
     alpha_grid_scan,
@@ -248,6 +248,9 @@ def test_c09_gptaq_surrogate_proposition():
     def gptaq_factor(batch):  # undamped, left to right
         return order_and_factor(batch.xq @ batch.xq.T, cfg)
 
+    def asymmetric_losses(w, batch, params, *codes):  # ||(Q - W) xq - W (xf - xq)||^2 of each
+        return [objective_direct(w, dequantize(c, params), batch, 1.0) for c in codes]
+
     # constructed: orthogonal student rows, mismatch parallel to row 0 only,
     # which forces the omitted term orthogonal to every trailing block
     q, _ = np.linalg.qr(rng.normal(size=(n_seq, n_seq)))
@@ -259,8 +262,9 @@ def test_c09_gptaq_surrogate_proposition():
     params = fit_grid(w, GridSpec(bits=3, symmetric=True))
     sur = gptaq_round(w, gptaq_factor(batch), params, cfg, batch)
     exa = gptaq_reference(w, batch, params, exact=True)
-    constructed_ok = np.array_equal(sur.codes, exa.codes) and (
-        abs(sur.proxy_loss - exa.proxy_loss) <= 1e-9 * max(1.0, exa.proxy_loss)
+    sur_loss, exa_loss = asymmetric_losses(w, batch, params, sur.codes, exa)
+    constructed_ok = np.array_equal(sur.codes, exa) and (
+        abs(sur_loss - exa_loss) <= 1e-9 * max(1.0, exa_loss)
     )
 
     # generic: dense mismatch, solutions differ and the surrogate pays a
@@ -271,8 +275,9 @@ def test_c09_gptaq_surrogate_proposition():
     params = fit_grid(w, GridSpec(bits=3, symmetric=True))
     sur = gptaq_round(w, gptaq_factor(batch), params, cfg, batch)
     exa = gptaq_reference(w, batch, params, exact=True)
-    gap = sur.proxy_loss - exa.proxy_loss
-    generic_ok = (not np.array_equal(sur.codes, exa.codes)) and gap > 0
+    sur_loss, exa_loss = asymmetric_losses(w, batch, params, sur.codes, exa)
+    gap = sur_loss - exa_loss
+    generic_ok = (not np.array_equal(sur.codes, exa)) and gap > 0
 
     ok = constructed_ok and generic_ok
     report_line("C09", ok, f"surrogate == exact on construction; generic gap {gap:.3f} > 0", t0)

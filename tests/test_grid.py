@@ -87,6 +87,31 @@ def test_asymmetric_cell_whose_range_overflows_has_a_finite_scale(mse_clip):
     assert np.all(np.isfinite(dequantize(codes, params)))
 
 
+_M = np.finfo(np.float64).max
+
+
+@pytest.mark.parametrize("bits", [2, 3, 4, 8])
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("mse_clip", [False, True])
+def test_every_level_is_finite_at_the_top_of_the_float_range(bits, symmetric, mse_clip):
+    # the solvers can pick any code, so every level scale * (code - zero) of a
+    # fitted cell is finite, also where rounding the zero point or the scale
+    # puts the farthest level past the largest float
+    spec = GridSpec(bits=bits, symmetric=symmetric, mse_clip=mse_clip)
+    rows = [(-_M, _M, 0.0, 1.0), (-_M, _M / 2, 0.0, 1.0), (0.0, _M, 1.0, 2.0),
+            (-_M, 0.0), (_M, _M), (-_M, -_M)]
+    for row in rows:
+        w = np.array([row])
+        with warnings.catch_warnings(), np.errstate(over="raise"):
+            warnings.simplefilter("error")
+            params = fit_grid(w, spec)
+        ref = fit_grid_reference(w, spec)
+        assert same_bits(params.scales, ref.scales) and same_bits(params.zero_points, ref.zero_points)
+        for code in range(spec.code_min, spec.code_max + 1):
+            values = dequantize(np.full(w.shape, code, dtype=np.int32), params)
+            assert np.all(np.isfinite(values)), (row, code)
+
+
 @pytest.mark.parametrize("spec", [
     GridSpec(bits=3, symmetric=True),
     GridSpec(bits=4, symmetric=False, group_size=4, mse_clip=True),

@@ -20,12 +20,14 @@ from snrq import (
     ksnrq_beam,
     order_and_factor,
     rtn_round,
+    shifted_target,
     snrq_greedy,
 )
 from snrq import solvers
 from snrq.grid import GridParams, dequantize, round_to_grid
 from snrq.oracle import (
-    beam_reference, cd_reference, exhaustive_row, gptaq_reference, levels, proxy_column_costs,
+    beam_reference, cd_reference, exhaustive_row, gptaq_reference, levels, objective_direct,
+    proxy_column_costs,
 )
 from snrq.solvers import RoundResult, _kernel_bytes, proxy_row_scores
 
@@ -33,6 +35,7 @@ from conftest import act_order_factor, natural, random_spd, same_bits
 
 NO_PERM = SolverConfig(act_order=False)
 PERM = SolverConfig(act_order=True)
+ASYM4_G8 = GridSpec(bits=4, symmetric=False, group_size=8)
 
 
 def gptq_factor(h, cfg):
@@ -49,10 +52,10 @@ def grid_01():
     )
 
 
-def layer_instance(rng, m=8, n=16, bits=3, ridge=None):
+def layer_instance(rng, m=8, n=16, bits=3, ridge=None, spec=None):
     w = rng.normal(size=(m, n))
     h = random_spd(rng, n, ridge if ridge is not None else 0.5)
-    params = fit_grid(w, GridSpec(bits=bits, symmetric=True))
+    params = fit_grid(w, spec or GridSpec(bits=bits, symmetric=True))
     return w, h, natural(*cholesky(h)), params
 
 
@@ -112,12 +115,13 @@ def test_greedy_diagonal_h_equals_rtn(rng):
 
 def test_greedy_proxy_matches_recomputation(rng):
     for cfg in (NO_PERM, PERM):
-        w, h, fact, params = layer_instance(rng)
-        res = snrq_greedy(w, order_and_factor(h, cfg), params, cfg)
-        rec = proxy_row_scores(dequantize(res.codes, params), w, fact)
-        assert np.allclose(res.per_row_scores, rec, rtol=1e-9)
-        assert abs(res.proxy_loss - rec.sum()) <= 1e-9 * max(1.0, rec.sum())
-        assert abs(res.per_row_scores.sum() - res.proxy_loss) <= 1e-9 * max(1.0, res.proxy_loss)
+        for spec in (None, ASYM4_G8):
+            w, h, fact, params = layer_instance(rng, spec=spec)
+            res = snrq_greedy(w, order_and_factor(h, cfg), params, cfg)
+            rec = proxy_row_scores(dequantize(res.codes, params), w, fact)
+            assert np.allclose(res.per_row_scores, rec, rtol=1e-9)
+            assert abs(res.proxy_loss - rec.sum()) <= 1e-9 * max(1.0, rec.sum())
+            assert abs(res.per_row_scores.sum() - res.proxy_loss) <= 1e-9 * max(1.0, res.proxy_loss)
 
 
 def test_proxy_row_scores_gathers_columns_in_factor_order(rng):
@@ -264,11 +268,13 @@ def test_beam_improves_known_instance():
 
 
 def test_beam_score_matches_recomputed_row_objective(rng):
-    w, h, fact, params = layer_instance(rng, m=6, n=12)
-    for k in (1, 2, 4):
-        res = ksnrq_beam(w, fact, params, SolverConfig(act_order=False, beam_width=k))
-        rec = proxy_row_scores(dequantize(res.codes, params), w, fact)
-        assert np.allclose(res.per_row_scores, rec, rtol=1e-9, atol=1e-12)
+    for cfg, spec, n in ((NO_PERM, None, 12), (NO_PERM, ASYM4_G8, 16), (PERM, ASYM4_G8, 16)):
+        w, h, _, params = layer_instance(rng, m=6, n=n, spec=spec)
+        fact = order_and_factor(h, cfg)
+        for k in (1, 2, 3, 4):
+            res = ksnrq_beam(w, fact, params, SolverConfig(act_order=cfg.act_order, beam_width=k))
+            rec = proxy_row_scores(dequantize(res.codes, params), w, fact)
+            assert np.allclose(res.per_row_scores, rec, rtol=1e-9, atol=1e-12)
 
 
 def test_beam_saturation_equals_oracle(rng):
@@ -605,6 +611,25 @@ def gptaq_factor(batch, cfg, damping=0.0):
     return order_and_factor(stats.h, SolverConfig(solver="gptaq", act_order=cfg.act_order))
 
 
+def asymmetric_loss(w, codes, params, batch):
+    """The exact asymmetric objective ||(Q - W) xq - W (xf - xq)||^2 of the codes."""
+    return objective_direct(w, dequantize(codes, params), batch, 1.0)
+
+
+def gptaq_target(w, fact, batch, scale):
+    """GPTAQ's target W + scale * W U from its plain definition: in the factor's
+    order, row i of U is D[i, :i] H[:i, :i]^{-1}, D = (xf - xq) xq^T, H = low low^T."""
+    perm = fact.perm
+    d = ((batch.xf - batch.xq) @ batch.xq.T)[np.ix_(perm, perm)]
+    h = fact.low @ fact.low.T
+    u = np.zeros(h.shape)
+    for i in range(1, len(perm)):
+        u[i, :i] = np.linalg.solve(h[:i, :i], d[i, :i])  # H is symmetric
+    t = np.empty(w.shape)
+    t[:, perm] = w[:, perm] + scale * (w[:, perm] @ u)
+    return t
+
+
 def test_gptaq_no_mismatch_equals_gptq(rng):
     n, n_seq = 10, 40
     w = rng.normal(size=(6, n))
@@ -632,8 +657,9 @@ def test_gptaq_surrogate_matches_exact_on_orthogonal_construction(rng):
     params = fit_grid(w, GridSpec(bits=3, symmetric=True))
     sur = gptaq_round(w, gptaq_factor(batch, NO_PERM), params, NO_PERM, batch)
     exa = gptaq_reference(w, batch, params, exact=True)
-    assert np.array_equal(sur.codes, exa.codes)
-    assert abs(sur.proxy_loss - exa.proxy_loss) <= 1e-9 * max(1.0, exa.proxy_loss)
+    assert np.array_equal(sur.codes, exa)
+    sur_loss, exa_loss = (asymmetric_loss(w, c, params, batch) for c in (sur.codes, exa))
+    assert abs(sur_loss - exa_loss) <= 1e-9 * max(1.0, exa_loss)
 
 
 def test_gptaq_surrogate_differs_generically(rng):
@@ -643,8 +669,9 @@ def test_gptaq_surrogate_differs_generically(rng):
     params = fit_grid(w, GridSpec(bits=3, symmetric=True))
     sur = gptaq_round(w, gptaq_factor(batch, NO_PERM), params, NO_PERM, batch)
     exa = gptaq_reference(w, batch, params, exact=True)
-    assert not np.array_equal(sur.codes, exa.codes)
-    assert sur.proxy_loss > exa.proxy_loss  # exact-objective gap is positive
+    assert not np.array_equal(sur.codes, exa)
+    # the exact-objective gap is positive
+    assert asymmetric_loss(w, sur.codes, params, batch) > asymmetric_loss(w, exa, params, batch)
 
 
 def test_gptaq_mismatch_scale_zero_is_gptq(rng):
@@ -675,14 +702,45 @@ def test_gptaq_and_gptq_match_reference_loop(rng):
         cfg = SolverConfig(solver="gptaq", act_order=act_order)
         ref = gptaq_reference(w, batch, params, act_order, damping, s)
         got = gptaq_round(w, gptaq_factor(batch, cfg, damping), params, cfg, batch, s)
-        assert np.array_equal(got.codes, ref.codes), f"trial {trial}"
-        assert abs(got.proxy_loss - ref.proxy_loss) <= 1e-9 * max(1.0, ref.proxy_loss)
+        assert np.array_equal(got.codes, ref), f"trial {trial}"
         if s == 0.0:
             stats = accumulate_stats(batch, 0.5, damping=damping)
             gq = gptq_round(w, gptq_factor(stats.h, cfg), params, cfg)
-            assert np.array_equal(gq.codes, ref.codes), f"trial {trial}"
+            assert np.array_equal(gq.codes, ref), f"trial {trial}"
         cases += 1
     assert cases >= 100
+
+
+# --- score meaning ------------------------------------------------------
+
+
+@pytest.mark.parametrize("act_order", [False, True])
+@pytest.mark.parametrize("solver", ["rtn", "snrq_cd2", "gptq", "gptaq"])
+def test_scores_are_the_proxy_toward_the_rounded_target(rng, solver, act_order):
+    # per_row_scores means one thing for every solver: ||(Q - T)[:, perm] L||^2
+    # toward the target T it rounded (rtn: W under the identity factor). The
+    # greedy and beam cases are inputs of the two recomputation tests above.
+    cfg = SolverConfig(solver=solver.split("_")[0], act_order=act_order, block_size=8)
+    for _ in range(10):
+        m, n = int(rng.integers(1, 9)), 8 * int(rng.integers(1, 5))
+        w = rng.normal(size=(m, n))
+        batch = make_batch(rng, n, 3 * n, mismatch=0.5)
+        stats = accumulate_stats(batch, 0.5)
+        fact = order_and_factor(stats.h, cfg)
+        params = fit_grid(w, ASYM4_G8)
+        if solver == "rtn":
+            res, target, fact = rtn_round(w, params), w, natural(np.eye(n))
+        elif solver == "snrq_cd2":
+            target = shifted_target(w, stats, fact)
+            res = cd_refine(snrq_greedy(target, fact, params, cfg), target, fact, params, 2, 8)
+        elif solver == "gptq":
+            res, target = gptq_round(w, fact, params, cfg), w
+        else:
+            scale = float(rng.uniform(0.0, 2.0))
+            res = gptaq_round(w, fact, params, cfg, batch, scale)
+            target = gptaq_target(w, fact, batch, scale)
+        rec = proxy_row_scores(dequantize(res.codes, params), target, fact)
+        assert np.allclose(res.per_row_scores, rec, rtol=1e-9, atol=0.0), (m, n)
 
 
 # --- cost sandwich ------------------------------------------------------
@@ -722,7 +780,7 @@ def test_proxy_scores_match_the_plain_expression_bit_for_bit(rng):
 
 
 @pytest.mark.parametrize("act_order", [False, True])
-def test_gptaq_scores_match_the_plain_expression_bit_for_bit(rng, act_order):
+def test_gptaq_scores_are_the_proxy_toward_its_shifted_target(rng, act_order):
     cfg = SolverConfig(solver="gptaq", act_order=act_order)
     for _ in range(20):
         m, n = int(rng.integers(1, 10)), int(rng.integers(1, 40))
@@ -730,9 +788,10 @@ def test_gptaq_scores_match_the_plain_expression_bit_for_bit(rng, act_order):
         w = rng.normal(size=(m, n))
         params = fit_grid(w, GridSpec(bits=3, symmetric=True))
         scale = float(rng.uniform(0.0, 2.0))
-        res = gptaq_round(w, gptaq_factor(batch, cfg, damping=0.01), params, cfg, batch, scale)
-        resid = (dequantize(res.codes, params) - w) @ batch.xq - scale * (w @ (batch.xf - batch.xq))
-        assert same_bits(res.per_row_scores, np.sum(resid * resid, axis=1))
+        fact = gptaq_factor(batch, cfg, damping=0.01)
+        res = gptaq_round(w, fact, params, cfg, batch, scale)
+        rec = proxy_row_scores(dequantize(res.codes, params), gptaq_target(w, fact, batch, scale), fact)
+        assert np.allclose(res.per_row_scores, rec, rtol=1e-9, atol=0.0)
 
 
 def test_kernel_unit_lower_factor_matches_the_plain_expression_bit_for_bit(rng, monkeypatch):

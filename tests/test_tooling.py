@@ -98,6 +98,31 @@ def test_tracer_reads_cd_refine_arguments_by_position(monkeypatch):
         assert load_tracer()._cd_counts(args, kwargs, result)["visited_computed"] == 8 * 8 * 2
 
 
+@pytest.mark.parametrize("solver, fn, k", [
+    ("rtn", "rtn_round", 1), ("snrq", "snrq_greedy", 1), ("ksnrq", "ksnrq_beam", 3),
+    ("gptq", "gptq_round", 1), ("gptaq", "gptaq_round", 1),
+])
+def test_tracer_reads_solver_results_and_config_by_position(monkeypatch, solver, fn, k):
+    # the tracer's decision count reads result.codes for m x n and args[3] as
+    # the solver config, whose beam width is K for ksnrq
+    calls = []
+    wrapped = getattr(pipeline, fn)
+
+    def recorder(*args, **kwargs):
+        result = wrapped(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(pipeline, fn, recorder)
+    cfg = RunConfig.from_dict({"solver": {"solver": solver, "beam_width": k},
+                               "network": {"depth": 2, "width": 8},
+                               "calibration": {"n_sequences": 16}})
+    quantize_network(cfg)
+    assert len(calls) == 2
+    for args, kwargs, result in calls:
+        assert load_tracer()._decision_counts(args, kwargs, result) == {"decisions_computed": 8 * 8 * k}
+
+
 def test_tracer_counts_forward_collect_prefix_by_position(rng):
     # the tracer's forward-collect count reads args[2] as the quantized
     # prefix: two matmuls (teacher and student) per prefix layer
@@ -191,9 +216,10 @@ def test_package_imports_no_scipy():
 
 
 def test_oracle_imports_nothing_of_the_pipeline():
-    # the references stay independent of what they check; the seed study is the pipeline's
+    # the references stay independent of what they check: the solvers, and the
+    # pipeline, whose seed study re-runs them
     names = imported_modules(ROOT / "src" / "snrq" / "oracle.py")
-    assert [n for n in names if n == "snrq.pipeline" or n.startswith("snrq.pipeline.")] == []
+    assert [n for n in names if ".".join(n.split(".")[:2]) in ("snrq.pipeline", "snrq.solvers")] == []
 
 
 @pytest.mark.parametrize("command", [
